@@ -187,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Degeneration terms, dimension formulas, lattice and monodromy "
         "computations for curves on an elliptic ruled surface.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint for library calls (computations are deterministic either way)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("terms", help="hyperplane-section terms of a state")
@@ -266,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (dg.BudgetExceeded, mo.BudgetExceeded) as exc:

@@ -34,7 +34,10 @@ from .monodromy import (
     identity,
     inverse,
     invariant_lattice,
+    is_transitive,
     perm_table,
+    sheet_letters,
+    sheet_tree,
     then,
     transposition,
 )
@@ -72,14 +75,9 @@ def iter_tuples(d: int, b: int):
                 if left < need or (left - need) % 2:
                     return
                 if depth == b:
-                    t = HurwitzTuple(
-                        d,
-                        perms[a_i],
-                        perms[b_i],
-                        tuple(perms[x] for x in stack),
-                    )
-                    if _transitive_ints(d, perms, [a_i, b_i] + stack):
-                        yield t
+                    gens = [perms[a_i], perms[b_i]] + [perms[x] for x in stack]
+                    if is_transitive(d, gens):
+                        yield HurwitzTuple(d, gens[0], gens[1], tuple(gens[2:]))
                     return
                 for tr in transps:
                     stack.append(tr)
@@ -87,24 +85,6 @@ def iter_tuples(d: int, b: int):
                     stack.pop()
 
             yield from dfs(id_i, 0)
-
-
-def _transitive_ints(d, perms, gen_ids) -> bool:
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gi in gen_ids:
-        p = perms[gi]
-        for i in range(d):
-            ri, rx = find(i), find(p[i])
-            if ri != rx:
-                parent[ri] = rx
-    return len({find(i) for i in range(d)}) == 1
 
 
 def enumerate_tuples(d: int, g: int, *, max_d: int = 5, max_b: int = 6) -> list[HurwitzTuple]:
@@ -390,6 +370,7 @@ class ScanReport:
     d: int
     b: int
     tuples: int = 0
+    groups: int = 0  # transitive (A, B, set of T) groups checked; not in to_json
     primitive: int = 0
     full: int = 0
     equivalence_failures: int = 0
@@ -424,139 +405,146 @@ class ScanReport:
 
 
 def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
-    """Stream every valid (d, b) tuple and verify, for each one:
+    """Verify, for every valid (d, b) tuple:
 
     * primitivity (full invariant lattice) iff full monodromy (|G| = d!),
     * |G| = (dtilde!)^e * |quotient| for the canonical factorization,
     * monodromy orbits on ordered pairs of distinct sheets biject with
       translation orbits on pairs of blocks.
 
+    Every check depends on a tuple only through A, B and the *set* of its
+    branch letters.  Transitivity and the invariant lattice are read off
+    the sheet graph, which has the same edges whatever the order and
+    multiplicity of the branch letters; the group is generated by the set;
+    and the block-pair verdict compares orbits with the classes of
+    w(y) - w(x) modulo the lattice, which another spanning tree shifts by
+    lattice vectors only.  So the ordered branch words are counted once
+    per (product, set of letters), each transitive (A, B, set) group is
+    checked once, and every tally adds the group's word count.
+
     Counts failures instead of raising, so a red run is inspectable.
     """
     if d > max_d:
         raise BudgetExceeded(f"scan guard: d={d} > {max_d}")
-    perms, index, mul, inv, transps, mindist = perm_table(d)
+    if d < 1 or b < 0:
+        raise ValueError("need d >= 1, b >= 0")
+    perms, index, mul, inv, transps, _ = perm_table(d)
     id_i = index[identity(d)]
     dfact = math.factorial(d)
     half = dfact // 2
     closure_cache: dict = {}
 
-    def closure_order(gen_ids) -> int:
-        key = tuple(sorted(set(gen_ids)))
+    def closure_order(key) -> int:
         hit = closure_cache.get(key)
         if hit is not None:
             return hit
-        seen = {id_i}
+        seen = bytearray(dfact)
+        seen[id_i] = 1
         frontier = [id_i]
-        order = dfact
+        order = 1
         while frontier:
             nxt = []
             for p in frontier:
                 row = mul[p]
                 for g in key:
                     q = row[g]
-                    if q not in seen:
-                        seen.add(q)
+                    if not seen[q]:
+                        seen[q] = 1
                         nxt.append(q)
-            if len(seen) > half:
-                break  # a proper subgroup has order at most d!/2
+            order += len(nxt)
+            if order > half:
+                order = dfact  # a proper subgroup has order at most d!/2
+                break
             frontier = nxt
-        else:
-            order = len(seen)
         closure_cache[key] = order
         return order
 
     # When |G| = d! the group is literally all of S_d, whose transitivity on
-    # ordered pairs of distinct sheets is checked here once; the per-tuple
-    # pair check then only runs on tuples with smaller monodromy.
-    sd_pair_transitive = d < 2 or _pair_orbit_count(d) == 1
+    # ordered pairs of distinct sheets is checked here once (the pair check
+    # with a single block); the per-group pair check then only runs on
+    # groups with smaller monodromy.
+    sd_letters = [(transposition(d, i, i + 1), (0, 0)) for i in range(d - 1)]
+    sd_pair_transitive = _blockpairs_ok(d, sd_letters, IDENTITY, [(0, 0)] * d)
+
+    sets_of_product: dict = {}
+    for (p, used), n in _branch_words(mul, id_i, transps, b).items():
+        branch = [perms[x] for x in used]
+        sets_of_product.setdefault(p, []).append((used, branch, n))
 
     report = ScanReport(d=d, b=b)
     quotient_cache: dict = {}
+    for a_i, a in enumerate(perms):
+        for b_i, bb in enumerate(perms):
+            target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
+            for used, branch, n in sets_of_product.get(target, ()):
+                letters = sheet_letters([a, bb, *branch])
+                w, reached = sheet_tree(d, letters)
+                if len(reached) < d:
+                    continue
+                report.groups += 1
+                report.tuples += n
 
-    for t in iter_tuples(d, b):
-        report.tuples += 1
-        gen_ids = [index[t.A], index[t.B]] + [index[x] for x in t.T]
+                lat = _schreier_lattice(letters, w)
+                report.census[lat] = report.census.get(lat, 0) + n
+                primitive = lat == IDENTITY
+                order = closure_order(tuple(sorted({a_i, b_i, *used})))
+                full = order == dfact
+                if primitive:
+                    report.primitive += n
+                if full:
+                    report.full += n
+                if primitive != full:
+                    report.equivalence_failures += n
 
-        w, lat = _schreier_lattice(t)
-        report.census[lat] = report.census.get(lat, 0) + 1
-        primitive = lat == IDENTITY
-        order = closure_order(gen_ids)
-        full = order == dfact
-        if primitive:
-            report.primitive += 1
-        if full:
-            report.full += 1
-        if primitive != full:
-            report.equivalence_failures += 1
+                # kernel order under the canonical factorization
+                e = lat.index
+                if d % e:
+                    report.kernel_failures += n
+                else:
+                    q_order = quotient_cache.get(lat)
+                    if q_order is None:
+                        q_order = _translation_order(lat)
+                        quotient_cache[lat] = q_order
+                    report.kernel_checked += n
+                    if math.factorial(d // e) ** e * q_order != order:
+                        report.kernel_failures += n
 
-        # kernel order under the canonical factorization
-        e = lat.index
-        dtilde = d // e if d % e == 0 else None
-        if dtilde is None:
-            report.kernel_failures += 1
-        else:
-            q_order = quotient_cache.get(lat)
-            if q_order is None:
-                q_order = _translation_order(lat)
-                quotient_cache[lat] = q_order
-            expected = math.factorial(dtilde) ** e * q_order
-            report.kernel_checked += 1
-            if expected != order:
-                report.kernel_failures += 1
-
-        if full and primitive:
-            if not sd_pair_transitive:
-                report.blockpair_failures += 1
-        elif not _blockpairs_ok(t, lat, w):
-            report.blockpair_failures += 1
+                if full and primitive:
+                    if not sd_pair_transitive:
+                        report.blockpair_failures += n
+                elif not _blockpairs_ok(d, letters, lat, w):
+                    report.blockpair_failures += n
     return report
 
 
-def _pair_orbit_count(d: int) -> int:
-    gens = [transposition(d, i, i + 1) for i in range(d - 1)]
-    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
+def _branch_words(mul, id_i: int, transps, b: int) -> dict:
+    """Count the ordered words T_1..T_b of transpositions by (product, sorted
+    tuple of the distinct letters used).
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Grown one letter at a time, so the table never holds more than
+    d! * (number of letter sets) keys, however many words there are.
+    """
+    counts = {(id_i, ()): 1}
+    for _ in range(b):
+        grown: dict = {}
+        for (p, used), n in counts.items():
+            row = mul[p]
+            for t in transps:
+                key = (row[t], used if t in used else tuple(sorted(used + (t,))))
+                grown[key] = grown.get(key, 0) + n
+        counts = grown
+    return counts
 
-    for g in gens:
-        for p in pairs:
-            a, bb = find(index[p]), find(index[(g[p[0]], g[p[1]])])
-            if a != bb:
-                parent[a] = bb
-    return len({find(i) for i in range(len(pairs))})
 
-
-def _schreier_lattice(t: HurwitzTuple):
-    """Spanning-tree vectors and the invariant lattice, accumulated
-    incrementally with an early exit once the lattice is full."""
+def _schreier_lattice(letters, w) -> Lattice2:
+    """The invariant lattice of a transitive tuple from its sheet tree
+    ``w``, accumulated incrementally with an early exit once it is full."""
     from math import gcd
 
     from .lattices import _ext_gcd
 
-    letters = [(t.A, (1, 0)), (t.B, (0, 1))] + [(x, (0, 0)) for x in t.T]
-    w = [None] * t.d
-    w[0] = (0, 0)
-    order = [0]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        ws = w[s]
-        for p, vec in letters:
-            s2 = p[s]
-            if w[s2] is None:
-                w[s2] = (ws[0] + vec[0], ws[1] + vec[1])
-                order.append(s2)
     g, uy, zc = 0, 0, 0
-    for s in range(t.d):
-        ws = w[s]
+    for s, ws in enumerate(w):
         for p, vec in letters:
             s2 = p[s]
             vx = ws[0] + vec[0] - w[s2][0]
@@ -574,10 +562,10 @@ def _schreier_lattice(t: HurwitzTuple):
                     uy = r * uy + ss * vy
                     g = gg
             if g == 1 and zc == 1:
-                return w, IDENTITY
+                return IDENTITY
     if g == 0 or zc == 0:
         raise ValueError("tuple is not transitive; no finite-index lattice")
-    return w, Lattice2(g, uy % zc, zc)
+    return Lattice2(g, uy % zc, zc)
 
 
 def _translation_order(lat: Lattice2) -> int:
@@ -599,8 +587,7 @@ def _translation_order(lat: Lattice2) -> int:
     return len(seen)
 
 
-def _blockpairs_ok(t: HurwitzTuple, lat: Lattice2, w) -> bool:
-    d = t.d
+def _blockpairs_ok(d: int, letters, lat: Lattice2, w) -> bool:
     pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
     if not pairs:
         return True
@@ -613,7 +600,7 @@ def _blockpairs_ok(t: HurwitzTuple, lat: Lattice2, w) -> bool:
             i = parent[i]
         return i
 
-    for g in t.generators():
+    for g, _ in letters:
         for p in pairs:
             a = find(index[p])
             bb = find(index[(g[p[0]], g[p[1]])])

@@ -157,7 +157,7 @@ def violations(t: HurwitzTuple) -> tuple[str, ...]:
         prod = compose(prod, ti)
     if commutator(t.A, t.B) != prod:
         out.append("[A,B] != T1...Tb")
-    if not _transitive(t):
+    if not is_transitive(t.d, t.generators()):
         out.append("sheets are not transitively permuted")
     return tuple(out)
 
@@ -170,21 +170,6 @@ def check_valid(t: HurwitzTuple) -> None:
     bad = violations(t)
     if bad:
         raise ValueError("; ".join(bad))
-
-
-def _transitive(t: HurwitzTuple) -> bool:
-    parent = list(range(t.d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in t.generators():
-        for i, x in enumerate(p):
-            parent[find(i)] = find(x)
-    return len({find(i) for i in range(t.d)}) == 1
 
 
 # -- group closure ------------------------------------------------------------
@@ -217,26 +202,44 @@ def group_closure(gens, budget: int = 40_320) -> frozenset:
 # -- the invariant lattice ----------------------------------------------------
 
 
-def _letters(t: HurwitzTuple):
-    return [(t.A, (1, 0)), (t.B, (0, 1))] + [(ti, (0, 0)) for ti in t.T]
+def sheet_letters(gens):
+    """Pair each generator of a tuple with its image in Z^2: A gives (1, 0),
+    B gives (0, 1) and every branch letter (0, 0)."""
+    return [(gens[0], (1, 0)), (gens[1], (0, 1))] + [(p, (0, 0)) for p in gens[2:]]
+
+
+def sheet_tree(d: int, letters, base: int = 0):
+    """Breadth-first spanning tree of the sheet graph, from ``base``.
+
+    ``letters`` are (permutation, vector) pairs as made by
+    :func:`sheet_letters`.  Returns ``(w, order)``: ``order`` lists the
+    reached sheets in breadth-first order and ``w[s]`` sums the vectors
+    along the tree path to s (None where s is not reached).  The letters
+    act transitively exactly when ``len(order) == d``."""
+    w: list[tuple[int, int] | None] = [None] * d
+    w[base] = (0, 0)
+    order = [base]
+    for s in order:
+        x, y = w[s]
+        for p, (dx, dy) in letters:
+            s2 = p[s]
+            if w[s2] is None:
+                w[s2] = (x + dx, y + dy)
+                order.append(s2)
+    return w, order
+
+
+def is_transitive(d: int, gens) -> bool:
+    """Whether the tuple generators ``gens`` = (A, B, T...) act transitively
+    on d sheets; the one transitivity test of the library."""
+    return d > 0 and len(sheet_tree(d, sheet_letters(gens))[1]) == d
 
 
 def schreier_vectors(t: HurwitzTuple, base: int = 0):
     """Spanning-tree words w(s) in Z^2 and the abelianized Schreier
     generators of the stabilizer of ``base`` under the sheet action."""
-    letters = _letters(t)
-    w: list[tuple[int, int] | None] = [None] * t.d
-    w[base] = (0, 0)
-    order = [base]
-    queue = [base]
-    while queue:
-        s = queue.pop(0)
-        for p, vec in letters:
-            s2 = p[s]
-            if w[s2] is None:
-                w[s2] = (w[s][0] + vec[0], w[s][1] + vec[1])
-                order.append(s2)
-                queue.append(s2)
+    letters = sheet_letters(t.generators())
+    w, order = sheet_tree(t.d, letters, base)
     vectors = []
     for s in order:
         for p, vec in letters:

@@ -145,3 +145,11 @@ def test_repeated_runs_are_byte_identical(args):
     second = run_cli(*args).stdout
     assert first == second
     json.loads(first)  # and the output is valid JSON
+
+
+@pytest.mark.parametrize(
+    "d,b,code", [("0", "2", 1), ("3", "-1", 1), ("7", "2", 3)]
+)
+def test_scan_boundary_exit_codes(d, b, code):
+    proc = run_cli("mono", "scan", "--d", d, "--b", b, expect=code)
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from severi.hurwitz import (
     PUSH_B,
     HandleMove,
     MoveSet,
+    ScanReport,
     admissible,
     braid_move,
     braid_move_inverse,
@@ -21,6 +23,7 @@ from severi.hurwitz import (
     orbits,
     scan_monodromy,
 )
+from severi.lattices import IDENTITY
 from severi.monodromy import (
     BudgetExceeded,
     HurwitzTuple,
@@ -29,9 +32,12 @@ from severi.monodromy import (
     identity,
     invariant_lattice,
     inverse,
+    is_full_monodromy,
     is_valid,
+    kernel_order_check,
     then,
     transposition,
+    transitive_on_block_pairs,
 )
 from tests.test_monodromy import sample_tuples
 
@@ -56,11 +62,13 @@ def test_enumerate_small_counts():
     assert all(t.T == (T12,) * 4 for t in ts)
 
 
-def brute_force_count(d, b):
-    transp = [
+def brute_force_tuples(d, b):
+    """Every valid tuple, by filtering all of S_d x S_d x transpositions^b,
+    in lexicographic order of (A, B, T_1..T_b) as permutation tuples."""
+    transp = sorted(
         transposition(d, i, j) for i in range(d) for j in range(i + 1, d)
-    ]
-    count = 0
+    )
+    out = []
     for A in itertools.permutations(range(d)):
         for B in itertools.permutations(range(d)):
             target = commutator(A, B)
@@ -70,14 +78,16 @@ def brute_force_count(d, b):
                     prod = compose(prod, x)
                 if prod != target:
                     continue
-                if is_valid(HurwitzTuple(d, A, B, ts)):
-                    count += 1
-    return count
+                t = HurwitzTuple(d, A, B, ts)
+                if is_valid(t):
+                    out.append(t)
+    return out
 
 
 def test_enumeration_matches_bruteforce_oracle():
-    assert len(enumerate_tuples(3, 2)) == brute_force_count(3, 2)
-    assert len(enumerate_tuples(2, 2)) == brute_force_count(2, 2)
+    """Same tuples in the same order, not only the same count."""
+    for d, b in [(2, 2), (3, 2), (3, 4), (4, 2)]:
+        assert list(iter_tuples(d, b)) == brute_force_tuples(d, b), (d, b)
 
 
 def test_enumeration_guard():
@@ -255,36 +265,49 @@ def test_orbit_counts_beyond_calibration():
         assert all(n == 1 for n in rep.lattice_of_orbit.values())
 
 
-def test_scan_closure_order_matches_public_closure():
-    """The scan's table-based order (with its half-order shortcut) must agree
-    with the plain breadth-first closure on real generator sets."""
-    import math
+def reference_scan(d, b):
+    """The scan's tallies, one tuple at a time, from the readable checks."""
+    rep = ScanReport(d=d, b=b)
+    for t in iter_tuples(d, b):
+        rep.tuples += 1
+        lat = invariant_lattice(t)
+        rep.census[lat] = rep.census.get(lat, 0) + 1
+        primitive = lat == IDENTITY
+        full = is_full_monodromy(t)
+        rep.primitive += primitive
+        rep.full += full
+        rep.equivalence_failures += primitive != full
+        kernel = kernel_order_check(t)
+        if kernel.applicable:
+            rep.kernel_checked += 1
+            rep.kernel_failures += not kernel.ok
+        rep.blockpair_failures += not transitive_on_block_pairs(t)
+    return rep
 
-    from severi.monodromy import group_closure
 
-    for t in itertools.islice(iter_tuples(4, 2), 0, 400, 7):
-        order = len(group_closure(t.generators()))
-        # replicate the scan's computation
-        from severi.monodromy import perm_table
+@pytest.mark.parametrize("d,b", [(3, 2), (3, 4), (4, 2)])
+def test_scan_matches_per_tuple_reference(d, b):
+    rep = scan_monodromy(d, b)
+    ref = reference_scan(d, b)
+    for f in fields(ScanReport):
+        if f.name != "groups":
+            assert getattr(rep, f.name) == getattr(ref, f.name), f.name
+    assert 0 < rep.groups <= rep.tuples
 
-        perms, index, mul, inv, transps, mindist = perm_table(t.d)
-        key = tuple(sorted({index[p] for p in t.generators()}))
-        seen = {index[tuple(range(t.d))]}
-        frontier = list(seen)
-        dfact = math.factorial(t.d)
-        fast = dfact
-        while frontier:
-            nxt = []
-            for p in frontier:
-                row = mul[p]
-                for g in key:
-                    q = row[g]
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            if len(seen) > dfact // 2:
-                break
-            frontier = nxt
-        else:
-            fast = len(seen)
-        assert fast == order
+
+def test_scan_checks_each_group_once():
+    assert scan_monodromy(4, 4).groups == 16_032
+    rep = scan_monodromy(5, 2)
+    assert rep.groups == 16_320
+    assert "groups" not in rep.to_json()
+
+
+def test_scan_boundaries():
+    for d, b in [(0, 2), (3, -1)]:
+        with pytest.raises(ValueError):
+            scan_monodromy(d, b)
+    with pytest.raises(BudgetExceeded):
+        scan_monodromy(7, 2)
+    for d, b in [(3, 1), (4, 3)]:
+        rep = scan_monodromy(d, b)
+        assert rep.tuples == rep.groups == 0 and rep.ok
