@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (dg.BudgetExceeded, mo.BudgetExceeded) as exc:
+    except mo.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

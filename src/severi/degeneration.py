@@ -37,6 +37,9 @@ from .states import (
     InvalidState,
     LineBundle,
     SeveriState,
+    _dimension,
+    _key_string,
+    _normalize,
     check_valid,
     dimension,
     fresh_labels,
@@ -51,10 +54,6 @@ KIND_I = "I"
 KIND_IIA = "IIa"
 KIND_IIB = "IIb"
 KIND_II = "II"
-
-
-class BudgetExceeded(RuntimeError):
-    """A resource guard tripped."""
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,9 @@ def _term(kind, child, m=0, tau=Profile(), kept=(), dropped=()) -> Term:
     )
 
 
-def _check_term(parent: SeveriState, term: Term) -> Term:
+def _check_term(parent_dim: int, term: Term) -> Term:
     check_valid(term.child)
-    if dimension(term.child) != dimension(parent) - 1:
+    if _dimension(term.child) != parent_dim - 1:
         raise AssertionError(
             f"dimension drop != 1 for term {term.coefficient}"
         )
@@ -115,12 +114,17 @@ def _check_term(parent: SeveriState, term: Term) -> Term:
     return term
 
 
-def _dedup(parent: SeveriState, terms, key_mode: str) -> tuple[Term, ...]:
+def _dedup(parent: SeveriState, terms, key_mode: str) -> tuple[tuple[tuple, Term], ...]:
+    """The first term per (kind, m, tau, child key), checked, in key order,
+    each paired with the key tuple of its child.  The enumerators have
+    validated the parent on entry."""
+    parent_dim = _dimension(parent)
     seen = {}
     for term in terms:
-        key = (term.kind, term.m, term.tau.entries, key_tuple(term.child, key_mode))
+        child_key = key_tuple(term.child, key_mode)
+        key = (term.kind, term.m, term.tau.entries, child_key)
         if key not in seen:
-            seen[key] = _check_term(parent, term)
+            seen[key] = (child_key, _check_term(parent_dim, term))
     return tuple(seen[k] for k in sorted(seen))
 
 
@@ -192,7 +196,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
                             betas=((Profile.ones(b), bundle), (tau, lbar)),
                         )
                         out.append(_term(KIND_IIB, child, m=m, tau=tau, kept=(0,)))
-    return _dedup(s, out, key_mode)
+    return tuple(term for _, term in _dedup(s, out, key_mode))
 
 
 def _index_subsets(labels, size):
@@ -203,7 +207,23 @@ def _index_subsets(labels, size):
 
 
 def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...]:
-    """Terms of the hyperplane section for any valid normalized state."""
+    """Terms of the hyperplane section for any valid normalized state.
+
+    A type II term keeps a sub-multiset of the fixed points ``alpha``.  In
+    symbolic mode every subset of the labeled points is walked, since the
+    key reads the labels.  In degree mode the key reads only the orders, so
+    one subset per multiset of kept orders is walked: the first k points of
+    each run of equal orders in the stored ``alpha``, for every k.  The
+    output is the same: for each choice of m, kept groups and dropped
+    orders, every subset with the same kept orders gives the same keys, and
+    the full walk meets them first at the lexicographically least such
+    subset, which is this one, so deduplication keeps the same term.
+    """
+    return tuple(term for _, term in _successors_general_keyed(s, key_mode))
+
+
+def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tuple, Term], ...]:
+    """``successors_general``, each term paired with its child's key tuple."""
     check_valid(s)
     if not is_normalized(s):
         raise InvalidState("general enumerator needs every group size >= 2; normalize first")
@@ -228,6 +248,7 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
 
     # type II: E0 splits off with multiplicity m
     ell = s.ell
+    alpha_choices = _alpha_prefixes(s.alpha) if key_mode == DEGREE else _alpha_subsets(s.alpha)
     for m in range(1, s.N + 1):
         for kept_mask in itertools.product((True, False), repeat=ell):
             kept = tuple(j for j in range(ell) if kept_mask[j])
@@ -235,19 +256,20 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
             drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
             for drops in itertools.product(*drop_choices):
                 dropped = tuple(zip(loose, drops))
-                for alpha_kept in _alpha_subsets(s.alpha):
+                merged_entries: list[int] = []
+                groups_bundle = LineBundle()
+                for j, n in dropped:
+                    beta, bundle = s.betas[j]
+                    rest = list(beta.entries)
+                    rest.remove(n)
+                    merged_entries.extend(rest)
+                    groups_bundle = groups_bundle + bundle
+                for alpha_kept in alpha_choices:
                     alpha_dropped = [ent for ent in s.alpha if ent not in alpha_kept]
                     mass = sum(o for o, _ in alpha_dropped) + sum(drops)
                     if mass < 2:
                         continue
-                    merged_entries: list[int] = []
-                    merged_bundle = LineBundle()
-                    for j, n in dropped:
-                        beta, bundle = s.betas[j]
-                        rest = list(beta.entries)
-                        rest.remove(n)
-                        merged_entries.extend(rest)
-                        merged_bundle = merged_bundle + bundle
+                    merged_bundle = groups_bundle
                     for order, lbl in alpha_dropped:
                         merged_bundle = merged_bundle + order * point(lbl)
                     for tau in partitions(mass):
@@ -274,6 +296,16 @@ def _alpha_subsets(alpha):
     for r in range(len(alpha) + 1):
         out.extend(itertools.combinations(alpha, r))
     return out
+
+
+def _alpha_prefixes(alpha):
+    """One subset of ``alpha`` per multiset of orders: the first k points of
+    each run of equal orders, for every k from 0 to the run's length."""
+    runs = [list(run) for _, run in itertools.groupby(alpha, key=lambda ent: ent[0])]
+    return [
+        tuple(itertools.chain.from_iterable(run[:k] for run, k in zip(runs, ks)))
+        for ks in itertools.product(*(range(len(run) + 1) for run in runs))
+    ]
 
 
 # -- iterated sections: the degeneration forest ------------------------------
@@ -346,13 +378,19 @@ def build_forest(
     while queue:
         key, depth = queue.popleft()
         state = forest.nodes[key]
-        if dimension(state) <= floor:
+        if _dimension(state) <= floor:
             continue
         if max_depth is not None and depth >= max_depth:
             continue
-        for term in successors_general(state, key_mode):
-            nchild, factor = normalize(term.child)
-            ckey = canonical_key(nchild, key_mode)
+        for child_key, term in _successors_general_keyed(state, key_mode):
+            # The enumerator has checked and keyed every child already.
+            # Normalizing returns the child itself unless it has a singleton
+            # group, and only such changed children need a new key.
+            nchild, factor = _normalize(term.child)
+            if nchild is term.child:
+                ckey = _key_string(child_key)
+            else:
+                ckey = canonical_key(nchild, key_mode)
             if ckey not in forest.nodes:
                 if len(forest.nodes) >= max_nodes:
                     forest.truncated = True

@@ -9,6 +9,7 @@ multisets.  The canonical stored form is non-increasing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -129,6 +130,12 @@ def partitions(m: int) -> tuple[Profile, ...]:
     """
     if m < 0:
         raise ValueError("partitions need m >= 0")
+    return _partitions(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(m: int) -> tuple[Profile, ...]:
+    # memoised: profiles are frozen, so every caller may share the tuple
     out: list[Profile] = []
 
     def rec(rest: int, cap: int, acc: list[int]) -> None:

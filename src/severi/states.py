@@ -82,17 +82,7 @@ class LineBundle:
 
     @staticmethod
     def from_json(data) -> "LineBundle":
-        lb = LineBundle(
-            tuple(
-                (t["kind"], t["name"], int(t["deg"]), int(t["coeff"]))
-                for t in data.get("expr", [])
-            )
-        )
-        if "degree" in data and int(data["degree"]) != lb.degree:
-            raise ValueError(
-                f"stated degree {data['degree']} != expression degree {lb.degree}"
-            )
-        return lb
+        return _bundle_from_json(data, "L")
 
 
 def symbol(name: str, degree: int) -> LineBundle:
@@ -172,6 +162,11 @@ def check_valid(s: SeveriState) -> None:
 def dimension(s: SeveriState) -> int:
     """d + g + sum_j |beta^j| - 1 - ell."""
     check_valid(s)
+    return _dimension(s)
+
+
+def _dimension(s: SeveriState) -> int:
+    # the formula alone, for states the caller has already validated
     return s.d + s.g + sum(beta.size for beta, _ in s.betas) - 1 - s.ell
 
 
@@ -202,6 +197,11 @@ def normalize(s: SeveriState) -> tuple[SeveriState, int]:
     b^2 sibling varieties.
     """
     check_valid(s)
+    return _normalize(s)
+
+
+def _normalize(s: SeveriState) -> tuple[SeveriState, int]:
+    # normalize without validating, for states the caller has already validated
     singles = [(beta, bundle) for beta, bundle in s.betas if beta.size == 1]
     if not singles:
         return s, 1
@@ -244,7 +244,12 @@ def key_tuple(s: SeveriState, mode: str = DEGREE):
 
 
 def canonical_key(s: SeveriState, mode: str = DEGREE) -> str:
-    return json.dumps(key_tuple(s, mode), separators=(",", ":"))
+    return _key_string(key_tuple(s, mode))
+
+
+def _key_string(key) -> str:
+    """The canonical key string of a tuple returned by :func:`key_tuple`."""
+    return json.dumps(key, separators=(",", ":"))
 
 
 def _symbolic_part(s: SeveriState):
@@ -318,13 +323,77 @@ def state_to_json(s: SeveriState) -> dict:
 
 
 def state_from_json(data) -> SeveriState:
+    """Parse a state in the shape of ``docs/state.schema.json``.
+
+    A document of the wrong shape (not an object, a missing field, a field
+    of the wrong JSON type) raises :class:`InvalidState` naming the field.
+    """
+    _expect(data, "object", "state")
+    alpha = []
+    for i, a in enumerate(_field(data, "alpha", "array", "state", default=[])):
+        at = f"state.alpha[{i}]"
+        _expect(a, "object", at)
+        alpha.append((_field(a, "mult", "integer", at), _field(a, "point", "string", at)))
+    betas = []
+    for j, b in enumerate(_field(data, "betas", "array", "state", default=[])):
+        at = f"state.betas[{j}]"
+        _expect(b, "object", at)
+        profile = _field(b, "profile", "array", at)
+        for x in profile:
+            _expect(x, "integer", f"{at}.profile")
+        bundle = _bundle_from_json(_field(b, "L", "object", at), f"{at}.L")
+        betas.append((Profile(tuple(profile)), bundle))
     return SeveriState(
-        d=int(data["d"]),
-        N=int(data["N"]),
-        g=int(data["g"]),
-        alpha=tuple((int(a["mult"]), str(a["point"])) for a in data.get("alpha", ())),
-        betas=tuple(
-            (Profile.from_json(b["profile"]), LineBundle.from_json(b["L"]))
-            for b in data.get("betas", ())
-        ),
+        d=_field(data, "d", "integer", "state"),
+        N=_field(data, "N", "integer", "state"),
+        g=_field(data, "g", "integer", "state"),
+        alpha=tuple(alpha),
+        betas=tuple(betas),
     )
+
+
+def _bundle_from_json(data, where: str) -> LineBundle:
+    _expect(data, "object", where)
+    terms = []
+    for i, t in enumerate(_field(data, "expr", "array", where, default=[])):
+        at = f"{where}.expr[{i}]"
+        _expect(t, "object", at)
+        terms.append(
+            (
+                _field(t, "kind", "string", at),
+                _field(t, "name", "string", at),
+                _field(t, "deg", "integer", at),
+                _field(t, "coeff", "integer", at),
+            )
+        )
+    lb = LineBundle(tuple(terms))
+    if _field(data, "degree", "integer", where, default=lb.degree) != lb.degree:
+        raise ValueError(f"stated degree {data['degree']} != expression degree {lb.degree}")
+    return lb
+
+
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def _expect(value, kind: str, where: str) -> None:
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    if got != kind:
+        raise InvalidState(f"{where} must be a JSON {kind}, got {got}")
+
+
+def _field(obj: dict, name: str, kind: str, where: str, default=_REQUIRED):
+    if name not in obj:
+        if default is _REQUIRED:
+            raise InvalidState(f"{where} is missing the field {name!r}")
+        return default
+    _expect(obj[name], kind, f"{where}.{name}")
+    return obj[name]

@@ -153,3 +153,17 @@ def test_repeated_runs_are_byte_identical(args):
 def test_scan_boundary_exit_codes(d, b, code):
     proc = run_cli("mono", "scan", "--d", d, "--b", b, expect=code)
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command,flag,document",
+    [("terms", "--state", {"d": [1], "N": 1, "g": 1}), ("forest", "--root", [1, 2])],
+)
+def test_malformed_state_json_is_one_error_line(tmp_path, command, flag, document):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli(command, flag, str(path), expect=1)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

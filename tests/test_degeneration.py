@@ -3,8 +3,11 @@ import pytest
 from severi import degeneration as dg
 from severi.profiles import Profile
 from severi.states import (
+    DEGREE,
+    SYMBOLIC,
     InvalidState,
     SeveriState,
+    canonical_key,
     dimension,
     key_tuple,
     normalize,
@@ -249,3 +252,69 @@ def test_dot_output_is_deterministic():
     f = dg.build_forest([root], floor=0)
     assert dg.forest_to_dot(f) == dg.forest_to_dot(f)
     assert dg.forest_to_dot(f).startswith("digraph")
+
+
+# -- the degree-mode walk over fixed-point sub-multisets ---------------------
+
+SEVEN_SIMPLE = simple_state(9, 2, 2, 7, 2)
+MIXED_ORDERS = SeveriState(
+    d=9,
+    N=2,
+    g=1,
+    alpha=((2, "p1"), (2, "p2"), (1, "p3"), (1, "p4"), (1, "p5")),
+    betas=((Profile.ones(2), symbol("L", 2)),),
+)
+
+
+def walk_states(rng):
+    return [SEVEN_SIMPLE, MIXED_ORDERS] + [random_normalized_state(rng) for _ in range(60)]
+
+
+def degree_keys(terms):
+    return [(t.kind, t.m, t.tau.entries, key_tuple(t.child, DEGREE)) for t in terms]
+
+
+def test_degree_walk_matches_symbolic_walk(rng):
+    """Symbolic mode walks every subset of the fixed points and keeps more
+    terms, so its degree keys are the reference for the degree-mode walk."""
+    for s in walk_states(rng):
+        degree = degree_keys(dg.successors_general(s, DEGREE))
+        symbolic = degree_keys(dg.successors_general(s, SYMBOLIC))
+        assert len(set(degree)) == len(degree)
+        assert set(degree) == set(symbolic)
+
+
+def test_degree_walk_keeps_run_prefixes(rng):
+    """Every type II child keeps the first points of each run of equal
+    orders in the parent's stored alpha."""
+    for s in walk_states(rng):
+        runs = {}
+        for order, lbl in s.alpha:
+            runs.setdefault(order, []).append(lbl)
+        for t in dg.successors_general(s, DEGREE):
+            if t.kind == "I":
+                continue
+            kept = {lbl for _, lbl in t.child.alpha}
+            for labels in runs.values():
+                flags = [lbl in kept for lbl in labels]
+                assert flags == sorted(flags, reverse=True)
+
+
+# -- forest keys -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_forest_keys_are_canonical_keys(mode, rng):
+    roots = [simple_state(6, 4, 6, 0, 6), simple_state(5, 3, 4, 0, 5)]
+    roots += [random_normalized_state(rng) for _ in range(6)]
+    normalized = {True: 0, False: 0}
+    for root in roots:
+        forest = dg.build_forest([root], max_nodes=300, key_mode=mode)
+        for key, node in forest.nodes.items():
+            assert key == canonical_key(node, mode)
+        for e in forest.edges:
+            nchild = normalize(e.term.child)[0]
+            assert e.child == canonical_key(nchild, mode)
+            normalized[nchild != e.term.child] += 1
+    # both the reused and the recomputed child keys are exercised
+    assert normalized[True] > 0 and normalized[False] > 0

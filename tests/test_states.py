@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from severi.profiles import Profile
@@ -185,3 +187,29 @@ def test_json_roundtrip(rng):
     for _ in range(50):
         s = random_normalized_state(rng)
         assert state_from_json(state_to_json(s)) == s
+
+
+GOOD_GROUP = {"profile": [1, 1], "L": {"expr": [{"kind": "sym", "name": "L", "deg": 2, "coeff": 1}]}}
+
+
+@pytest.mark.parametrize(
+    "document,field",
+    [
+        ([1, 2], "state"),
+        ("state", "state"),
+        ({"d": [1], "N": 1, "g": 1}, "state.d"),
+        ({"d": 2, "N": 1}, "'g'"),
+        ({"d": 2, "N": 1, "g": True}, "state.g"),
+        ({"d": 2, "N": 1, "g": 0, "alpha": {}}, "state.alpha"),
+        ({"d": 2, "N": 1, "g": 0, "alpha": [[1, "p"]]}, "alpha[0]"),
+        ({"d": 2, "N": 1, "g": 0, "alpha": [{"mult": 2, "point": 1}]}, "alpha[0].point"),
+        ({"d": 2, "N": 1, "g": 0, "betas": [{"profile": 2, "L": {}}]}, "betas[0].profile"),
+        ({"d": 2, "N": 1, "g": 0, "betas": [{"profile": ["1"], "L": {}}]}, "betas[0].profile"),
+        ({"d": 2, "N": 1, "g": 0, "betas": [{"profile": [2], "L": []}]}, "betas[0].L"),
+        ({"d": 2, "N": 1, "g": 0, "betas": [{"profile": [2], "L": {"expr": [3]}}]}, "L.expr[0]"),
+        ({"d": 2, "N": 1, "g": 0, "betas": [dict(GOOD_GROUP, L={"expr": [], "degree": "0"})]}, "L.degree"),
+    ],
+)
+def test_state_from_json_rejects_malformed_documents(document, field):
+    with pytest.raises(InvalidState, match=re.escape(field)):
+        state_from_json(document)
