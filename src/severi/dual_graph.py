@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .states import InvalidState, _expect, _field
+
 X = "X"
 
 
@@ -51,13 +53,33 @@ class CentralFiber:
 
     @staticmethod
     def from_json(data) -> "CentralFiber":
+        """Parse a graph in the shape of ``docs/central_fiber.schema.json``.
+
+        A document of the wrong shape raises :class:`~.states.InvalidState`
+        naming the field; omitted component or edge lists mean none."""
+        _expect(data, "object", "graph")
+        e_parts, z_parts = [], []
+        for i, c in enumerate(_field(data, "e_components", "array", "graph", default=[])):
+            at = f"graph.e_components[{i}]"
+            _expect(c, "object", at)
+            e_parts.append((_field(c, "genus", "integer", at), _field(c, "degree", "integer", at)))
+        for i, c in enumerate(_field(data, "z_components", "array", "graph", default=[])):
+            at = f"graph.z_components[{i}]"
+            _expect(c, "object", at)
+            z_parts.append(_field(c, "genus", "integer", at))
+        edges = _field(data, "edges", "array", "graph", default=[])
+        for i, e in enumerate(edges):
+            at = f"graph.edges[{i}]"
+            _expect(e, "array", at)
+            for v in e:
+                _expect(v, "string", at)
+            if len(e) != 2:
+                raise InvalidState(f"{at} must join two vertex ids, got {len(e)}")
         return CentralFiber(
-            x_genus=int(data["x_genus"]),
-            e_parts=tuple(
-                (int(c["genus"]), int(c["degree"])) for c in data.get("e_components", ())
-            ),
-            z_parts=tuple(int(c["genus"]) for c in data.get("z_components", ())),
-            edges=tuple((str(a), str(b)) for a, b in data.get("edges", ())),
+            x_genus=_field(data, "x_genus", "integer", "graph"),
+            e_parts=tuple(e_parts),
+            z_parts=tuple(z_parts),
+            edges=tuple((a, b) for a, b in edges),
         )
 
 

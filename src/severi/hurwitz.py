@@ -12,6 +12,9 @@ covers.  The move set used here:
 * two handle moves pushing the last branch point around the two handle
   loops of the target.
 
+:func:`move_images` lists the moves of a tuple in that order; the orbit
+closure and the DOT rendering of the move graph both walk it.
+
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
 the last branch letter to a conjugate of itself, and the shipped pair is
@@ -26,21 +29,31 @@ import math
 from dataclasses import dataclass, field
 
 from . import words as wd
-from .lattices import IDENTITY, Lattice2, sublattices
+from .lattices import IDENTITY, Lattice2, hnf, sublattices
 from .monodromy import (
     BudgetExceeded,
     HurwitzTuple,
     compose,
+    cycles_of,
     identity,
     inverse,
     invariant_lattice,
     is_transitive,
+    pair_orbits_match_classes,
     perm_table,
+    root,
+    schreier_rows,
     sheet_letters,
     sheet_tree,
     then,
     transposition,
 )
+
+# Budgets: the largest degree and branch count enumerated tuple by tuple,
+# and the largest degree the exhaustive scan accepts.
+MAX_ENUM_D = 5
+MAX_ENUM_B = 6
+MAX_SCAN_D = 6
 
 
 def branch_points(g: int) -> int:
@@ -87,12 +100,12 @@ def iter_tuples(d: int, b: int):
             yield from dfs(id_i, 0)
 
 
-def enumerate_tuples(d: int, g: int, *, max_d: int = 5, max_b: int = 6) -> list[HurwitzTuple]:
+def enumerate_tuples(d: int, g: int) -> list[HurwitzTuple]:
     """All valid tuples for degree d, source genus g (so b = 2g - 2)."""
     b = branch_points(g)
-    if d > max_d or b > max_b:
+    if d > MAX_ENUM_D or b > MAX_ENUM_B:
         raise BudgetExceeded(
-            f"enumeration guard: d={d} > {max_d} or b={b} > {max_b}"
+            f"enumeration guard: d={d} > {MAX_ENUM_D} or b={b} > {MAX_ENUM_B}"
         )
     return list(iter_tuples(d, b))
 
@@ -193,8 +206,6 @@ PUSH_B = HandleMove(
 @dataclass(frozen=True)
 class MoveSet:
     handles: tuple[HandleMove, ...] = (PUSH_A, PUSH_B)
-    use_braids: bool = True
-    use_conjugation: bool = True
 
     def __post_init__(self) -> None:
         for mv in self.handles:
@@ -204,6 +215,19 @@ class MoveSet:
 
 def default_moves() -> MoveSet:
     return MoveSet()
+
+
+def move_images(t: HurwitzTuple, moves: MoveSet):
+    """Yield (label, image) for every move on t: the braid moves s1.., the
+    relabelings c1.. by adjacent transpositions, then the handle moves of
+    ``moves`` by name."""
+    for k in range(t.b - 1):
+        yield f"s{k + 1}", braid_move(t, k)
+    for k in range(t.d - 1):
+        yield f"c{k + 1}", conjugate_tuple(t, transposition(t.d, k, k + 1))
+    if t.b >= 1:
+        for mv in moves.handles:
+            yield mv.name, mv.apply(t)
 
 
 # -- orbits ---------------------------------------------------------------------
@@ -248,35 +272,15 @@ def orbits(tuples, moves: MoveSet | None = None) -> OrbitReport:
     d = tuples[0].d
     index = {t: i for i, t in enumerate(tuples)}
     parent = list(range(len(tuples)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, t2):
-        if t2 not in index:
-            raise AssertionError("a move left the enumerated tuple set")
-        y = index[t2]
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    conj_gens = [transposition(d, i, i + 1) for i in range(d - 1)] if d >= 2 else []
     for t, i in index.items():
-        if moves.use_braids:
-            for k in range(t.b - 1):
-                union(i, braid_move(t, k))
-        if moves.use_conjugation:
-            for g in conj_gens:
-                union(i, conjugate_tuple(t, g))
-        if t.b >= 1:
-            for mv in moves.handles:
-                union(i, mv.apply(t))
+        for _, t2 in move_images(t, moves):
+            j = index.get(t2)
+            if j is None:
+                raise AssertionError("a move left the enumerated tuple set")
+            parent[root(parent, i)] = root(parent, j)
 
     lattices = [invariant_lattice(t) for t in tuples]
-    orbit_of = tuple(find(i) for i in range(len(tuples)))
+    orbit_of = tuple(root(parent, i) for i in range(len(tuples)))
     reps = sorted(set(orbit_of))
     census: dict = {}
     for lat in lattices:
@@ -322,13 +326,10 @@ def expected_lattices(d: int) -> tuple[Lattice2, ...]:
 def move_graph_dot(tuples, moves: MoveSet | None = None) -> str:
     """DOT rendering of the move graph on an enumerated tuple set."""
     moves = moves or default_moves()
-    tuples = list(tuples)
     index = {t: i for i, t in enumerate(tuples)}
 
     def label(t):
         def c(p):
-            from .monodromy import cycles_of
-
             cyc = cycles_of(p)
             return "".join("(" + " ".join(map(str, x)) + ")" for x in cyc) or "id"
 
@@ -338,26 +339,13 @@ def move_graph_dot(tuples, moves: MoveSet | None = None) -> str:
     for t, i in index.items():
         lines.append(f'  n{i} [label="{label(t)}"];')
     seen = set()
-
-    def edge(i, t2, name):
-        j = index[t2]
-        key = (min(i, j), max(i, j), name)
-        if i != j and key not in seen:
-            seen.add(key)
-            lines.append(f'  n{key[0]} -- n{key[1]} [label="{name}"];')
-
-    d = tuples[0].d
-    conj_gens = [transposition(d, i, i + 1) for i in range(d - 1)] if d >= 2 else []
     for t, i in index.items():
-        if moves.use_braids:
-            for k in range(t.b - 1):
-                edge(i, braid_move(t, k), f"s{k+1}")
-        if moves.use_conjugation:
-            for gnum, g in enumerate(conj_gens):
-                edge(i, conjugate_tuple(t, g), f"c{gnum+1}")
-        if t.b >= 1:
-            for mv in moves.handles:
-                edge(i, mv.apply(t), mv.name)
+        for name, t2 in move_images(t, moves):
+            j = index[t2]
+            key = (min(i, j), max(i, j), name)
+            if i != j and key not in seen:
+                seen.add(key)
+                lines.append(f'  n{key[0]} -- n{key[1]} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -404,7 +392,7 @@ class ScanReport:
         }
 
 
-def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
+def scan_monodromy(d: int, b: int) -> ScanReport:
     """Verify, for every valid (d, b) tuple:
 
     * primitivity (full invariant lattice) iff full monodromy (|G| = d!),
@@ -424,8 +412,8 @@ def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
 
     Counts failures instead of raising, so a red run is inspectable.
     """
-    if d > max_d:
-        raise BudgetExceeded(f"scan guard: d={d} > {max_d}")
+    if d > MAX_SCAN_D:
+        raise BudgetExceeded(f"scan guard: d={d} > {MAX_SCAN_D}")
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
     perms, index, mul, inv, transps, _ = perm_table(d)
@@ -464,7 +452,7 @@ def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
     # with a single block); the per-group pair check then only runs on
     # groups with smaller monodromy.
     sd_letters = [(transposition(d, i, i + 1), (0, 0)) for i in range(d - 1)]
-    sd_pair_transitive = _blockpairs_ok(d, sd_letters, IDENTITY, [(0, 0)] * d)
+    sd_pair_transitive = pair_orbits_match_classes(d, sd_letters, IDENTITY, [(0, 0)] * d)
 
     sets_of_product: dict = {}
     for (p, used), n in _branch_words(mul, id_i, transps, b).items():
@@ -472,7 +460,6 @@ def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
         sets_of_product.setdefault(p, []).append((used, branch, n))
 
     report = ScanReport(d=d, b=b)
-    quotient_cache: dict = {}
     for a_i, a in enumerate(perms):
         for b_i, bb in enumerate(perms):
             target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
@@ -484,7 +471,7 @@ def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
                 report.groups += 1
                 report.tuples += n
 
-                lat = _schreier_lattice(letters, w)
+                lat = hnf(schreier_rows(letters, w, reached))
                 report.census[lat] = report.census.get(lat, 0) + n
                 primitive = lat == IDENTITY
                 order = closure_order(tuple(sorted({a_i, b_i, *used})))
@@ -496,23 +483,21 @@ def scan_monodromy(d: int, b: int, *, max_d: int = 6) -> ScanReport:
                 if primitive != full:
                     report.equivalence_failures += n
 
-                # kernel order under the canonical factorization
+                # kernel order under the canonical factorization; the
+                # translations act regularly on the e blocks Z^2 / L, so the
+                # quotient group has order e
                 e = lat.index
                 if d % e:
                     report.kernel_failures += n
                 else:
-                    q_order = quotient_cache.get(lat)
-                    if q_order is None:
-                        q_order = _translation_order(lat)
-                        quotient_cache[lat] = q_order
                     report.kernel_checked += n
-                    if math.factorial(d // e) ** e * q_order != order:
+                    if math.factorial(d // e) ** e * e != order:
                         report.kernel_failures += n
 
                 if full and primitive:
                     if not sd_pair_transitive:
                         report.blockpair_failures += n
-                elif not _blockpairs_ok(d, letters, lat, w):
+                elif not pair_orbits_match_classes(d, letters, lat, w):
                     report.blockpair_failures += n
     return report
 
@@ -534,88 +519,3 @@ def _branch_words(mul, id_i: int, transps, b: int) -> dict:
                 grown[key] = grown.get(key, 0) + n
         counts = grown
     return counts
-
-
-def _schreier_lattice(letters, w) -> Lattice2:
-    """The invariant lattice of a transitive tuple from its sheet tree
-    ``w``, accumulated incrementally with an early exit once it is full."""
-    from math import gcd
-
-    from .lattices import _ext_gcd
-
-    g, uy, zc = 0, 0, 0
-    for s, ws in enumerate(w):
-        for p, vec in letters:
-            s2 = p[s]
-            vx = ws[0] + vec[0] - w[s2][0]
-            vy = ws[1] + vec[1] - w[s2][1]
-            if vx == 0:
-                if vy:
-                    zc = gcd(zc, vy if vy > 0 else -vy)
-            else:
-                if g == 0:
-                    g, uy = (vx, vy) if vx > 0 else (-vx, -vy)
-                else:
-                    gg, r, ss = _ext_gcd(g, vx)
-                    det = g * vy - vx * uy
-                    zc = gcd(zc, (det if det > 0 else -det) // gg)
-                    uy = r * uy + ss * vy
-                    g = gg
-            if g == 1 and zc == 1:
-                return IDENTITY
-    if g == 0 or zc == 0:
-        raise ValueError("tuple is not transitive; no finite-index lattice")
-    return Lattice2(g, uy % zc, zc)
-
-
-def _translation_order(lat: Lattice2) -> int:
-    residues = lat.residues()
-    res_index = {r: i for i, r in enumerate(residues)}
-    a_bar = tuple(res_index[lat.reduce((r[0] + 1, r[1]))] for r in residues)
-    b_bar = tuple(res_index[lat.reduce((r[0], r[1] + 1))] for r in residues)
-    seen = {identity(len(residues))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in (a_bar, b_bar):
-                q = compose(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
-
-
-def _blockpairs_ok(d: int, letters, lat: Lattice2, w) -> bool:
-    pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
-    if not pairs:
-        return True
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g, _ in letters:
-        for p in pairs:
-            a = find(index[p])
-            bb = find(index[(g[p[0]], g[p[1]])])
-            if a != bb:
-                parent[a] = bb
-    orbit_of_class: dict = {}
-    for p in pairs:
-        ux, uy = w[p[0]]
-        vx, vy = w[p[1]]
-        cls = lat.reduce((vx - ux, vy - uy))
-        rep = find(index[p])
-        prev = orbit_of_class.get(cls)
-        if prev is None:
-            orbit_of_class[cls] = rep
-        elif prev != rep:
-            return False
-    reps = list(orbit_of_class.values())
-    return len(set(reps)) == len(reps)

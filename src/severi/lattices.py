@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 
 @dataclass(frozen=True, order=True)
@@ -75,23 +74,24 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def hnf(rows) -> Lattice2:
-    """Hermite normal form of the lattice spanned by the given integer rows."""
-    g, uy = 0, 0
-    zs: list[int] = []
+    """Hermite normal form of the lattice spanned by the given integer rows.
+
+    ``rows`` may be any iterable; reading stops as soon as the rows read
+    span all of Z^2."""
+    g, uy, c = 0, 0, 0
     for x, y in rows:
         x, y = int(x), int(y)
         if x == 0:
-            if y != 0:
-                zs.append(abs(y))
-            continue
-        if g == 0:
+            c = math.gcd(c, y)
+        elif g == 0:
             g, uy = (x, y) if x > 0 else (-x, -y)
         else:
             gg, r, s = _ext_gcd(g, x)
-            zs.append(abs(g * y - x * uy) // gg)
+            c = math.gcd(c, (g * y - x * uy) // gg)
             uy = r * uy + s * y
             g = gg
-    c = reduce(math.gcd, zs, 0)
+        if g == 1 and c == 1:
+            return IDENTITY
     if g == 0 or c == 0:
         raise ValueError("rows do not span a finite-index sublattice of Z^2")
     return Lattice2(g, uy % c, c)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .lattices import IDENTITY, Lattice2, hnf
+from .states import _expect, _field
 
 
 class BudgetExceeded(RuntimeError):
@@ -132,13 +133,28 @@ class HurwitzTuple:
 
     @staticmethod
     def from_json(data) -> "HurwitzTuple":
-        d = int(data["d"])
+        """Parse a tuple in the shape of ``docs/tuple.schema.json``.
+
+        A document of the wrong shape raises :class:`~.states.InvalidState`
+        naming the field; an omitted A, B or T means the identity or no
+        branch letters."""
+        _expect(data, "object", "tuple")
+        d = _field(data, "d", "integer", "tuple")
+        A = _perm_from_json(d, data.get("A", []), "tuple.A")
+        B = _perm_from_json(d, data.get("B", []), "tuple.B")
+        T = _field(data, "T", "array", "tuple", default=[])
         return HurwitzTuple(
-            d=d,
-            A=perm_from_cycles(d, data.get("A", [])),
-            B=perm_from_cycles(d, data.get("B", [])),
-            T=tuple(perm_from_cycles(d, c) for c in data.get("T", [])),
+            d, A, B, tuple(_perm_from_json(d, c, f"tuple.T[{i}]") for i, c in enumerate(T))
         )
+
+
+def _perm_from_json(d: int, cycles, where: str) -> tuple[int, ...]:
+    _expect(cycles, "array", where)
+    for i, cyc in enumerate(cycles):
+        _expect(cyc, "array", f"{where}[{i}]")
+        for x in cyc:
+            _expect(x, "integer", f"{where}[{i}]")
+    return perm_from_cycles(d, cycles)
 
 
 def violations(t: HurwitzTuple) -> tuple[str, ...]:
@@ -235,29 +251,31 @@ def is_transitive(d: int, gens) -> bool:
     return d > 0 and len(sheet_tree(d, sheet_letters(gens))[1]) == d
 
 
+def schreier_rows(letters, w, order):
+    """Yield the nonzero abelianized Schreier generators w(s) + v - w(p(s))
+    of the stabilizer of the tree's base sheet, for every reached sheet s in
+    ``order`` and every letter (p, v); ``w`` and ``order`` are as returned
+    by :func:`sheet_tree`.  They span the invariant lattice."""
+    for s in order:
+        x, y = w[s]
+        for p, (dx, dy) in letters:
+            x2, y2 = w[p[s]]
+            if x + dx != x2 or y + dy != y2:
+                yield x + dx - x2, y + dy - y2
+
+
 def schreier_vectors(t: HurwitzTuple, base: int = 0):
     """Spanning-tree words w(s) in Z^2 and the abelianized Schreier
     generators of the stabilizer of ``base`` under the sheet action."""
     letters = sheet_letters(t.generators())
     w, order = sheet_tree(t.d, letters, base)
-    vectors = []
-    for s in order:
-        for p, vec in letters:
-            s2 = p[s]
-            vx = w[s][0] + vec[0] - w[s2][0]
-            vy = w[s][1] + vec[1] - w[s2][1]
-            if (vx, vy) != (0, 0):
-                vectors.append((vx, vy))
-    return w, vectors
+    return w, list(schreier_rows(letters, w, order))
 
 
 def invariant_lattice(t: HurwitzTuple) -> Lattice2:
     """Image of the cover's fundamental group in Z^2, in Hermite form."""
     check_valid(t)
-    _, vectors = schreier_vectors(t)
-    if not vectors:
-        return IDENTITY if t.d == 1 else hnf(vectors)
-    return hnf(vectors)
+    return hnf(schreier_vectors(t)[1])
 
 
 def is_primitive(t: HurwitzTuple) -> bool:
@@ -309,7 +327,7 @@ def factorize(t: HurwitzTuple) -> Factorization:
     letters act trivially."""
     check_valid(t)
     w, vectors = schreier_vectors(t)
-    lat = hnf(vectors) if vectors else IDENTITY
+    lat = hnf(vectors)
     residues = lat.residues()
     res_index = {r: i for i, r in enumerate(residues)}
     block_of = tuple(res_index[lat.reduce(ws)] for ws in w)
@@ -387,44 +405,41 @@ def transitive_on_block_pairs(t: HurwitzTuple) -> bool:
     sheet pairs lie in one orbit exactly when their block pairs differ by a
     common translation."""
     check_valid(t)
-    fac = factorize(t)
-    d = t.d
+    w, _ = schreier_vectors(t)
+    letters = sheet_letters(t.generators())
+    return pair_orbits_match_classes(t.d, letters, factorize(t).lattice, w)
+
+
+def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
+    """Whether the orbits of the letters on ordered pairs (x, y) of distinct
+    sheets are exactly the classes of w(y) - w(x) modulo ``lat``.
+
+    ``letters`` are (permutation, vector) pairs; only the permutations act.
+    """
     pairs = [(x, y) for x in range(d) for y in range(d) if x != y]
     index = {p: i for i, p in enumerate(pairs)}
     parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in t.generators():
-        for p in pairs:
-            a = find(index[p])
-            b = find(index[(g[p[0]], g[p[1]])])
-            if a != b:
-                parent[a] = b
-    lat = fac.lattice
-    w, _ = schreier_vectors(t)
-
-    def diff_class(p):
-        ux, uy = w[p[0]]
-        vx, vy = w[p[1]]
-        return lat.reduce((vx - ux, vy - uy))
-
+    for g, _ in letters:
+        for i, (x, y) in enumerate(pairs):
+            parent[root(parent, i)] = root(parent, index[g[x], g[y]])
     orbit_of_class: dict = {}
-    for p in pairs:
-        cls = diff_class(p)
-        rep = find(index[p])
-        if cls in orbit_of_class and orbit_of_class[cls] != rep:
+    for i, (x, y) in enumerate(pairs):
+        rep = root(parent, i)
+        cls = lat.reduce((w[y][0] - w[x][0], w[y][1] - w[x][1]))
+        if orbit_of_class.setdefault(cls, rep) != rep:
             return False
-        orbit_of_class[cls] = rep
-    # distinct classes must stay in distinct orbits (the moves never merge
-    # them), so the correspondence is a bijection exactly when the map
-    # class -> orbit is injective as well
+    # the map class -> orbit is onto and well defined; a bijection exactly
+    # when it is injective as well
     reps = list(orbit_of_class.values())
     return len(set(reps)) == len(reps)
+
+
+def root(parent: list, x: int) -> int:
+    """Union-find root of x in the forest ``parent``, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 # -- dense tables for small degrees ------------------------------------------

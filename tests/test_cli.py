@@ -157,12 +157,23 @@ def test_scan_boundary_exit_codes(d, b, code):
 
 @pytest.mark.parametrize(
     "command,flag,document",
-    [("terms", "--state", {"d": [1], "N": 1, "g": 1}), ("forest", "--root", [1, 2])],
+    [
+        ("terms", "--state", {"d": [1], "N": 1, "g": 1}),
+        ("forest", "--root", [1, 2]),
+        pytest.param("mono check", "--tuple", [1, 2], id="mono-check-array"),
+        pytest.param("mono lattice", "--tuple", [1, 2], id="mono-lattice-array"),
+        pytest.param("mono factor", "--tuple", [1, 2], id="mono-factor-array"),
+        pytest.param(
+            "mono check", "--tuple", {"d": 3, "A": 5, "B": [], "T": []}, id="mono-check-A"
+        ),
+        pytest.param("genusbound --g 3", "--graph", [1, 2], id="genusbound-array"),
+    ],
 )
 def test_malformed_state_json_is_one_error_line(tmp_path, command, flag, document):
-    path = tmp_path / "state.json"
+    """State, tuple and central-fiber documents of the wrong shape."""
+    path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
-    proc = run_cli(command, flag, str(path), expect=1)
+    proc = run_cli(*command.split(), flag, str(path), expect=1)
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import fields
 
 import pytest
@@ -29,6 +30,7 @@ from severi.monodromy import (
     HurwitzTuple,
     commutator,
     compose,
+    group_closure,
     identity,
     invariant_lattice,
     inverse,
@@ -37,9 +39,8 @@ from severi.monodromy import (
     kernel_order_check,
     then,
     transposition,
-    transitive_on_block_pairs,
 )
-from tests.test_monodromy import sample_tuples
+from tests.test_monodromy import lattice_by_word_search, sample_tuples
 
 T12 = (1, 0)
 ID2 = (0, 1)
@@ -91,9 +92,9 @@ def test_enumeration_matches_bruteforce_oracle():
 
 
 def test_enumeration_guard():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: d=6 > 5 or b=2 > 6$"):
         enumerate_tuples(6, 2)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: d=4 > 5 or b=8 > 6$"):
         enumerate_tuples(4, 5)
 
 
@@ -229,6 +230,29 @@ def test_move_graph_dot():
     assert dot == move_graph_dot(ts)
 
 
+@pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
+def test_move_graph_components_are_the_orbits(d, g):
+    ts = enumerate_tuples(d, g)
+    parent = list(range(len(ts)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = re.findall(r"^  n(\d+) -- n(\d+) ", move_graph_dot(ts), re.M)
+    assert edges
+    for i, j in edges:
+        parent[find(int(i))] = find(int(j))
+    by_root: dict = {}
+    for i in range(len(ts)):
+        by_root.setdefault(find(i), set()).add(i)
+    by_orbit: dict = {}
+    for i, rep in enumerate(orbits(ts).orbit_of):
+        by_orbit.setdefault(rep, set()).add(i)
+    assert sorted(map(sorted, by_root.values())) == sorted(map(sorted, by_orbit.values()))
+
+
 def test_scan_small():
     rep = scan_monodromy(3, 2)
     assert rep.ok
@@ -265,12 +289,50 @@ def test_orbit_counts_beyond_calibration():
         assert all(n == 1 for n in rep.lattice_of_orbit.values())
 
 
+def residues_by_search(t, lat):
+    """r(s): the one residue of Z^2 / lat at which a breadth-first search
+    over [d] x Z^2/lat from (0, (0, 0)) reaches each sheet s."""
+    letters = [(t.A, (1, 0)), (t.B, (0, 1))] + [(x, (0, 0)) for x in t.T]
+    seen = {(0, (0, 0))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for s, (x, y) in frontier:
+            for p, (dx, dy) in letters:
+                state = (p[s], lat.reduce((x + dx, y + dy)))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        frontier = nxt
+    r = {}
+    for s, res in seen:
+        assert r.setdefault(s, res) == res, "a sheet is reached at two residues"
+    assert len(r) == t.d
+    return r
+
+
+def block_pairs_by_group(t, lat) -> bool:
+    """Whether the orbits of the whole monodromy group on ordered pairs of
+    distinct sheets biject with the classes of r(y) - r(x) modulo lat."""
+    group = group_closure(t.generators())
+    r = residues_by_search(t, lat)
+    pairs = [(x, y) for x in range(t.d) for y in range(t.d) if x != y]
+    links = set()
+    for x, y in pairs:
+        orbit = frozenset((g[x], g[y]) for g in group)
+        links.add((orbit, lat.reduce((r[y][0] - r[x][0], r[y][1] - r[x][1]))))
+    orbits_, classes = {o for o, _ in links}, {c for _, c in links}
+    return len(links) == len(orbits_) == len(classes)
+
+
 def reference_scan(d, b):
-    """The scan's tallies, one tuple at a time, from the readable checks."""
+    """The scan's tallies, one tuple at a time, without the scan's Schreier
+    and block-pair kernels: the lattice from a word search and the
+    block-pair verdict from the whole group's pair orbits."""
     rep = ScanReport(d=d, b=b)
     for t in iter_tuples(d, b):
         rep.tuples += 1
-        lat = invariant_lattice(t)
+        lat = lattice_by_word_search(t)
         rep.census[lat] = rep.census.get(lat, 0) + 1
         primitive = lat == IDENTITY
         full = is_full_monodromy(t)
@@ -281,7 +343,7 @@ def reference_scan(d, b):
         if kernel.applicable:
             rep.kernel_checked += 1
             rep.kernel_failures += not kernel.ok
-        rep.blockpair_failures += not transitive_on_block_pairs(t)
+        rep.blockpair_failures += not block_pairs_by_group(t, lat)
     return rep
 
 
@@ -306,7 +368,7 @@ def test_scan_boundaries():
     for d, b in [(0, 2), (3, -1)]:
         with pytest.raises(ValueError):
             scan_monodromy(d, b)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^scan guard: d=7 > 6$"):
         scan_monodromy(7, 2)
     for d, b in [(3, 1), (4, 3)]:
         rep = scan_monodromy(d, b)

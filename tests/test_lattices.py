@@ -4,6 +4,7 @@ import random
 import pytest
 
 from severi.lattices import (
+    IDENTITY,
     Lattice2,
     cokernel_invariant,
     construct_hat,
@@ -47,6 +48,14 @@ def test_hnf_examples():
         hnf([(1, 0)])
     with pytest.raises(ValueError):
         hnf([(2, 4)])
+    # reading stops once the rows span Z^2
+    def rows():
+        yield (1, 0)
+        yield (0, 1)
+        raise AssertionError("read a row after the lattice was full")
+
+    assert hnf(rows()) == IDENTITY
+    assert hnf([(3, 1), (2, 1), (5, 7)]) == IDENTITY
 
 
 def test_hnf_idempotent_and_order_independent():

@@ -20,8 +20,10 @@ from severi.monodromy import (
     is_transposition,
     is_valid,
     kernel_order_check,
+    pair_orbits_match_classes,
     perm_from_cycles,
     schreier_vectors,
+    sheet_letters,
     then,
     transposition,
     transitive_on_block_pairs,
@@ -174,6 +176,21 @@ def test_block_pair_transitivity():
     assert transitive_on_block_pairs(imprimitive_witness())
     for t in sample_tuples(5, 60):
         assert transitive_on_block_pairs(t)
+
+
+def test_pair_kernel_answers_for_the_lattice_it_is_given():
+    """Too coarse a lattice puts pairs of two orbits in one class; too fine
+    a one splits the one orbit of S_3 over two classes."""
+    t = imprimitive_witness()
+    w, _ = schreier_vectors(t)
+    letters = sheet_letters(t.generators())
+    assert pair_orbits_match_classes(t.d, letters, invariant_lattice(t), w)
+    assert not pair_orbits_match_classes(t.d, letters, IDENTITY, w)
+    t = HurwitzTuple(3, (1, 2, 0), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
+    w, _ = schreier_vectors(t)
+    letters = sheet_letters(t.generators())
+    assert pair_orbits_match_classes(3, letters, IDENTITY, w)
+    assert not pair_orbits_match_classes(3, letters, Lattice2(2, 0, 1), w)
 
 
 def test_cycles_roundtrip(rng):
