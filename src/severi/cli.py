@@ -191,11 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("terms", help="hyperplane-section terms of a state")
     p.add_argument("--state", required=True, help="state JSON file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--simple", action="store_true", help="use the transverse-case enumerator")
-    mode.add_argument("--general", dest="simple", action="store_false")
+    p.add_argument("--simple", action="store_true", help="use the transverse-case enumerator")
     p.add_argument("--key-mode", choices=[st.DEGREE, st.SYMBOLIC], default=st.DEGREE)
-    p.set_defaults(func=cmd_terms, simple=False)
+    p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("forest", help="iterated hyperplane-section forest")
     p.add_argument("--root", required=True, help="root state JSON file")

@@ -66,7 +66,11 @@ class Term:
     tau: Profile = Profile()
     kept: tuple[int, ...] = ()
     dropped: tuple[tuple[int, int], ...] = ()
-    coefficient: str = ""
+
+    @property
+    def coefficient(self) -> str:
+        """Opaque placeholder token, derived from the other fields."""
+        return _coefficient_token(self.kind, self.m, self.tau, self.kept, self.dropped)
 
     def to_json(self) -> dict:
         from .states import state_to_json
@@ -89,18 +93,6 @@ def _coefficient_token(kind, m, tau, kept, dropped) -> str:
     if dropped:
         bits.append(f"dropped={[list(p) for p in dropped]}")
     return "coeff(" + ",".join(bits) + ")"
-
-
-def _term(kind, child, m=0, tau=Profile(), kept=(), dropped=()) -> Term:
-    return Term(
-        kind=kind,
-        child=child,
-        m=m,
-        tau=tau,
-        kept=tuple(kept),
-        dropped=tuple(dropped),
-        coefficient=_coefficient_token(kind, m, tau, kept, dropped),
-    )
 
 
 def _check_term(parent_dim: int, term: Term) -> Term:
@@ -157,7 +149,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
             alpha=s.alpha + ((1, p_new),),
             betas=((Profile.ones(b - 1), bundle - point(p_new)),),
         )
-        out.append(_term(KIND_I, child, dropped=((0, 1),)))
+        out.append(Term(KIND_I, child, dropped=((0, 1),)))
 
     for m in range(1, s.N + 1):
         for abar in range(0, a + 1):
@@ -178,7 +170,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
                             alpha=tuple((1, l) for l in kept_labels),
                             betas=((Profile.ones(b - 1) + tau, new_bundle),),
                         )
-                        out.append(_term(KIND_IIA, child, m=m, tau=tau, dropped=((0, 1),)))
+                        out.append(Term(KIND_IIA, child, m=m, tau=tau, dropped=((0, 1),)))
             # the whole group survives on the residual curve
             mass = s.d - b - abar
             if mass >= 2:
@@ -195,7 +187,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
                             alpha=tuple((1, l) for l in kept_labels),
                             betas=((Profile.ones(b), bundle), (tau, lbar)),
                         )
-                        out.append(_term(KIND_IIB, child, m=m, tau=tau, kept=(0,)))
+                        out.append(Term(KIND_IIB, child, m=m, tau=tau, kept=(0,)))
     return tuple(term for _, term in _dedup(s, out, key_mode))
 
 
@@ -244,7 +236,7 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
                 alpha=s.alpha + ((n, p_new),),
                 betas=tuple(new_groups),
             )
-            out.append(_term(KIND_I, child, dropped=((j, n),)))
+            out.append(Term(KIND_I, child, dropped=((j, n),)))
 
     # type II: E0 splits off with multiplicity m
     ell = s.ell
@@ -286,7 +278,7 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
                             betas=new_groups,
                         )
                         out.append(
-                            _term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped)
+                            Term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped)
                         )
     return _dedup(s, out, key_mode)
 
@@ -349,7 +341,6 @@ class Forest:
 def build_forest(
     roots,
     floor: int = 0,
-    max_depth: int | None = None,
     max_nodes: int = 10_000,
     key_mode: str = DEGREE,
 ) -> Forest:
@@ -372,15 +363,13 @@ def build_forest(
         forest.root_factors[key] = factor
         if key not in forest.nodes:
             forest.nodes[key] = nstate
-            queue.append((key, 0))
+            queue.append(key)
     forest.roots = tuple(dict.fromkeys(root_keys))
 
     while queue:
-        key, depth = queue.popleft()
+        key = queue.popleft()
         state = forest.nodes[key]
         if _dimension(state) <= floor:
-            continue
-        if max_depth is not None and depth >= max_depth:
             continue
         for child_key, term in _successors_general_keyed(state, key_mode):
             # The enumerator has checked and keyed every child already.
@@ -396,7 +385,7 @@ def build_forest(
                     forest.truncated = True
                     return forest
                 forest.nodes[ckey] = nchild
-                queue.append((ckey, depth + 1))
+                queue.append(ckey)
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))
     return forest
 

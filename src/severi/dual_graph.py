@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .monodromy import root
 from .states import InvalidState, _expect, _field
 
 X = "X"
@@ -118,22 +119,7 @@ def violations(gr: CentralFiber) -> tuple[str, ...]:
 
 
 def _connected(gr: CentralFiber) -> bool:
-    ids = list(gr.node_ids())
-    if len(ids) == 1:
-        return True
-    adj = {n: set() for n in ids}
-    for a, b in gr.edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(ids)
+    return len(_components(gr.node_ids(), gr.edges)) == 1
 
 
 def check_valid(gr: CentralFiber) -> None:
@@ -143,22 +129,20 @@ def check_valid(gr: CentralFiber) -> None:
 
 
 def _z_components(gr: CentralFiber) -> list[set[str]]:
-    nodes = [f"Z{i}" for i in range(len(gr.z_parts))]
+    return _components([f"Z{i}" for i in range(len(gr.z_parts))], gr.edges)
+
+
+def _components(nodes, edges) -> list[set[str]]:
+    """Connected components of the graph on ``nodes`` whose edges are the
+    pairs in ``edges`` with both ends among the nodes, sorted."""
     parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in gr.edges:
+    for a, b in edges:
         if a in parent and b in parent:
-            parent[find(a)] = find(b)
+            parent[root(parent, a)] = root(parent, b)
     comps: dict[str, set[str]] = {}
-    for n in nodes:
-        comps.setdefault(find(n), set()).add(n)
-    return sorted(comps.values(), key=lambda c: sorted(c))
+    for n in parent:
+        comps.setdefault(root(parent, n), set()).add(n)
+    return sorted(comps.values(), key=sorted)
 
 
 def compute_T(gr: CentralFiber) -> int:

@@ -12,8 +12,9 @@ covers.  The move set used here:
 * two handle moves pushing the last branch point around the two handle
   loops of the target.
 
-:func:`move_images` lists the moves of a tuple in that order; the orbit
-closure and the DOT rendering of the move graph both walk it.
+:data:`MOVES` is the one admitted move set; :func:`move_images` lists its
+moves of a tuple in that order, and the orbit closure and the DOT rendering
+of the move graph both walk it.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -26,6 +27,7 @@ lattice, which every admitted move must preserve.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import words as wd
@@ -68,36 +70,40 @@ def branch_points(g: int) -> int:
 def iter_tuples(d: int, b: int):
     """All valid tuples of degree d with b branch letters, streamed.
 
-    Depth-first over transposition factorizations of each commutator,
-    pruned by the parity and transposition-distance of the remainder.
+    For each (A, B), in lexicographic order, the branch words whose product
+    is [A, B] are read from a table built once per call, and the transitive
+    tuples among them are yielded.  The table holds all C(d, 2)^b words.
     """
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
-    perms, index, mul, inv, transps, mindist = perm_table(d)
-    id_i = index[identity(d)]
-    for a_i in range(len(perms)):
-        a_inv = inv[a_i]
-        for b_i in range(len(perms)):
-            target = mul[mul[mul[a_i][b_i]][a_inv]][inv[b_i]]
-            stack: list[int] = []
+    perms, index, mul, inv, transps = perm_table(d)
+    words = _words_by_product(mul, index[identity(d)], transps, b)
+    for a_i, a in enumerate(perms):
+        for b_i, bb in enumerate(perms):
+            target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
+            for word in words.get(target, ()):
+                branch = tuple(perms[x] for x in word)
+                if is_transitive(d, (a, bb) + branch):
+                    yield HurwitzTuple(d, a, bb, branch)
 
-            def dfs(prefix: int, depth: int):
-                rest = mul[inv[prefix]][target]
-                need = mindist[rest]
-                left = b - depth
-                if left < need or (left - need) % 2:
-                    return
-                if depth == b:
-                    gens = [perms[a_i], perms[b_i]] + [perms[x] for x in stack]
-                    if is_transitive(d, gens):
-                        yield HurwitzTuple(d, gens[0], gens[1], tuple(gens[2:]))
-                    return
-                for tr in transps:
-                    stack.append(tr)
-                    yield from dfs(mul[prefix][tr], depth + 1)
-                    stack.pop()
 
-            yield from dfs(id_i, 0)
+def _words_by_product(mul, id_i: int, transps, b: int) -> dict:
+    """Map each product to the list of its transposition words T_1..T_b, in
+    lexicographic order of the table indices.
+
+    Grown one letter at a time at the front: the words that start with t
+    and have product q are t followed by the words of product t^-1 q, so
+    taking t in increasing order keeps every list sorted.
+    """
+    words = {id_i: [()]}
+    for _ in range(b):
+        grown: dict = {}
+        for t in transps:
+            row = mul[t]
+            for p, tails in words.items():
+                grown.setdefault(row[p], []).extend((t,) + w for w in tails)
+        words = grown
+    return words
 
 
 def enumerate_tuples(d: int, g: int) -> list[HurwitzTuple]:
@@ -213,20 +219,24 @@ class MoveSet:
                 raise ValueError(f"handle move {mv.name!r} fails the admission check")
 
 
+# The one move set; building it runs the admission check.
+MOVES = MoveSet()
+
+
 def default_moves() -> MoveSet:
-    return MoveSet()
+    return MOVES
 
 
-def move_images(t: HurwitzTuple, moves: MoveSet):
+def move_images(t: HurwitzTuple):
     """Yield (label, image) for every move on t: the braid moves s1.., the
     relabelings c1.. by adjacent transpositions, then the handle moves of
-    ``moves`` by name."""
+    :data:`MOVES` by name."""
     for k in range(t.b - 1):
         yield f"s{k + 1}", braid_move(t, k)
     for k in range(t.d - 1):
         yield f"c{k + 1}", conjugate_tuple(t, transposition(t.d, k, k + 1))
     if t.b >= 1:
-        for mv in moves.handles:
+        for mv in MOVES.handles:
             yield mv.name, mv.apply(t)
 
 
@@ -262,18 +272,16 @@ class OrbitReport:
         }
 
 
-def orbits(tuples, moves: MoveSet | None = None) -> OrbitReport:
+def orbits(tuples) -> OrbitReport:
     """Union-find closure of the move action; reports the orbit count and,
     per orbit, the common invariant lattice."""
-    moves = moves or default_moves()
     tuples = list(tuples)
     if not tuples:
         raise ValueError("no tuples to partition")
-    d = tuples[0].d
     index = {t: i for i, t in enumerate(tuples)}
     parent = list(range(len(tuples)))
     for t, i in index.items():
-        for _, t2 in move_images(t, moves):
+        for _, t2 in move_images(t):
             j = index.get(t2)
             if j is None:
                 raise AssertionError("a move left the enumerated tuple set")
@@ -281,36 +289,23 @@ def orbits(tuples, moves: MoveSet | None = None) -> OrbitReport:
 
     lattices = [invariant_lattice(t) for t in tuples]
     orbit_of = tuple(root(parent, i) for i in range(len(tuples)))
-    reps = sorted(set(orbit_of))
-    census: dict = {}
-    for lat in lattices:
-        census[lat] = census.get(lat, 0) + 1
-    lattice_of_orbit: dict = {}
-    per_orbit_lat: dict = {}
-    for i, rep in enumerate(orbit_of):
-        if rep in per_orbit_lat and per_orbit_lat[rep] != lattices[i]:
+    lattice_of_root: dict = {}
+    for rep, lat in zip(orbit_of, lattices):
+        if lattice_of_root.setdefault(rep, lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
-        per_orbit_lat[rep] = lattices[i]
-    for rep in reps:
-        lat = per_orbit_lat[rep]
-        lattice_of_orbit[lat] = lattice_of_orbit.get(lat, 0) + 1
     return OrbitReport(
-        d=d,
+        d=tuples[0].d,
         b=tuples[0].b,
         tuples=tuple(tuples),
         orbit_of=orbit_of,
-        orbit_count=len(reps),
-        lattice_of_orbit=lattice_of_orbit,
-        census=census,
+        orbit_count=len(lattice_of_root),
+        lattice_of_orbit=Counter(lattice_of_root.values()),
+        census=Counter(lattices),
     )
 
 
 def invariant_census(tuples) -> dict:
-    out: dict = {}
-    for t in tuples:
-        lat = invariant_lattice(t)
-        out[lat] = out.get(lat, 0) + 1
-    return out
+    return Counter(invariant_lattice(t) for t in tuples)
 
 
 def expected_lattices(d: int) -> tuple[Lattice2, ...]:
@@ -323,9 +318,8 @@ def expected_lattices(d: int) -> tuple[Lattice2, ...]:
     return tuple(sorted(out))
 
 
-def move_graph_dot(tuples, moves: MoveSet | None = None) -> str:
+def move_graph_dot(tuples) -> str:
     """DOT rendering of the move graph on an enumerated tuple set."""
-    moves = moves or default_moves()
     index = {t: i for i, t in enumerate(tuples)}
 
     def label(t):
@@ -340,7 +334,7 @@ def move_graph_dot(tuples, moves: MoveSet | None = None) -> str:
         lines.append(f'  n{i} [label="{label(t)}"];')
     seen = set()
     for t, i in index.items():
-        for name, t2 in move_images(t, moves):
+        for name, t2 in move_images(t):
             j = index[t2]
             key = (min(i, j), max(i, j), name)
             if i != j and key not in seen:
@@ -416,7 +410,7 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
         raise BudgetExceeded(f"scan guard: d={d} > {MAX_SCAN_D}")
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
-    perms, index, mul, inv, transps, _ = perm_table(d)
+    perms, index, mul, inv, transps = perm_table(d)
     id_i = index[identity(d)]
     dfact = math.factorial(d)
     half = dfact // 2

@@ -27,11 +27,15 @@ import math
 from dataclasses import dataclass
 
 from .lattices import IDENTITY, Lattice2, hnf
-from .states import _expect, _field
+from .states import InvalidState, _expect, _field
 
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+# The largest group order a closure may reach: |S_8|.
+MAX_CLOSURE_ORDER = 40_320
 
 
 # -- permutations on {0..d-1}, word form -------------------------------------
@@ -135,11 +139,13 @@ class HurwitzTuple:
     def from_json(data) -> "HurwitzTuple":
         """Parse a tuple in the shape of ``docs/tuple.schema.json``.
 
-        A document of the wrong shape raises :class:`~.states.InvalidState`
-        naming the field; an omitted A, B or T means the identity or no
-        branch letters."""
+        A document of the wrong shape, or with ``d`` below 1, raises
+        :class:`~.states.InvalidState` naming the field; an omitted A, B or
+        T means the identity or no branch letters."""
         _expect(data, "object", "tuple")
         d = _field(data, "d", "integer", "tuple")
+        if d < 1:
+            raise InvalidState(f"tuple.d must be at least 1, got {d}")
         A = _perm_from_json(d, data.get("A", []), "tuple.A")
         B = _perm_from_json(d, data.get("B", []), "tuple.B")
         T = _field(data, "T", "array", "tuple", default=[])
@@ -191,16 +197,19 @@ def check_valid(t: HurwitzTuple) -> None:
 # -- group closure ------------------------------------------------------------
 
 
-def group_closure(gens, budget: int = 40_320) -> frozenset:
-    """The subgroup generated, by breadth-first closure; guarded by d!."""
+def group_closure(gens) -> frozenset:
+    """The subgroup generated, by breadth-first closure; guarded by d! <=
+    :data:`MAX_CLOSURE_ORDER`."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
     d = len(gens[0])
     if any(len(g) != d for g in gens):
         raise ValueError("generators must share a degree")
-    if math.factorial(d) > budget:
-        raise BudgetExceeded(f"group closure needs {math.factorial(d)} > budget {budget}")
+    if math.factorial(d) > MAX_CLOSURE_ORDER:
+        raise BudgetExceeded(
+            f"group closure needs {math.factorial(d)} > budget {MAX_CLOSURE_ORDER}"
+        )
     seen = {identity(d)}
     frontier = [identity(d)]
     while frontier:
@@ -224,8 +233,8 @@ def sheet_letters(gens):
     return [(gens[0], (1, 0)), (gens[1], (0, 1))] + [(p, (0, 0)) for p in gens[2:]]
 
 
-def sheet_tree(d: int, letters, base: int = 0):
-    """Breadth-first spanning tree of the sheet graph, from ``base``.
+def sheet_tree(d: int, letters):
+    """Breadth-first spanning tree of the sheet graph, from sheet 0.
 
     ``letters`` are (permutation, vector) pairs as made by
     :func:`sheet_letters`.  Returns ``(w, order)``: ``order`` lists the
@@ -233,8 +242,8 @@ def sheet_tree(d: int, letters, base: int = 0):
     along the tree path to s (None where s is not reached).  The letters
     act transitively exactly when ``len(order) == d``."""
     w: list[tuple[int, int] | None] = [None] * d
-    w[base] = (0, 0)
-    order = [base]
+    w[0] = (0, 0)
+    order = [0]
     for s in order:
         x, y = w[s]
         for p, (dx, dy) in letters:
@@ -264,11 +273,11 @@ def schreier_rows(letters, w, order):
                 yield x + dx - x2, y + dy - y2
 
 
-def schreier_vectors(t: HurwitzTuple, base: int = 0):
+def schreier_vectors(t: HurwitzTuple):
     """Spanning-tree words w(s) in Z^2 and the abelianized Schreier
-    generators of the stabilizer of ``base`` under the sheet action."""
+    generators of the stabilizer of sheet 0 under the sheet action."""
     letters = sheet_letters(t.generators())
-    w, order = sheet_tree(t.d, letters, base)
+    w, order = sheet_tree(t.d, letters)
     return w, list(schreier_rows(letters, w, order))
 
 
@@ -282,9 +291,9 @@ def is_primitive(t: HurwitzTuple) -> bool:
     return invariant_lattice(t) == IDENTITY
 
 
-def is_full_monodromy(t: HurwitzTuple, budget: int = 40_320) -> bool:
+def is_full_monodromy(t: HurwitzTuple) -> bool:
     check_valid(t)
-    return len(group_closure(t.generators(), budget)) == math.factorial(t.d)
+    return len(group_closure(t.generators())) == math.factorial(t.d)
 
 
 # -- canonical factorization --------------------------------------------------
@@ -372,7 +381,7 @@ class KernelReport:
         }
 
 
-def kernel_order_check(t: HurwitzTuple, budget: int = 40_320) -> KernelReport:
+def kernel_order_check(t: HurwitzTuple) -> KernelReport:
     """Verify |G| = (dtilde!)^e * |Gbar| for the canonical factorization.
 
     Inapplicable for unramified tuples (no branch letters): the statement
@@ -381,11 +390,11 @@ def kernel_order_check(t: HurwitzTuple, budget: int = 40_320) -> KernelReport:
     if not t.T:
         return KernelReport(applicable=False)
     fac = factorize(t)
-    quotient = group_closure([fac.a_bar, fac.b_bar], budget)
+    quotient = group_closure([fac.a_bar, fac.b_bar])
     expected = math.factorial(fac.dtilde) ** fac.e * len(quotient)
-    if expected > budget:
-        raise BudgetExceeded(f"expected order {expected} > budget {budget}")
-    actual = len(group_closure(t.generators(), budget))
+    if expected > MAX_CLOSURE_ORDER:
+        raise BudgetExceeded(f"expected order {expected} > budget {MAX_CLOSURE_ORDER}")
+    actual = len(group_closure(t.generators()))
     return KernelReport(
         applicable=True,
         e=fac.e,
@@ -434,8 +443,9 @@ def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
     return len(set(reps)) == len(reps)
 
 
-def root(parent: list, x: int) -> int:
-    """Union-find root of x in the forest ``parent``, halving the path."""
+def root(parent, x):
+    """Union-find root of x in the forest ``parent`` (a list or a dict that
+    maps every node to its parent), halving the path."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -455,15 +465,4 @@ def perm_table(d: int):
     mul = [[index[compose(p, q)] for q in perms] for p in perms]
     inv = [index[inverse(p)] for p in perms]
     transpositions = [i for i, p in enumerate(perms) if is_transposition(p)]
-    mindist = [d - len({_cyc(p, s) for s in range(d)}) for p in perms]
-    return perms, index, mul, inv, transpositions, mindist
-
-
-def _cyc(p, s):
-    # representative (minimum element) of the cycle of s
-    rep = s
-    x = p[s]
-    while x != s:
-        rep = min(rep, x)
-        x = p[x]
-    return rep
+    return perms, index, mul, inv, transpositions

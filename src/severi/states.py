@@ -175,7 +175,7 @@ def is_normalized(s: SeveriState) -> bool:
     return all(beta.size >= 2 for beta, _ in s.betas)
 
 
-def fresh_labels(s: SeveriState, count: int, stem: str = "q") -> tuple[str, ...]:
+def fresh_labels(s: SeveriState, count: int, stem: str) -> tuple[str, ...]:
     used = set(s.point_labels())
     out: list[str] = []
     i = 1

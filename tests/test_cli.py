@@ -167,6 +167,7 @@ def test_scan_boundary_exit_codes(d, b, code):
             "mono check", "--tuple", {"d": 3, "A": 5, "B": [], "T": []}, id="mono-check-A"
         ),
         pytest.param("genusbound --g 3", "--graph", [1, 2], id="genusbound-array"),
+        pytest.param("mono check", "--tuple", {"d": 0}, id="mono-check-d0"),
     ],
 )
 def test_malformed_state_json_is_one_error_line(tmp_path, command, flag, document):

@@ -87,7 +87,7 @@ def brute_force_tuples(d, b):
 
 def test_enumeration_matches_bruteforce_oracle():
     """Same tuples in the same order, not only the same count."""
-    for d, b in [(2, 2), (3, 2), (3, 4), (4, 2)]:
+    for d, b in [(2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)]:
         assert list(iter_tuples(d, b)) == brute_force_tuples(d, b), (d, b)
 
 

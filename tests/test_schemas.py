@@ -3,6 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from severi.dual_graph import CentralFiber
+from severi.monodromy import HurwitzTuple
+from severi.states import state_from_json
+
 jsonschema = pytest.importorskip("jsonschema")
 
 DOCS = Path(__file__).parent.parent / "docs"
@@ -41,3 +45,22 @@ def test_generated_tuples_validate():
     schema = load("tuple.schema.json")
     for t in enumerate_tuples(3, 2):
         jsonschema.validate(t.to_json(), schema)
+
+
+@pytest.mark.parametrize(
+    "schema,document,parse",
+    [
+        ("tuple.schema.json", {"d": 3}, HurwitzTuple.from_json),
+        ("state.schema.json", {"d": 3, "N": 1, "g": 2}, state_from_json),
+        (
+            "state.schema.json",
+            {"d": 3, "N": 1, "g": 2, "betas": [{"profile": [1, 1, 1], "L": {}}]},
+            state_from_json,
+        ),
+        ("central_fiber.schema.json", {"x_genus": 1}, CentralFiber.from_json),
+    ],
+)
+def test_minimal_documents_validate_and_parse(schema, document, parse):
+    """Every field the schema leaves optional is one the parser defaults."""
+    jsonschema.validate(document, load(schema))
+    parse(document)
