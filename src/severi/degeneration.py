@@ -34,12 +34,14 @@ from dataclasses import dataclass, field
 from .profiles import Profile, partitions
 from .states import (
     DEGREE,
+    PT,
     InvalidState,
     LineBundle,
     SeveriState,
     _dimension,
     _key_string,
     _normalize,
+    _order_runs,
     check_valid,
     dimension,
     fresh_labels,
@@ -48,6 +50,7 @@ from .states import (
     canonical_key,
     normalize,
     point,
+    state_to_json,
 )
 
 KIND_I = "I"
@@ -73,8 +76,6 @@ class Term:
         return _coefficient_token(self.kind, self.m, self.tau, self.kept, self.dropped)
 
     def to_json(self) -> dict:
-        from .states import state_to_json
-
         return {
             "kind": self.kind,
             "m": self.m,
@@ -151,48 +152,40 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
         )
         out.append(Term(KIND_I, child, dropped=((0, 1),)))
 
+    # type II: in IIa one moving point escapes to the cover of E0, in IIb the
+    # whole group survives on the residual curve.  Per case: the term's kept
+    # and dropped fields, the groups the child keeps intact, and the moving
+    # points and class that join tau and the released points in a new group.
+    cases = (
+        (KIND_IIA, (), ((0, 1),), (), Profile.ones(b - 1), bundle),
+        (KIND_IIB, (0,), (), s.betas, Profile(), LineBundle()),
+    )
     for m in range(1, s.N + 1):
         for abar in range(0, a + 1):
-            kept_sets = list(_index_subsets(labels, abar))
-            # one moving point escapes to the cover of E0
-            mass = s.d - (b - 1) - abar
-            if mass >= 2:
-                for tau in partitions(mass):
-                    for kept_labels in kept_sets:
-                        dropped_pts = [l for l in labels if l not in kept_labels]
-                        new_bundle = bundle
-                        for l in dropped_pts:
-                            new_bundle = new_bundle + point(l)
+            for kept_labels in itertools.combinations(labels, abar):
+                alpha = tuple((1, l) for l in kept_labels)
+                released = _released(ent for ent in s.alpha if ent[1] not in kept_labels)
+                for kind, kept, dropped, intact, moving, base in cases:
+                    # tau meets the released points and, in IIa, the escaped one
+                    mass = a - abar + len(dropped)
+                    if mass < 2:
+                        continue
+                    merged_bundle = base + released
+                    for tau in partitions(mass):
                         child = SeveriState(
                             d=s.d,
                             N=s.N - m,
                             g=s.g - tau.size,
-                            alpha=tuple((1, l) for l in kept_labels),
-                            betas=((Profile.ones(b - 1) + tau, new_bundle),),
+                            alpha=alpha,
+                            betas=intact + ((moving + tau, merged_bundle),),
                         )
-                        out.append(Term(KIND_IIA, child, m=m, tau=tau, dropped=((0, 1),)))
-            # the whole group survives on the residual curve
-            mass = s.d - b - abar
-            if mass >= 2:
-                for tau in partitions(mass):
-                    for kept_labels in kept_sets:
-                        dropped_pts = [l for l in labels if l not in kept_labels]
-                        lbar = LineBundle()
-                        for l in dropped_pts:
-                            lbar = lbar + point(l)
-                        child = SeveriState(
-                            d=s.d,
-                            N=s.N - m,
-                            g=s.g - tau.size,
-                            alpha=tuple((1, l) for l in kept_labels),
-                            betas=((Profile.ones(b), bundle), (tau, lbar)),
-                        )
-                        out.append(Term(KIND_IIB, child, m=m, tau=tau, kept=(0,)))
+                        out.append(Term(kind, child, m=m, tau=tau, kept=kept, dropped=dropped))
     return tuple(term for _, term in _dedup(s, out, key_mode))
 
 
-def _index_subsets(labels, size):
-    return itertools.combinations(labels, size)
+def _released(points) -> LineBundle:
+    """The class of released fixed points: the sum of order * point(label)."""
+    return LineBundle(tuple((PT, lbl, 1, order) for order, lbl in points))
 
 
 # -- the general statement ---------------------------------------------------
@@ -222,13 +215,11 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
     out: list[Term] = []
 
     # type I: one moving point of group j becomes fixed at a new point
+    (p_new,) = fresh_labels(s, 1, stem="p")
     for j, (beta, bundle) in enumerate(s.betas):
         for n in sorted(set(beta.entries), reverse=True):
-            (p_new,) = fresh_labels(s, 1, stem="p")
-            rest = list(beta.entries)
-            rest.remove(n)
             new_groups = list(s.betas)
-            new_groups[j] = (Profile(tuple(rest)), bundle - n * point(p_new))
+            new_groups[j] = (beta.without(n), bundle - n * point(p_new))
             child = SeveriState(
                 d=s.d,
                 N=s.N,
@@ -245,37 +236,31 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
         for kept_mask in itertools.product((True, False), repeat=ell):
             kept = tuple(j for j in range(ell) if kept_mask[j])
             loose = [j for j in range(ell) if not kept_mask[j]]
+            intact = tuple(s.betas[j] for j in kept)
             drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
             for drops in itertools.product(*drop_choices):
                 dropped = tuple(zip(loose, drops))
-                merged_entries: list[int] = []
+                moving = Profile()
                 groups_bundle = LineBundle()
                 for j, n in dropped:
                     beta, bundle = s.betas[j]
-                    rest = list(beta.entries)
-                    rest.remove(n)
-                    merged_entries.extend(rest)
+                    moving = moving + beta.without(n)
                     groups_bundle = groups_bundle + bundle
                 for alpha_kept in alpha_choices:
                     alpha_dropped = [ent for ent in s.alpha if ent not in alpha_kept]
                     mass = sum(o for o, _ in alpha_dropped) + sum(drops)
                     if mass < 2:
                         continue
-                    merged_bundle = groups_bundle
-                    for order, lbl in alpha_dropped:
-                        merged_bundle = merged_bundle + order * point(lbl)
+                    merged_bundle = groups_bundle + _released(alpha_dropped)
                     for tau in partitions(mass):
                         if tau.size < 2:
                             continue
-                        new_groups = tuple(
-                            (s.betas[j][0], s.betas[j][1]) for j in kept
-                        ) + ((Profile(tuple(merged_entries)) + tau, merged_bundle),)
                         child = SeveriState(
                             d=s.d,
                             N=s.N - m,
                             g=s.g - tau.size,
                             alpha=tuple(alpha_kept),
-                            betas=new_groups,
+                            betas=intact + ((moving + tau, merged_bundle),),
                         )
                         out.append(
                             Term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped)
@@ -293,7 +278,7 @@ def _alpha_subsets(alpha):
 def _alpha_prefixes(alpha):
     """One subset of ``alpha`` per multiset of orders: the first k points of
     each run of equal orders, for every k from 0 to the run's length."""
-    runs = [list(run) for _, run in itertools.groupby(alpha, key=lambda ent: ent[0])]
+    runs = _order_runs(alpha)
     return [
         tuple(itertools.chain.from_iterable(run[:k] for run, k in zip(runs, ks)))
         for ks in itertools.product(*(range(len(run) + 1) for run in runs))
@@ -316,12 +301,9 @@ class Forest:
     nodes: dict = field(default_factory=dict)  # canonical key -> SeveriState
     edges: list = field(default_factory=list)
     roots: tuple = ()
-    root_factors: dict = field(default_factory=dict)
     truncated: bool = False
 
     def to_json(self) -> dict:
-        from .states import state_to_json
-
         return {
             "nodes": {k: state_to_json(v) for k, v in sorted(self.nodes.items())},
             "edges": [
@@ -356,11 +338,9 @@ def build_forest(
     queue: deque = deque()
     root_keys = []
     for root in roots:
-        check_valid(root)
-        nstate, factor = normalize(root)
+        nstate, _ = normalize(root)
         key = canonical_key(nstate, key_mode)
         root_keys.append(key)
-        forest.root_factors[key] = factor
         if key not in forest.nodes:
             forest.nodes[key] = nstate
             queue.append(key)
@@ -403,8 +383,6 @@ class StableMapShape:
     cover_degree_partitions: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        from .states import state_to_json
-
         return {
             "m": self.m,
             "tau": self.tau.to_json(),

@@ -149,16 +149,18 @@ def compute_T(gr: CentralFiber) -> int:
     """Connected components of Z meeting both X and the dominating curve,
     plus the number of direct nodes between them."""
     check_valid(gr)
-    total = sum(1 for a, b in gr.edges if {a[:1], b[:1]} == {"X", "E"})
+    direct = sum(1 for a, b in gr.edges if {a[:1], b[:1]} == {"X", "E"})
+    return direct + sum(1 for x_edges, e_edges in _attachments(gr) if x_edges and e_edges)
+
+
+def _attachments(gr: CentralFiber) -> list[tuple[int, int]]:
+    """Per connected component of Z, its numbers of edges to X and to the
+    dominating curve."""
+    out = []
     for comp in _z_components(gr):
-        meets_x = any(X in (a, b) and (a in comp or b in comp) for a, b in gr.edges)
-        meets_e = any(
-            (a in comp and b.startswith("E")) or (b in comp and a.startswith("E"))
-            for a, b in gr.edges
-        )
-        if meets_x and meets_e:
-            total += 1
-    return total
+        ends = [b if a in comp else a for a, b in gr.edges if (a in comp) != (b in comp)]
+        out.append((ends.count(X), sum(1 for v in ends if v.startswith("E"))))
+    return out
 
 
 def arithmetic_genus(gr: CentralFiber) -> int:
@@ -242,17 +244,4 @@ def genus_bound_check(gr: CentralFiber, g: int) -> GenusBoundReport:
 
 
 def _chains_join_once(gr: CentralFiber) -> bool:
-    for comp in _z_components(gr):
-        x_edges = sum(
-            1
-            for a, b in gr.edges
-            if (a == X and b in comp) or (b == X and a in comp)
-        )
-        e_edges = sum(
-            1
-            for a, b in gr.edges
-            if (a.startswith("E") and b in comp) or (b.startswith("E") and a in comp)
-        )
-        if x_edges != 1 or e_edges != 1:
-            return False
-    return True
+    return all(att == (1, 1) for att in _attachments(gr))

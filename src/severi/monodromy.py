@@ -37,6 +37,9 @@ class BudgetExceeded(RuntimeError):
 # The largest group order a closure may reach: |S_8|.
 MAX_CLOSURE_ORDER = 40_320
 
+# The largest sheet count a tuple document may name.
+MAX_TUPLE_D = 10_000
+
 
 # -- permutations on {0..d-1}, word form -------------------------------------
 
@@ -140,12 +143,16 @@ class HurwitzTuple:
         """Parse a tuple in the shape of ``docs/tuple.schema.json``.
 
         A document of the wrong shape, or with ``d`` below 1, raises
-        :class:`~.states.InvalidState` naming the field; an omitted A, B or
-        T means the identity or no branch letters."""
+        :class:`~.states.InvalidState` naming the field; ``d`` above
+        ``MAX_TUPLE_D`` raises :class:`BudgetExceeded` before any
+        permutation is built.  An omitted A, B or T means the identity or
+        no branch letters."""
         _expect(data, "object", "tuple")
         d = _field(data, "d", "integer", "tuple")
         if d < 1:
             raise InvalidState(f"tuple.d must be at least 1, got {d}")
+        if d > MAX_TUPLE_D:
+            raise BudgetExceeded(f"tuple.d={d} > {MAX_TUPLE_D}")
         A = _perm_from_json(d, data.get("A", []), "tuple.A")
         B = _perm_from_json(d, data.get("B", []), "tuple.B")
         T = _field(data, "T", "array", "tuple", default=[])

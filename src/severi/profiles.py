@@ -67,6 +67,12 @@ class Profile:
         """
         return sum(self.entries)
 
+    def without(self, n: int) -> "Profile":
+        """This profile with one entry ``n`` removed."""
+        rest = list(self.entries)
+        rest.remove(n)
+        return Profile(tuple(rest))
+
     def counter(self) -> Counter:
         return Counter(self.entries)
 
@@ -76,9 +82,6 @@ class Profile:
     @staticmethod
     def from_json(data) -> "Profile":
         return Profile(tuple(int(x) for x in data))
-
-
-EMPTY = Profile()
 
 
 def subprofiles(p: Profile) -> tuple[Profile, ...]:
@@ -114,12 +117,7 @@ def remove_one_entry(p: Profile) -> tuple[Profile, ...]:
     """
     if p.size == 0:
         raise ValueError("cannot remove an entry from the empty profile")
-    out = set()
-    for value in set(p.entries):
-        rest = list(p.entries)
-        rest.remove(value)
-        out.add(Profile(tuple(rest)))
-    return tuple(sorted(out))
+    return tuple(sorted({p.without(value) for value in set(p.entries)}))
 
 
 def partitions(m: int) -> tuple[Profile, ...]:

@@ -252,41 +252,33 @@ def _key_string(key) -> str:
     return json.dumps(key, separators=(",", ":"))
 
 
+def _order_runs(alpha) -> list[tuple[tuple[int, str], ...]]:
+    """The runs of equal order in a stored (order-sorted) ``alpha``."""
+    return [tuple(run) for _, run in itertools.groupby(alpha, key=lambda ent: ent[0])]
+
+
 def _symbolic_part(s: SeveriState):
-    ordered = list(s.alpha)
-    tie_groups: list[list[int]] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
-            j += 1
-        tie_groups.append(list(range(i, j)))
-        i = j
-    n_perms = math.prod(math.factorial(len(t)) for t in tie_groups)
-    if n_perms > _TIE_CAP:
-        perms = [list(range(len(ordered)))]
-    else:
-        pools = [list(itertools.permutations(t)) for t in tie_groups]
-        perms = [
-            list(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*pools)
-        ]
-    best = None
-    for perm in perms:
-        mapping = {ordered[pos][1]: f"P{rank + 1}" for rank, pos in enumerate(perm)}
-        cand = _serialize_with(s, ordered, mapping)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _serialize_with(s: SeveriState, ordered, mapping):
+    # P-names go by position and a run shares one order, so the alpha part
+    # is the same under every relabeling; only the group forms are minimised
+    names = [f"P{i + 1}" for i in range(len(s.alpha))]
     alpha_part = tuple(
-        (order, mapping[lbl]) for order, lbl in sorted(
-            ordered, key=lambda t: (-t[0], mapping[t[1]])
+        sorted(zip((order for order, _ in s.alpha), names), key=lambda t: (-t[0], t[1]))
+    )
+    runs = _order_runs(s.alpha)
+    if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
+        relabelings = [s.alpha]
+    else:
+        relabelings = (
+            itertools.chain.from_iterable(combo)
+            for combo in itertools.product(*(itertools.permutations(run) for run in runs))
         )
+    return alpha_part, min(
+        _group_forms(s, {lbl: name for (_, lbl), name in zip(entries, names)})
+        for entries in relabelings
     )
 
+
+def _group_forms(s: SeveriState, mapping):
     def group_form(beta: Profile, bundle: LineBundle, names):
         expr = tuple(
             (k, names.get(n, n) if k == PT else n, d, c) for k, n, d, c in bundle.terms
@@ -303,8 +295,7 @@ def _serialize_with(s: SeveriState, ordered, mapping):
             if n not in names:
                 names[n] = f"Q{q}"
                 q += 1
-    groups = tuple(sorted(group_form(beta, bundle, names) for beta, bundle in s.betas))
-    return (alpha_part, groups)
+    return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in s.betas))
 
 
 # -- JSON --------------------------------------------------------------------

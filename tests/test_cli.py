@@ -76,6 +76,15 @@ def test_budget_exit_code():
     run_cli("hurwitz", "orbits", "--d", "6", "--g", "2", expect=3)
 
 
+def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
+    # refused before any permutation of a billion sheets is built
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"d": 1_000_000_000}))
+    proc = run_cli("mono", "check", "--tuple", str(big), expect=3)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("budget exceeded:") and proc.stderr.count("\n") == 1
+
+
 def test_forest_with_dot(tmp_path):
     out = tmp_path / "forest.dot"
     proc = run_cli(

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from severi import degeneration as dg
@@ -11,6 +14,7 @@ from severi.states import (
     dimension,
     key_tuple,
     normalize,
+    point,
     symbol,
 )
 from tests.conftest import random_normalized_state
@@ -318,3 +322,67 @@ def test_forest_keys_are_canonical_keys(mode, rng):
             normalized[nchild != e.term.child] += 1
     # both the reused and the recomputed child keys are exercised
     assert normalized[True] > 0 and normalized[False] > 0
+
+
+# -- byte-for-byte pins ------------------------------------------------------
+# sha256 digests of the simple enumerator's term JSON and of symbolic key
+# strings.  A change to the terms, their order, the term kept per key or a
+# key string changes a digest; re-record it only for an intended change.
+
+
+def digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def transverse_states(max_d):
+    """Fixed points 1^a and one group 1^b of class L, or of class L' - p1
+    when p1 is a fixed point, for d <= max_d, N <= 3 and 2 <= g <= 4."""
+    for d in range(1, max_d + 1):
+        for N in range(4):
+            for g in range(2, 5):
+                for a in range(d):
+                    s = simple_state(d, N, g, a, d - a)
+                    yield s
+                    if a:
+                        incident = (Profile.ones(d - a), symbol("L'", d - a + 1) - point("p1"))
+                        yield SeveriState(d=d, N=N, g=g, alpha=s.alpha, betas=(incident,))
+
+
+@pytest.mark.parametrize(
+    "mode,max_d,count,sha",
+    [
+        (DEGREE, 8, 23052, "44c2348e172dd9813ec3f38bfdf88e7203d265fc4bcc7c17612c9d4265bceac3"),
+        # d <= 6 reaches the relabeling cap; d <= 8 would add about 20 s of
+        # relabeling, and test_symbolic_keys_pinned goes past the cap
+        (SYMBOLIC, 6, 8400, "0b004d9ab471c2b2051f4c87ffbe0c475adc61a8ac5cac5e1c1cb94f87982210"),
+    ],
+    ids=[DEGREE, SYMBOLIC],
+)
+def test_simple_terms_pinned(mode, max_d, count, sha):
+    out = [[t.to_json() for t in dg.successors_simple(s, mode)] for s in transverse_states(max_d)]
+    assert sum(map(len, out)) == count
+    assert digest(out) == sha
+
+
+def symbolic_key_states():
+    """Nodes of a capped symbolic forest from one group 1^5, the children of
+    its first nodes, and ties of order-one points named in bundles on both
+    sides of the relabeling cap."""
+    forest = dg.build_forest([simple_state(5, 3, 4, 0, 5)], max_nodes=1000, key_mode=SYMBOLIC)
+    states = list(forest.nodes.values())
+    for s in states[:150]:
+        states.extend(t.child for t in dg.successors_general(s))
+    for n in range(1, 9):
+        alpha = tuple((1, f"p{i}") for i in range(1, n + 1)) + ((2, "q1"), (2, "q2"))
+        L = symbol("L", 3) + point(f"p{n}") - point("p1") + point("z9")
+        M = symbol("M", 2) + 2 * point("q2") - point("p2") - point("q1")
+        betas = ((Profile.ones(4), L), (Profile.of(2, 1), M))
+        states.append(SeveriState(d=n + 11, N=2, g=1, alpha=alpha, betas=betas))
+    return states
+
+
+def test_symbolic_keys_pinned():
+    keys = [canonical_key(s, SYMBOLIC) for s in symbolic_key_states()]
+    assert len(keys) == 1841
+    assert digest(keys) == "bda8c1e8b71899f92171f9dd8fd4410aa3ca2c6cb07c049bb24c64dd7a563d05"

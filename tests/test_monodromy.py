@@ -5,6 +5,7 @@ import pytest
 
 from severi.lattices import IDENTITY, Lattice2
 from severi.monodromy import (
+    MAX_TUPLE_D,
     BudgetExceeded,
     HurwitzTuple,
     commutator,
@@ -214,6 +215,12 @@ def test_tuple_json_roundtrip():
         assert HurwitzTuple.from_json(t.to_json()) == t
     t2 = HurwitzTuple(2, ID2, ID2, (T12, T12))
     assert HurwitzTuple.from_json(t2.to_json()) == t2
+
+
+def test_tuple_json_sheet_count_budget():
+    assert HurwitzTuple.from_json({"d": MAX_TUPLE_D}).A == identity(MAX_TUPLE_D)
+    with pytest.raises(BudgetExceeded):
+        HurwitzTuple.from_json({"d": MAX_TUPLE_D + 1, "A": [[1, 2]]})
 
 
 def lattice_by_word_search(t: HurwitzTuple, max_len: int = 8):
