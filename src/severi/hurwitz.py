@@ -13,8 +13,17 @@ covers.  The move set used here:
   loops of the target.
 
 :data:`MOVES` is the one admitted move set; :func:`move_images` lists its
-moves of a tuple in that order, and the orbit closure and the DOT rendering
-of the move graph both walk it.
+moves of a tuple in that order, and the DOT rendering of the move graph
+walks it.  The orbit closure applies the same moves, in the same order, to
+tuples packed as ``perm_table`` indices (:class:`_PackedMoves`).
+
+The exhaustive scan visits one A per conjugacy class of S_d and weights
+what it finds by the size of the class.  This is exact: relabeling the
+sheets by g sends a tuple (A, B, T_1..T_b) to its conjugate by g, a
+bijection between the tuples whose first entry is A and those whose first
+entry is g^-1 A g, and it changes neither transitivity, nor the invariant
+lattice, nor |G|, nor how the group's orbits on sheet pairs match the
+block-pair classes.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -35,6 +44,7 @@ from .lattices import IDENTITY, Lattice2, hnf, sublattices
 from .monodromy import (
     BudgetExceeded,
     HurwitzTuple,
+    check_valid,
     compose,
     cycles_of,
     identity,
@@ -240,6 +250,71 @@ def move_images(t: HurwitzTuple):
             yield mv.name, mv.apply(t)
 
 
+class _PackedMoves:
+    """The moves of :func:`move_images`, in its order, on packed tuples.
+
+    A tuple (A, B, T_1..T_b) of degree d is packed as one int: the
+    ``perm_table(d)`` indices of its entries are the digits of a mixed-radix
+    number in base d!, A the lowest.  Every move is a few table lookups on
+    those indices; the handle words go through :func:`.words.evaluate` over
+    the multiplication table.
+    """
+
+    def __init__(self, d: int, b: int):
+        perms, self.index, mul, inv, transps = perm_table(d)
+        self.transpositions = frozenset(transps)
+        self.radix = len(perms)
+        self.width = b + 2
+        self.weights = [self.radix**i for i in range(self.width)]
+        self.mul, self.inv = mul, inv
+        self.id_i = self.index[identity(d)]
+        self.conjugations = []
+        for k in range(d - 1):
+            g = self.index[transposition(d, k, k + 1)]
+            self.conjugations.append([mul[mul[inv[g]][x]][g] for x in range(len(perms))])
+
+    def pack(self, entries) -> int:
+        return sum(x * w for x, w in zip(entries, self.weights))
+
+    def unpack(self, key: int) -> list[int]:
+        return [key // w % self.radix for w in self.weights]
+
+    def images(self, key: int) -> list[int]:
+        """The packed image of the tuple ``key`` under each move."""
+        e = self.unpack(key)
+        mul, inv, w = self.mul, self.inv, self.weights
+        out = []
+        for k in range(2, self.width - 1):
+            x, y = e[k], e[k + 1]
+            out.append(key + (mul[mul[x][y]][inv[x]] - x) * w[k] + (x - y) * w[k + 1])
+        for c in self.conjugations:
+            out.append(self.pack([c[x] for x in e]))
+        if self.width > 2:
+            a, b, t = e[0], e[1], e[-1]
+            values = {"a": a, "b": b, "t": t}
+            for mv in MOVES.handles:
+                a2, b2, t2 = (
+                    wd.evaluate(word, values, self._compose, self.id_i, inv.__getitem__)
+                    for word in (mv.a_word, mv.b_word, mv.t_word)
+                )
+                out.append(key + (a2 - a) * w[0] + (b2 - b) * w[1] + (t2 - t) * w[-1])
+        return out
+
+    def _compose(self, x: int, y: int) -> int:
+        return self.mul[x][y]
+
+    def relation_holds(self, e) -> bool:
+        """Whether every T is a transposition and T_1..T_b = [A, B]."""
+        mul, inv = self.mul, self.inv
+        prod = self.id_i
+        for x in e[2:]:
+            if x not in self.transpositions:
+                return False
+            prod = mul[prod][x]
+        a, b = e[0], e[1]
+        return prod == mul[mul[mul[a][b]][inv[a]]][inv[b]]
+
+
 # -- orbits ---------------------------------------------------------------------
 
 
@@ -274,34 +349,79 @@ class OrbitReport:
 
 def orbits(tuples) -> OrbitReport:
     """Union-find closure of the move action; reports the orbit count and,
-    per orbit, the common invariant lattice."""
+    per orbit, the common invariant lattice.
+
+    The tuples must share one degree d <= 6 and one branch count.  Each is
+    packed once as one int, the ``perm_table(d)`` indices of A, B,
+    T_1..T_b as the digits of a mixed-radix number in base d!
+    (:class:`_PackedMoves`), and validated by table lookups; every move of
+    :func:`move_images` is then applied to the packed key, in that order.
+    The invariant lattice is computed once per (A, B, set of T) group
+    within each run of consecutive tuples that share A and B, which is
+    once per group on the output of :func:`iter_tuples`; caching only the
+    current run keeps the cache small.
+    """
     tuples = list(tuples)
     if not tuples:
         raise ValueError("no tuples to partition")
-    index = {t: i for i, t in enumerate(tuples)}
+    d, b = tuples[0].d, tuples[0].b
+    moves = _PackedMoves(d, b)
+    index = moves.index
+    # the positions are the int objects of the union-find list itself, so
+    # pos adds no copies of them
     parent = list(range(len(tuples)))
-    for t, i in index.items():
-        for _, t2 in move_images(t):
-            j = index.get(t2)
+    pos: dict = {}
+    lattices = []
+    ab = lattice_of_set = None
+    for i, t in zip(parent, tuples):
+        e = [index.get(p) for p in t.generators()]
+        if None in e or len(e) != moves.width or not moves.relation_holds(e):
+            check_valid(t)
+            raise ValueError("orbits need tuples of one degree and one branch count")
+        if e[:2] != ab:
+            ab, lattice_of_set = e[:2], {}
+        letters = frozenset(e[2:])
+        lat = lattice_of_set.get(letters)
+        if lat is None:
+            lat = _sheet_lattice(d, t.generators())[2]
+            if lat is None:
+                check_valid(t)
+            lattice_of_set[letters] = lat
+        lattices.append(lat)
+        pos[moves.pack(e)] = i
+
+    for key, i in pos.items():
+        for image in moves.images(key):
+            j = pos.get(image)
             if j is None:
                 raise AssertionError("a move left the enumerated tuple set")
             parent[root(parent, i)] = root(parent, j)
 
-    lattices = [invariant_lattice(t) for t in tuples]
     orbit_of = tuple(root(parent, i) for i in range(len(tuples)))
     lattice_of_root: dict = {}
     for rep, lat in zip(orbit_of, lattices):
         if lattice_of_root.setdefault(rep, lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
     return OrbitReport(
-        d=tuples[0].d,
-        b=tuples[0].b,
+        d=d,
+        b=b,
         tuples=tuple(tuples),
         orbit_of=orbit_of,
         orbit_count=len(lattice_of_root),
         lattice_of_orbit=Counter(lattice_of_root.values()),
         census=Counter(lattices),
     )
+
+
+def _sheet_lattice(d: int, gens):
+    """The sheet letters of the tuple generators ``gens``, the spanning
+    tree's words w, and the invariant lattice, which is None when the
+    letters do not act transitively."""
+    letters = sheet_letters(gens)
+    w, reached = sheet_tree(d, letters)
+    if len(reached) < d:
+        return letters, w, None
+    return letters, w, hnf(schreier_rows(letters, w, reached))
 
 
 def invariant_census(tuples) -> dict:
@@ -352,7 +472,9 @@ class ScanReport:
     d: int
     b: int
     tuples: int = 0
-    groups: int = 0  # transitive (A, B, set of T) groups checked; not in to_json
+    # transitive (A, B, set of T) groups checked, with A one representative
+    # per conjugacy class; not in to_json
+    groups: int = 0
     primitive: int = 0
     full: int = 0
     equivalence_failures: int = 0
@@ -404,7 +526,17 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     per (product, set of letters), each transitive (A, B, set) group is
     checked once, and every tally adds the group's word count.
 
-    Counts failures instead of raising, so a red run is inspectable.
+    Every check is also invariant under simultaneous conjugation of all
+    entries, which relabels the sheets, and the table of branch words does
+    not depend on A.  Conjugating by g maps the tuples with first entry A
+    one to one onto those with first entry g^-1 A g, word counts included.
+    So A runs over one representative per conjugacy class (cycle type)
+    only, and each group's word count is multiplied by the size of that
+    class; the tallies are exactly those of the loop over all of S_d.
+
+    The kernel-order check is a claim about ramified tuples, so it is
+    tallied only for b >= 1.  Counts failures instead of raising, so a red
+    run is inspectable.
     """
     if d > MAX_SCAN_D:
         raise BudgetExceeded(f"scan guard: d={d} > {MAX_SCAN_D}")
@@ -453,19 +585,23 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
         branch = [perms[x] for x in used]
         sets_of_product.setdefault(p, []).append((used, branch, n))
 
+    classes: dict = {}
+    for i, p in enumerate(perms):
+        classes.setdefault(tuple(sorted(map(len, cycles_of(p)))), []).append(i)
+
     report = ScanReport(d=d, b=b)
-    for a_i, a in enumerate(perms):
+    for members in classes.values():
+        a_i = members[0]
+        a = perms[a_i]
         for b_i, bb in enumerate(perms):
             target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
-            for used, branch, n in sets_of_product.get(target, ()):
-                letters = sheet_letters([a, bb, *branch])
-                w, reached = sheet_tree(d, letters)
-                if len(reached) < d:
+            for used, branch, words in sets_of_product.get(target, ()):
+                letters, w, lat = _sheet_lattice(d, [a, bb, *branch])
+                if lat is None:
                     continue
                 report.groups += 1
+                n = words * len(members)
                 report.tuples += n
-
-                lat = hnf(schreier_rows(letters, w, reached))
                 report.census[lat] = report.census.get(lat, 0) + n
                 primitive = lat == IDENTITY
                 order = closure_order(tuple(sorted({a_i, b_i, *used})))
@@ -477,13 +613,13 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                 if primitive != full:
                     report.equivalence_failures += n
 
-                # kernel order under the canonical factorization; the
-                # translations act regularly on the e blocks Z^2 / L, so the
-                # quotient group has order e
+                # kernel order under the canonical factorization, a claim
+                # about ramified tuples only; the translations act regularly
+                # on the e blocks Z^2 / L, so the quotient group has order e
                 e = lat.index
-                if d % e:
+                if b and d % e:
                     report.kernel_failures += n
-                else:
+                elif b:
                     report.kernel_checked += n
                     if math.factorial(d // e) ** e * e != order:
                         report.kernel_failures += n

@@ -265,6 +265,7 @@ def test_criterion_10_cli_determinism():
     reason="d=6 scan is optional; enable with --run-d6",
 )
 def test_optional_kernel_order_d6():
-    rep = hw.scan_monodromy(6, 2)
-    assert rep.kernel_failures == 0 and rep.equivalence_failures == 0
-    _report(6, f"optional d=6 scan: {rep.tuples} tuples, kernel order exact")
+    for case in [(6, 2), (6, 4)]:
+        rep = hw.scan_monodromy(*case)
+        assert rep.kernel_failures == 0 and rep.equivalence_failures == 0
+        _report(6, f"optional d=6 scan {case}: {rep.tuples} tuples, kernel order exact")

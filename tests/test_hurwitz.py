@@ -11,6 +11,7 @@ from severi.hurwitz import (
     HandleMove,
     MoveSet,
     ScanReport,
+    _PackedMoves,
     admissible,
     braid_move,
     braid_move_inverse,
@@ -21,10 +22,11 @@ from severi.hurwitz import (
     invariant_census,
     iter_tuples,
     move_graph_dot,
+    move_images,
     orbits,
     scan_monodromy,
 )
-from severi.lattices import IDENTITY
+from severi.lattices import IDENTITY, hurwitz_component_count
 from severi.monodromy import (
     BudgetExceeded,
     HurwitzTuple,
@@ -37,6 +39,7 @@ from severi.monodromy import (
     is_full_monodromy,
     is_valid,
     kernel_order_check,
+    perm_table,
     then,
     transposition,
 )
@@ -206,6 +209,65 @@ def test_orbit_counts_small():
     assert orbits(enumerate_tuples(3, 2)).orbit_count == 1
 
 
+def move_closure(t):
+    """Every tuple that the moves of move_images reach from t."""
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        frontier = [t2 for s in frontier for _, t2 in move_images(s) if t2 not in seen]
+        seen.update(frontier)
+    return sorted(seen, key=lambda s: (s.A, s.B, s.T))
+
+
+# the transpositions (1 2) and (2 3) of three sheets
+S12, S23 = transposition(3, 0, 1), transposition(3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "T,message",
+    [
+        # T1 T2 is the identity, not the 3-cycle [A, B]
+        ((S12, S12), r"^\[A,B\] != T1\.\.\.Tb$"),
+        # T1 T2 = [A, B], but neither letter is a transposition
+        (
+            (commutator(S12, S23), identity(3)),
+            r"^T1 is not a transposition; T2 is not a transposition$",
+        ),
+    ],
+    ids=["relation", "letters"],
+)
+def test_orbits_rejects_an_invalid_tuple(T, message):
+    # the moves keep both defects (T1..Tb [A, B]^-1 up to conjugation, and
+    # the conjugacy classes of the letters), so the closure of the broken
+    # tuple is one move-closed set of invalid tuples after the valid ones
+    broken = HurwitzTuple(3, S12, S23, T)
+    with pytest.raises(ValueError, match=message):
+        orbits(enumerate_tuples(3, 2) + move_closure(broken))
+
+
+@pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
+def test_packed_moves_match_move_images(d, g):
+    """Each packed image, read back as the mixed-radix digits in base d! of
+    A, B, T_1..T_b, is the tuple move_images gives, in the same order."""
+    perms, index, *_ = perm_table(d)
+    n, width = len(perms), 2 * g
+    moves = _PackedMoves(d, width - 2)
+    for t in enumerate_tuples(d, g):
+        entries = [index[p] for p in t.generators()]
+        key = sum(x * n**i for i, x in enumerate(entries))
+        assert moves.pack(entries) == key
+        decoded = []
+        for image in moves.images(key):
+            e = [perms[image // n**i % n] for i in range(width)]
+            decoded.append(HurwitzTuple(d, e[0], e[1], tuple(e[2:])))
+        assert decoded == [t2 for _, t2 in move_images(t)]
+
+
+def test_orbits_rejects_a_set_the_moves_leave():
+    with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
+        orbits(enumerate_tuples(3, 2)[:10])
+
+
 def test_orbits_refine_census():
     ts = enumerate_tuples(4, 2)
     rep = orbits(ts)
@@ -282,10 +344,11 @@ def test_moves_preserve_lattice_on_every_imprimitive_tuple():
 
 def test_orbit_counts_beyond_calibration():
     """The component counts the moves are calibrated against also hold at
-    neighbouring (d, g); one orbit per realized lattice throughout."""
-    for (d, g, expect) in [(3, 3, 1), (5, 2, 1), (4, 3, 4)]:
+    neighbouring (d, g); one orbit per realized lattice throughout, as
+    many as the paper's component count."""
+    for (d, g, expect) in [(3, 3, 1), (5, 2, 1), (4, 3, 4), (3, 4, 1)]:
         rep = orbits(list(iter_tuples(d, 2 * g - 2)))
-        assert rep.orbit_count == expect
+        assert rep.orbit_count == expect == hurwitz_component_count(d)
         assert all(n == 1 for n in rep.lattice_of_orbit.values())
 
 
@@ -347,7 +410,7 @@ def reference_scan(d, b):
     return rep
 
 
-@pytest.mark.parametrize("d,b", [(3, 2), (3, 4), (4, 2)])
+@pytest.mark.parametrize("d,b", [(2, 0), (3, 0), (3, 2), (3, 4), (4, 2)])
 def test_scan_matches_per_tuple_reference(d, b):
     rep = scan_monodromy(d, b)
     ref = reference_scan(d, b)
@@ -358,10 +421,20 @@ def test_scan_matches_per_tuple_reference(d, b):
 
 
 def test_scan_checks_each_group_once():
-    assert scan_monodromy(4, 4).groups == 16_032
+    # A runs over one representative per conjugacy class; with A over all
+    # of S_d the same scans have 16,032 and 16,320 groups
+    assert scan_monodromy(4, 4).groups == 3_114
     rep = scan_monodromy(5, 2)
-    assert rep.groups == 16_320
+    assert rep.groups == 1_255
     assert "groups" not in rep.to_json()
+
+
+def test_scan_degree_six():
+    rep = scan_monodromy(6, 2)
+    assert rep.ok
+    # the Frobenius count of transitive (6, 2) tuples (bench/oracle.py)
+    assert rep.tuples == 259_200
+    assert set(rep.census) == set(expected_lattices(6))
 
 
 def test_scan_boundaries():
