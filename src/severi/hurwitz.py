@@ -14,8 +14,13 @@ covers.  The move set used here:
 
 :data:`MOVES` is the one admitted move set; :func:`move_images` lists its
 moves of a tuple in that order, and the DOT rendering of the move graph
-walks it.  The orbit closure applies the same moves, in the same order, to
-tuples packed as ``perm_table`` indices (:class:`_PackedMoves`).
+walks it.  The orbit closure works on relabeling classes: it groups the
+tuples, packed as ``perm_table`` indices (:class:`_PackedMoves`), into
+classes under simultaneous conjugation, and applies only the braid and
+handle moves, to one tuple per class.  This is exact: the relabelings are
+conjugations, so each class is closed under them, and the braid and handle
+moves commute with conjugation, so the images of a class are the classes
+of the images of any one of its tuples.
 
 The exhaustive scan visits one A per conjugacy class of S_d and weights
 what it finds by the size of the class.  This is exact: relabeling the
@@ -251,7 +256,8 @@ def move_images(t: HurwitzTuple):
 
 
 class _PackedMoves:
-    """The moves of :func:`move_images`, in its order, on packed tuples.
+    """The braid and handle moves of :func:`move_images`, in its order, and
+    the relabeling classes, on packed tuples.
 
     A tuple (A, B, T_1..T_b) of degree d is packed as one int: the
     ``perm_table(d)`` indices of its entries are the digits of a mixed-radix
@@ -268,10 +274,6 @@ class _PackedMoves:
         self.weights = [self.radix**i for i in range(self.width)]
         self.mul, self.inv = mul, inv
         self.id_i = self.index[identity(d)]
-        self.conjugations = []
-        for k in range(d - 1):
-            g = self.index[transposition(d, k, k + 1)]
-            self.conjugations.append([mul[mul[inv[g]][x]][g] for x in range(len(perms))])
 
     def pack(self, entries) -> int:
         return sum(x * w for x, w in zip(entries, self.weights))
@@ -279,16 +281,25 @@ class _PackedMoves:
     def unpack(self, key: int) -> list[int]:
         return [key // w % self.radix for w in self.weights]
 
+    def conjugates(self, key: int) -> list[int]:
+        """The packed conjugate of the tuple ``key`` by each g in S_d, in
+        table order: every entry x becomes g^-1 x g."""
+        e = self.unpack(key)
+        mul, w = self.mul, self.weights
+        return [
+            sum(mul[row[x]][g] * wk for x, wk in zip(e, w))
+            for g, row in enumerate(mul[gi] for gi in self.inv)
+        ]
+
     def images(self, key: int) -> list[int]:
-        """The packed image of the tuple ``key`` under each move."""
+        """The packed image of the tuple ``key`` under each braid and handle
+        move, in the order of :func:`move_images`."""
         e = self.unpack(key)
         mul, inv, w = self.mul, self.inv, self.weights
         out = []
         for k in range(2, self.width - 1):
             x, y = e[k], e[k + 1]
             out.append(key + (mul[mul[x][y]][inv[x]] - x) * w[k] + (x - y) * w[k + 1])
-        for c in self.conjugations:
-            out.append(self.pack([c[x] for x in e]))
         if self.width > 2:
             a, b, t = e[0], e[1], e[-1]
             values = {"a": a, "b": b, "t": t}
@@ -320,6 +331,14 @@ class _PackedMoves:
 
 @dataclass
 class OrbitReport:
+    """The orbit partition of a tuple set under the moves.
+
+    ``orbit_of[i]`` is the least input index in the orbit of tuple i, so
+    it does not depend on the order in which the moves are applied.
+    ``classes`` counts the relabeling classes the orbits are made of; it
+    is not in :meth:`to_json`.
+    """
+
     d: int
     b: int
     tuples: tuple[HurwitzTuple, ...]
@@ -327,6 +346,7 @@ class OrbitReport:
     orbit_count: int
     lattice_of_orbit: dict = field(default_factory=dict)
     census: dict = field(default_factory=dict)
+    classes: int = 0
 
     def to_json(self) -> dict:
         census = sorted(
@@ -348,18 +368,18 @@ class OrbitReport:
 
 
 def orbits(tuples) -> OrbitReport:
-    """Union-find closure of the move action; reports the orbit count and,
-    per orbit, the common invariant lattice.
+    """Union-find closure of the move action on relabeling classes; reports
+    the orbit count and, per orbit, the common invariant lattice.
 
-    The tuples must share one degree d <= 6 and one branch count.  Each is
-    packed once as one int, the ``perm_table(d)`` indices of A, B,
-    T_1..T_b as the digits of a mixed-radix number in base d!
-    (:class:`_PackedMoves`), and validated by table lookups; every move of
-    :func:`move_images` is then applied to the packed key, in that order.
-    The invariant lattice is computed once per (A, B, set of T) group
-    within each run of consecutive tuples that share A and B, which is
-    once per group on the output of :func:`iter_tuples`; caching only the
-    current run keeps the cache small.
+    The tuples must share one degree d <= 6 and one branch count, and none
+    may repeat.  Each is packed once as one int (:class:`_PackedMoves`) and
+    validated by table lookups.  In input order, the first tuple not yet
+    placed opens a class, which takes all its conjugates by S_d, and the
+    invariant lattice is computed once per class.  Only the braid and
+    handle moves are applied, to that first tuple, and the classes of the
+    images are joined; the module docstring says why this gives the orbits
+    of the whole move set.  Every conjugate and every image must be in the
+    set.
     """
     tuples = list(tuples)
     if not tuples:
@@ -367,49 +387,59 @@ def orbits(tuples) -> OrbitReport:
     d, b = tuples[0].d, tuples[0].b
     moves = _PackedMoves(d, b)
     index = moves.index
-    # the positions are the int objects of the union-find list itself, so
-    # pos adds no copies of them
-    parent = list(range(len(tuples)))
     pos: dict = {}
-    lattices = []
-    ab = lattice_of_set = None
-    for i, t in zip(parent, tuples):
+    for i, t in enumerate(tuples):
         e = [index.get(p) for p in t.generators()]
         if None in e or len(e) != moves.width or not moves.relation_holds(e):
             check_valid(t)
             raise ValueError("orbits need tuples of one degree and one branch count")
-        if e[:2] != ab:
-            ab, lattice_of_set = e[:2], {}
-        letters = frozenset(e[2:])
-        lat = lattice_of_set.get(letters)
-        if lat is None:
-            lat = _sheet_lattice(d, t.generators())[2]
-            if lat is None:
-                check_valid(t)
-            lattice_of_set[letters] = lat
-        lattices.append(lat)
-        pos[moves.pack(e)] = i
+        j = pos.setdefault(moves.pack(e), i)
+        if j != i:
+            raise ValueError(f"tuple {i} repeats tuple {j}")
 
-    for key, i in pos.items():
+    # class c has least member first[c] and packed key keys[c]; pos holds
+    # the keys in input order, so classes are numbered in the order of
+    # their least members
+    class_of = [None] * len(tuples)
+    first, keys, lattices = [], [], []
+    for i, key in enumerate(pos):
+        if class_of[i] is not None:
+            continue
+        lat = _sheet_lattice(d, tuples[i].generators())[2]
+        if lat is None:
+            check_valid(tuples[i])
+        for image in moves.conjugates(key):
+            j = pos.get(image)
+            if j is None:
+                raise AssertionError("a move left the enumerated tuple set")
+            class_of[j] = len(first)
+        first.append(i)
+        keys.append(key)
+        lattices.append(lat)
+
+    # the root of each union-find tree is its least class
+    parent = list(range(len(first)))
+    for c, key in enumerate(keys):
         for image in moves.images(key):
             j = pos.get(image)
             if j is None:
                 raise AssertionError("a move left the enumerated tuple set")
-            parent[root(parent, i)] = root(parent, j)
+            r, s = sorted((root(parent, c), root(parent, class_of[j])))
+            parent[s] = r
 
-    orbit_of = tuple(root(parent, i) for i in range(len(tuples)))
     lattice_of_root: dict = {}
-    for rep, lat in zip(orbit_of, lattices):
-        if lattice_of_root.setdefault(rep, lat) != lat:
+    for c, lat in enumerate(lattices):
+        if lattice_of_root.setdefault(root(parent, c), lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
     return OrbitReport(
         d=d,
         b=b,
         tuples=tuple(tuples),
-        orbit_of=orbit_of,
+        orbit_of=tuple(first[root(parent, c)] for c in class_of),
         orbit_count=len(lattice_of_root),
         lattice_of_orbit=Counter(lattice_of_root.values()),
-        census=Counter(lattices),
+        census=Counter(lattices[c] for c in class_of),
+        classes=len(first),
     )
 
 

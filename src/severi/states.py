@@ -266,16 +266,25 @@ def _symbolic_part(s: SeveriState):
     )
     runs = _order_runs(s.alpha)
     if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
-        relabelings = [s.alpha]
+        mappings = [{lbl: name for (_, lbl), name in zip(s.alpha, names)}]
     else:
-        relabelings = (
-            itertools.chain.from_iterable(combo)
-            for combo in itertools.product(*(itertools.permutations(run) for run in runs))
+        # a point no bundle names leaves the group forms alone, so only the
+        # injective placements of the named points of a run on its names
+        # are tried
+        named = {n for _, bundle in s.betas for n in bundle.point_names()}
+        placements, start = [], 0
+        for run in runs:
+            labels = [lbl for _, lbl in run if lbl in named]
+            run_names = names[start : start + len(run)]
+            placements.append(
+                [tuple(zip(labels, p)) for p in itertools.permutations(run_names, len(labels))]
+            )
+            start += len(run)
+        mappings = (
+            dict(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*placements)
         )
-    return alpha_part, min(
-        _group_forms(s, {lbl: name for (_, lbl), name in zip(entries, names)})
-        for entries in relabelings
-    )
+    return alpha_part, min(_group_forms(s, mapping) for mapping in mappings)
 
 
 def _group_forms(s: SeveriState, mapping):

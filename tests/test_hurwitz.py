@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from dataclasses import fields
 
@@ -209,12 +210,15 @@ def test_orbit_counts_small():
     assert orbits(enumerate_tuples(3, 2)).orbit_count == 1
 
 
-def move_closure(t):
-    """Every tuple that the moves of move_images reach from t."""
+def move_closure(t, keep=lambda name: True):
+    """Every tuple that the moves of move_images whose names pass keep reach
+    from t."""
     seen = {t}
     frontier = [t]
     while frontier:
-        frontier = [t2 for s in frontier for _, t2 in move_images(s) if t2 not in seen]
+        frontier = [
+            t2 for s in frontier for name, t2 in move_images(s) if keep(name) and t2 not in seen
+        ]
         seen.update(frontier)
     return sorted(seen, key=lambda s: (s.A, s.B, s.T))
 
@@ -245,10 +249,19 @@ def test_orbits_rejects_an_invalid_tuple(T, message):
         orbits(enumerate_tuples(3, 2) + move_closure(broken))
 
 
+def decode(key, d, width):
+    """The tuple whose perm_table(d) indices are the base-d! digits of key."""
+    perms = perm_table(d)[0]
+    n = len(perms)
+    e = [perms[key // n**i % n] for i in range(width)]
+    return HurwitzTuple(d, e[0], e[1], tuple(e[2:]))
+
+
 @pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
 def test_packed_moves_match_move_images(d, g):
     """Each packed image, read back as the mixed-radix digits in base d! of
-    A, B, T_1..T_b, is the tuple move_images gives, in the same order."""
+    A, B, T_1..T_b, is the tuple move_images gives for a braid or handle
+    move, in the same order; the relabelings c1.. are not packed moves."""
     perms, index, *_ = perm_table(d)
     n, width = len(perms), 2 * g
     moves = _PackedMoves(d, width - 2)
@@ -256,16 +269,64 @@ def test_packed_moves_match_move_images(d, g):
         entries = [index[p] for p in t.generators()]
         key = sum(x * n**i for i, x in enumerate(entries))
         assert moves.pack(entries) == key
-        decoded = []
-        for image in moves.images(key):
-            e = [perms[image // n**i % n] for i in range(width)]
-            decoded.append(HurwitzTuple(d, e[0], e[1], tuple(e[2:])))
-        assert decoded == [t2 for _, t2 in move_images(t)]
+        decoded = [decode(image, d, width) for image in moves.images(key)]
+        assert decoded == [t2 for name, t2 in move_images(t) if name[0] != "c"]
+
+
+@pytest.mark.parametrize("d,g", [(3, 2), (4, 2)])
+def test_conjugates_are_the_relabeling_closure(d, g):
+    """The conjugates of a tuple by all of S_d are its closure under the
+    relabeling moves c1.. of move_images, and the packed conjugates are
+    those conjugates in perm_table order."""
+    perms, index, *_ = perm_table(d)
+    moves = _PackedMoves(d, 2 * g - 2)
+    closure_of: dict = {}
+    for t in enumerate_tuples(d, g):
+        if t not in closure_of:
+            closure = set(move_closure(t, lambda name: name[0] == "c"))
+            closure_of.update(dict.fromkeys(closure, closure))
+        conjugates = [conjugate_tuple(t, p) for p in perms]
+        assert set(conjugates) == closure_of[t]
+        key = moves.pack([index[p] for p in t.generators()])
+        assert [decode(c, d, 2 * g) for c in moves.conjugates(key)] == conjugates
 
 
 def test_orbits_rejects_a_set_the_moves_leave():
     with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
         orbits(enumerate_tuples(3, 2)[:10])
+
+
+def test_orbits_reject_any_set_missing_one_tuple():
+    ts = enumerate_tuples(3, 2)
+    for i in range(len(ts)):
+        with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
+            orbits(ts[:i] + ts[i + 1 :])
+
+
+def test_orbits_reject_a_repeated_tuple():
+    ts = enumerate_tuples(3, 2)
+    with pytest.raises(ValueError, match=r"^tuple 96 repeats tuple 5$"):
+        orbits(ts + [ts[5]])
+    with pytest.raises(ValueError, match=r"^tuple 96 repeats tuple 0$"):
+        orbits(ts + ts)
+
+
+@pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
+def test_orbit_of_is_the_least_index_of_the_orbit(d, g):
+    """orbit_of names each orbit by its least input index, and shuffling
+    the input permutes the tuples but not the partition."""
+    ts = enumerate_tuples(d, g)
+    shuffled = list(ts)
+    random.Random(8).shuffle(shuffled)
+    partitions = []
+    for tuples in (ts, shuffled):
+        members: dict = {}
+        for i, o in enumerate(orbits(tuples).orbit_of):
+            members.setdefault(o, []).append(i)
+        assert all(o == min(m) for o, m in members.items())
+        partitions.append({frozenset(tuples[i] for i in m) for m in members.values()})
+    assert partitions[0] == partitions[1]
+    assert len(partitions[0]) == hurwitz_component_count(d)
 
 
 def test_orbits_refine_census():
