@@ -13,19 +13,31 @@ tuples, factor them through their maximal unramified subcover, and compute
 orbits under the branch-point moves.
 """
 
-from .profiles import Profile
-from .states import LineBundle, SeveriState, point, symbol
-from .lattices import Lattice2
-from .monodromy import HurwitzTuple
+import importlib
 
-__all__ = [
-    "Profile",
-    "LineBundle",
-    "SeveriState",
-    "point",
-    "symbol",
-    "Lattice2",
-    "HurwitzTuple",
-]
+# Each public name and the submodule that defines it.  The submodules are
+# imported on first access (PEP 562), so that ``import severi`` and a CLI
+# subcommand load only the modules they use.
+_HOMES = {
+    "Profile": "profiles",
+    "LineBundle": "states",
+    "SeveriState": "states",
+    "point": "states",
+    "symbol": "states",
+    "Lattice2": "lattices",
+    "HurwitzTuple": "monodromy",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

@@ -4,6 +4,12 @@ Subcommands: terms, forest, dim, gamma, genusbound, lattice, mono, hurwitz.
 All output is canonical JSON (sorted keys, compact separators) on stdout,
 so identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 domain error, 2 usage error, 3 resource budget exceeded.
+
+A subcommand imports only the modules it runs: each ``cmd_*`` function
+imports its own, and nothing at module level names a library module.  Every
+invocation is a cold process, whose cost is mostly interpreter start-up and
+imports, so ``dim`` loads :mod:`.surfaces` alone and ``mono factor`` does
+not load :mod:`.hurwitz`.
 """
 
 from __future__ import annotations
@@ -11,14 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import degeneration as dg
-from . import dual_graph as dgr
-from . import hurwitz as hw
-from . import lattices as lt
-from . import monodromy as mo
-from . import states as st
-from . import surfaces as sf
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -39,20 +37,37 @@ def _vector(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip() != "")
 
 
-def _rows(text: str) -> list[tuple[int, ...]]:
-    return [_vector(chunk) for chunk in text.split(";") if chunk.strip() != ""]
+def _rows(text: str) -> list[tuple[int, int]]:
+    """Lattice generators ``"x,y;x,y;..."``, exactly two integers a row."""
+    rows = []
+    for chunk in text.split(";"):
+        if chunk.strip() == "":
+            continue
+        row = _vector(chunk)
+        if len(row) != 2:
+            raise ValueError(f"row {chunk.strip()!r} needs two integers, got {len(row)}")
+        rows.append(row)
+    return rows
 
 
+# Each model as a function of the surfaces module, which cmd_gamma imports.
 _MODELS = {
-    "elliptic_times_p1": sf.elliptic_times_p1,
-    "blowup_quadric": lambda: sf.blow_up(sf.quadric()),
-    "blowup_p2": lambda: sf.blow_up(sf.projective_plane()),
-    "quadric": sf.quadric,
-    "p2": sf.projective_plane,
+    "elliptic_times_p1": lambda sf: sf.elliptic_times_p1(),
+    "blowup_quadric": lambda sf: sf.blow_up(sf.quadric()),
+    "blowup_p2": lambda sf: sf.blow_up(sf.projective_plane()),
+    "quadric": lambda sf: sf.quadric(),
+    "p2": lambda sf: sf.projective_plane(),
 }
+
+# states.DEGREE and states.SYMBOLIC, spelled out so that building the parser
+# imports no library module; a test pins them to the constants.
+_KEY_MODES = ("degree", "symbolic")
 
 
 def cmd_terms(args) -> int:
+    from . import degeneration as dg
+    from . import states as st
+
     state = st.state_from_json(_read_json(args.state))
     if args.simple:
         terms = dg.successors_simple(state, key_mode=args.key_mode)
@@ -69,6 +84,9 @@ def cmd_terms(args) -> int:
 
 
 def cmd_forest(args) -> int:
+    from . import degeneration as dg
+    from . import states as st
+
     root = st.state_from_json(_read_json(args.root))
     forest = dg.build_forest(
         [root], floor=args.floor, max_nodes=args.max_nodes, key_mode=args.key_mode
@@ -81,12 +99,16 @@ def cmd_forest(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    from . import surfaces as sf
+
     _emit({"d": args.d, "g": args.g, "b": args.b, "dimension": sf.dim_V_ab(args.d, args.g, args.b)})
     return EXIT_OK
 
 
 def cmd_gamma(args) -> int:
-    model = _MODELS[args.model]()
+    from . import surfaces as sf
+
+    model = _MODELS[args.model](sf)
     D = model.from_vector(_vector(args.D))
     tau = model.from_vector(_vector(args.tau))
     value = sf.gamma(D, tau, args.b)
@@ -103,6 +125,8 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_genusbound(args) -> int:
+    from . import dual_graph as dgr
+
     graph = dgr.CentralFiber.from_json(_read_json(args.graph))
     report = dgr.genus_bound_check(graph, args.g)
     _emit(report.to_json())
@@ -110,6 +134,8 @@ def cmd_genusbound(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from . import lattices as lt
+
     if args.action == "snf":
         lat = lt.hnf(_rows(args.rows))
         _emit({"hnf": lat.to_json(), "snf": list(lt.snf(lat)), "index": lat.index})
@@ -144,9 +170,14 @@ def cmd_lattice(args) -> int:
 
 def cmd_mono(args) -> int:
     if args.action == "scan":
+        from . import hurwitz as hw
+
         report = hw.scan_monodromy(args.d, args.b)
         _emit(report.to_json())
         return EXIT_OK
+    from . import lattices as lt
+    from . import monodromy as mo
+
     t = mo.HurwitzTuple.from_json(_read_json(args.tuple))
     if args.action == "check":
         bad = mo.violations(t)
@@ -172,6 +203,8 @@ def cmd_mono(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
+    from . import hurwitz as hw
+
     tuples = hw.enumerate_tuples(args.d, args.g)
     report = hw.orbits(tuples)
     if args.dot:
@@ -192,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terms", help="hyperplane-section terms of a state")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--simple", action="store_true", help="use the transverse-case enumerator")
-    p.add_argument("--key-mode", choices=[st.DEGREE, st.SYMBOLIC], default=st.DEGREE)
+    p.add_argument("--key-mode", choices=_KEY_MODES, default=_KEY_MODES[0])
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("forest", help="iterated hyperplane-section forest")
     p.add_argument("--root", required=True, help="root state JSON file")
     p.add_argument("--floor", type=int, default=0, help="do not expand nodes at or below this dimension")
     p.add_argument("--max-nodes", type=int, default=10_000)
-    p.add_argument("--key-mode", choices=[st.DEGREE, st.SYMBOLIC], default=st.DEGREE)
+    p.add_argument("--key-mode", choices=_KEY_MODES, default=_KEY_MODES[0])
     p.add_argument("--dot", help="write a DOT rendering to this path")
     p.set_defaults(func=cmd_forest)
 
@@ -255,12 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _budget_exceeded() -> type:
+    """The budget exception class.  ``main`` names it in an except clause,
+    which is evaluated only once something is raised, so a subcommand that
+    does not use :mod:`.lattices` does not load it when it succeeds."""
+    from .lattices import BudgetExceeded
+
+    return BudgetExceeded
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except mo.BudgetExceeded as exc:
+    except _budget_exceeded() as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -14,6 +14,18 @@ import math
 from dataclasses import dataclass
 
 
+class BudgetExceeded(RuntimeError):
+    """A computation would pass one of the library's resource budgets.
+
+    Defined in this module, which imports no other part of the library, so
+    that every module and the CLI name one class."""
+
+
+# The largest sublattice index, and the largest degree, the enumerators
+# below accept: sublattices(100_000) builds 246,078 lattices.
+MAX_LATTICE_INDEX = 100_000
+
+
 @dataclass(frozen=True, order=True)
 class Lattice2:
     """Sublattice of Z^2 with basis rows (a, b), (0, c); a, c >= 1, 0 <= b < c."""
@@ -125,6 +137,8 @@ def sublattices(e: int) -> tuple[Lattice2, ...]:
     """All index-e sublattices in Hermite form; there are sigma(e) of them."""
     if e < 1:
         raise ValueError("index must be >= 1")
+    if e > MAX_LATTICE_INDEX:
+        raise BudgetExceeded(f"sublattice index {e} > {MAX_LATTICE_INDEX}")
     out = []
     for a in range(1, e + 1):
         if e % a:
@@ -203,11 +217,17 @@ def construct_hat(Ltilde: Lattice2, D: int):
     return lhat, (a, b)
 
 
+def _check_degree(d: int) -> None:
+    if d > MAX_LATTICE_INDEX:
+        raise BudgetExceeded(f"degree d={d} > {MAX_LATTICE_INDEX}")
+
+
 def hurwitz_component_count(d: int) -> int:
     """Sum of sigma(e) over proper divisors e of d: the number of components
     of the space of degree-d simply branched covers of a fixed genus-one curve."""
     if d < 2:
         raise ValueError("needs degree d >= 2")
+    _check_degree(d)
     return sum(
         len(sublattices(e)) for e in range(1, d) if d % e == 0
     )
@@ -223,6 +243,7 @@ def global_component_pairs(d: int, proper_only: bool = False) -> tuple[tuple[int
     """
     if d < 1:
         raise ValueError("needs d >= 1")
+    _check_degree(d)
     out = []
     for dt in range(1, d + 1):
         if d % dt:

@@ -26,13 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattices import IDENTITY, Lattice2, hnf
+from .lattices import IDENTITY, BudgetExceeded, Lattice2, hnf
 from .states import InvalidState, _expect, _field
-
-
-class BudgetExceeded(RuntimeError):
-    pass
-
 
 # The largest group order a closure may reach: |S_8|.
 MAX_CLOSURE_ORDER = 40_320

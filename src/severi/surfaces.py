@@ -166,7 +166,10 @@ def severi_expected_dim(d: int, N: int, g: int) -> ExpectedDim:
 
 def dim_V_ab(d: int, g: int, b: int) -> int:
     """Dimension d + g - 2 + b of the variety with a fixed and b moving
-    transverse contact points on the distinguished fiber."""
+    transverse contact points on the distinguished fiber.  Needs d >= 1 and
+    b >= 0; g may be negative, as in a state."""
+    if d < 1 or b < 0:
+        raise ValueError(f"needs d >= 1 and b >= 0, got d={d}, b={b}")
     return d + g - 2 + b
 
 

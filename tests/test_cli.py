@@ -116,6 +116,37 @@ def test_lattice_subcommands():
     assert data["hurwitz_components"] == 8
 
 
+@pytest.mark.parametrize("action", ["snf", "hat"])
+@pytest.mark.parametrize(
+    "rows,bad", [("1,0;0,1;5,6,7", "5,6,7"), ("1,0;0,1;5", "5"), ("2,0;0,4;5", "5")]
+)
+def test_lattice_rows_need_two_integers(action, rows, bad):
+    extra = ("--D", "2") if action == "hat" else ()
+    proc = run_cli("lattice", action, "--rows", rows, *extra, expect=1)
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: row ")
+    assert f"'{bad}'" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args", [("sublattices", "--e", "1000000"), ("counts", "--d", "100000000")]
+)
+def test_lattice_enumerators_over_budget_exit_code(args):
+    proc = run_cli("lattice", *args, expect=3)
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize("d,g,b", [("-1", "0", "0"), ("0", "-5", "-3"), ("3", "2", "-1")])
+def test_dim_rejects_impossible_input(d, g, b):
+    proc = run_cli("dim", "--d", d, "--g", g, "--b", b, expect=1)
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_mono_subcommands(tmp_path):
     tup = str(FIXTURES / "tuple_d3.json")
     data = json.loads(run_cli("mono", "check", "--tuple", tup).stdout)

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from severi import hurwitz, monodromy
 from severi.lattices import (
     IDENTITY,
+    MAX_LATTICE_INDEX,
+    BudgetExceeded,
     Lattice2,
     cokernel_invariant,
     construct_hat,
@@ -190,6 +193,18 @@ def test_global_component_pairs():
     for d in range(1, 40):
         for dt, m in global_component_pairs(d):
             assert d % dt == 0 and dt % (m * m) == 0
+
+
+def test_enumerators_over_budget():
+    over = MAX_LATTICE_INDEX + 1
+    for enumerate_ in (sublattices, hurwitz_component_count, global_component_pairs):
+        with pytest.raises(BudgetExceeded, match=f"{over} > {MAX_LATTICE_INDEX}$"):
+            enumerate_(over)
+    assert len(global_component_pairs(MAX_LATTICE_INDEX)) == 144
+
+
+def test_one_budget_exception_class():
+    assert monodromy.BudgetExceeded is hurwitz.BudgetExceeded is BudgetExceeded
 
 
 def test_residues_and_reduce(rng):

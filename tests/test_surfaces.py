@@ -117,6 +117,13 @@ def test_expected_dim_and_exception():
 def test_dim_V_ab():
     assert sf.dim_V_ab(3, 2, 3) == 6
     assert sf.dim_V_ab(2, 2, 2) == 4
+    assert sf.dim_V_ab(1, -5, 0) == -6
+
+
+@pytest.mark.parametrize("d,g,b", [(-1, 0, 0), (0, -5, -3), (0, 2, 1), (3, 2, -1)])
+def test_dim_V_ab_rejects_impossible_input(d, g, b):
+    with pytest.raises(ValueError, match="needs d >= 1 and b >= 0"):
+        sf.dim_V_ab(d, g, b)
 
 
 def test_fixed_vs_moving_class_discrepancy():
