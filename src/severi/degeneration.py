@@ -46,10 +46,9 @@ from .states import (
     dimension,
     fresh_labels,
     is_normalized,
-    key_tuple,
-    canonical_key,
     normalize,
     point,
+    shape_key,
     state_to_json,
 )
 
@@ -97,7 +96,6 @@ def _coefficient_token(kind, m, tau, kept, dropped) -> str:
 
 
 def _check_term(parent_dim: int, term: Term) -> Term:
-    check_valid(term.child)
     if _dimension(term.child) != parent_dim - 1:
         raise AssertionError(
             f"dimension drop != 1 for term {term.coefficient}"
@@ -107,14 +105,35 @@ def _check_term(parent_dim: int, term: Term) -> Term:
     return term
 
 
-def _dedup(parent: SeveriState, terms, key_mode: str) -> tuple[tuple[tuple, Term], ...]:
+def _cached_key(shapes: dict, s: SeveriState, key_mode: str) -> tuple:
+    """``key_tuple(s, key_mode)``, its shape part looked up in ``shapes`` by
+    ``(d, alpha, betas)``.  A shape not yet there is checked with
+    ``check_valid``, which reads only those fields, and added."""
+    shape = (s.d, s.alpha, s.betas)
+    part = shapes.get(shape)
+    if part is None:
+        check_valid(s)
+        part = shapes[shape] = shape_key(s.alpha, s.betas, key_mode)
+    return (s.d, s.N, s.g) + part
+
+
+def _dedup(
+    parent: SeveriState, terms, key_mode: str, shapes: dict
+) -> tuple[tuple[tuple, Term], ...]:
     """The first term per (kind, m, tau, child key), checked, in key order,
     each paired with the key tuple of its child.  The enumerators have
-    validated the parent on entry."""
+    validated the parent on entry.
+
+    Once per child shape ``(d, alpha, betas)`` in ``shapes``, which the
+    caller keeps for one call: ``check_valid`` and the shape part of the
+    key.  Per term: the child key, ``(d, N, g)`` plus that part.  Per kept
+    term: the dimension-drop and tau = (1) checks; they read only fields of
+    the deduplication key, so they hold for every term sharing it.
+    """
     parent_dim = _dimension(parent)
     seen = {}
     for term in terms:
-        child_key = key_tuple(term.child, key_mode)
+        child_key = _cached_key(shapes, term.child, key_mode)
         key = (term.kind, term.m, term.tau.entries, child_key)
         if key not in seen:
             seen[key] = (child_key, _check_term(parent_dim, term))
@@ -180,7 +199,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
                             betas=intact + ((moving + tau, merged_bundle),),
                         )
                         out.append(Term(kind, child, m=m, tau=tau, kept=kept, dropped=dropped))
-    return tuple(term for _, term in _dedup(s, out, key_mode))
+    return tuple(term for _, term in _dedup(s, out, key_mode, {}))
 
 
 def _released(points) -> LineBundle:
@@ -204,11 +223,14 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
     the full walk meets them first at the lexicographically least such
     subset, which is this one, so deduplication keeps the same term.
     """
-    return tuple(term for _, term in _successors_general_keyed(s, key_mode))
+    return tuple(term for _, term in _successors_general_keyed(s, key_mode, {}))
 
 
-def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tuple, Term], ...]:
-    """``successors_general``, each term paired with its child's key tuple."""
+def _successors_general_keyed(
+    s: SeveriState, key_mode: str, shapes: dict
+) -> tuple[tuple[tuple, Term], ...]:
+    """``successors_general``, each term paired with its child's key tuple;
+    ``shapes`` is the shape cache of :func:`_dedup`."""
     check_valid(s)
     if not is_normalized(s):
         raise InvalidState("general enumerator needs every group size >= 2; normalize first")
@@ -219,7 +241,7 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
     for j, (beta, bundle) in enumerate(s.betas):
         for n in sorted(set(beta.entries), reverse=True):
             new_groups = list(s.betas)
-            new_groups[j] = (beta.without(n), bundle - n * point(p_new))
+            new_groups[j] = (beta.without(n), LineBundle(bundle.terms + ((PT, p_new, 1, -n),)))
             child = SeveriState(
                 d=s.d,
                 N=s.N,
@@ -229,43 +251,50 @@ def _successors_general_keyed(s: SeveriState, key_mode: str) -> tuple[tuple[tupl
             )
             out.append(Term(KIND_I, child, dropped=((j, n),)))
 
-    # type II: E0 splits off with multiplicity m
+    # type II: E0 splits off with multiplicity m, which changes only the
+    # child's N, so everything else is listed once for all m
+    if s.N:
+        splits = _type_two_splits(s, key_mode)
+        for m in range(1, s.N + 1):
+            for alpha_kept, betas, tau, kept, dropped in splits:
+                child = SeveriState(
+                    d=s.d, N=s.N - m, g=s.g - tau.size, alpha=alpha_kept, betas=betas
+                )
+                out.append(Term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped))
+    return _dedup(s, out, key_mode, shapes)
+
+
+def _type_two_splits(s: SeveriState, key_mode: str) -> list[tuple]:
+    """The type II terms of ``s`` for any one m, in enumeration order, as
+    (child alpha, child betas, tau, kept, dropped)."""
     ell = s.ell
     alpha_choices = _alpha_prefixes(s.alpha) if key_mode == DEGREE else _alpha_subsets(s.alpha)
-    for m in range(1, s.N + 1):
-        for kept_mask in itertools.product((True, False), repeat=ell):
-            kept = tuple(j for j in range(ell) if kept_mask[j])
-            loose = [j for j in range(ell) if not kept_mask[j]]
-            intact = tuple(s.betas[j] for j in kept)
-            drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
-            for drops in itertools.product(*drop_choices):
-                dropped = tuple(zip(loose, drops))
-                moving = Profile()
-                groups_bundle = LineBundle()
-                for j, n in dropped:
-                    beta, bundle = s.betas[j]
-                    moving = moving + beta.without(n)
-                    groups_bundle = groups_bundle + bundle
-                for alpha_kept in alpha_choices:
-                    alpha_dropped = [ent for ent in s.alpha if ent not in alpha_kept]
-                    mass = sum(o for o, _ in alpha_dropped) + sum(drops)
-                    if mass < 2:
+    splits = []
+    for kept_mask in itertools.product((True, False), repeat=ell):
+        kept = tuple(j for j in range(ell) if kept_mask[j])
+        loose = [j for j in range(ell) if not kept_mask[j]]
+        intact = tuple(s.betas[j] for j in kept)
+        drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
+        for drops in itertools.product(*drop_choices):
+            dropped = tuple(zip(loose, drops))
+            moving = Profile()
+            groups_bundle = LineBundle()
+            for j, n in dropped:
+                beta, bundle = s.betas[j]
+                moving = moving + beta.without(n)
+                groups_bundle = groups_bundle + bundle
+            for alpha_kept in alpha_choices:
+                alpha_dropped = [ent for ent in s.alpha if ent not in alpha_kept]
+                mass = sum(o for o, _ in alpha_dropped) + sum(drops)
+                if mass < 2:
+                    continue
+                merged_bundle = groups_bundle + _released(alpha_dropped)
+                for tau in partitions(mass):
+                    if tau.size < 2:
                         continue
-                    merged_bundle = groups_bundle + _released(alpha_dropped)
-                    for tau in partitions(mass):
-                        if tau.size < 2:
-                            continue
-                        child = SeveriState(
-                            d=s.d,
-                            N=s.N - m,
-                            g=s.g - tau.size,
-                            alpha=tuple(alpha_kept),
-                            betas=intact + ((moving + tau, merged_bundle),),
-                        )
-                        out.append(
-                            Term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped)
-                        )
-    return _dedup(s, out, key_mode)
+                    betas = intact + ((moving + tau, merged_bundle),)
+                    splits.append((tuple(alpha_kept), betas, tau, kept, dropped))
+    return splits
 
 
 def _alpha_subsets(alpha):
@@ -333,13 +362,29 @@ def build_forest(
     which every edge drops dimension by exactly one.  Nodes of dimension at
     most ``floor`` are kept but not expanded.  If the node budget trips, the
     partial forest is returned with ``truncated`` set.
+
+    One shape cache (see :func:`_dedup`) serves the whole build, for the
+    enumerated children and for the roots and normalized children alike, so
+    each state shape ``(d, alpha, betas)`` is validated and keyed once.
+    Each key tuple is turned into its string once, and that one string is
+    shared by the node and every edge naming it.  The enumeration, the
+    normalization and the per-term checks still run per node and term.
     """
     forest = Forest()
+    shapes: dict = {}
+    strings: dict = {}
+
+    def key_string(key: tuple) -> str:
+        text = strings.get(key)
+        if text is None:
+            text = strings[key] = _key_string(key)
+        return text
+
     queue: deque = deque()
     root_keys = []
     for root in roots:
         nstate, _ = normalize(root)
-        key = canonical_key(nstate, key_mode)
+        key = key_string(_cached_key(shapes, nstate, key_mode))
         root_keys.append(key)
         if key not in forest.nodes:
             forest.nodes[key] = nstate
@@ -351,15 +396,14 @@ def build_forest(
         state = forest.nodes[key]
         if _dimension(state) <= floor:
             continue
-        for child_key, term in _successors_general_keyed(state, key_mode):
+        for child_key, term in _successors_general_keyed(state, key_mode, shapes):
             # The enumerator has checked and keyed every child already.
             # Normalizing returns the child itself unless it has a singleton
             # group, and only such changed children need a new key.
             nchild, factor = _normalize(term.child)
-            if nchild is term.child:
-                ckey = _key_string(child_key)
-            else:
-                ckey = canonical_key(nchild, key_mode)
+            if nchild is not term.child:
+                child_key = _cached_key(shapes, nchild, key_mode)
+            ckey = key_string(child_key)
             if ckey not in forest.nodes:
                 if len(forest.nodes) >= max_nodes:
                     forest.truncated = True

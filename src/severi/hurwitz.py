@@ -67,10 +67,13 @@ from .monodromy import (
 )
 
 # Budgets: the largest degree and branch count enumerated tuple by tuple,
-# and the largest degree the exhaustive scan accepts.
+# and the largest degree and branch-word table the exhaustive scan accepts.
+# The table has 15,405 (product, letter set) keys at (d, b) = (6, 4) and
+# 32,018 at (5, 6), both admitted; (5, 7) has 42,520 and (6, 5) 111,420.
 MAX_ENUM_D = 5
 MAX_ENUM_B = 6
 MAX_SCAN_D = 6
+MAX_SCAN_WORD_KEYS = 40_000
 
 
 def branch_points(g: int) -> int:
@@ -667,7 +670,9 @@ def _branch_words(mul, id_i: int, transps, b: int) -> dict:
     tuple of the distinct letters used).
 
     Grown one letter at a time, so the table never holds more than
-    d! * (number of letter sets) keys, however many words there are.
+    d! * (number of letter sets) keys, however many words there are.  Past
+    ``MAX_SCAN_WORD_KEYS`` keys it raises :class:`BudgetExceeded`, checked
+    as the table grows.
     """
     counts = {(id_i, ()): 1}
     for _ in range(b):
@@ -677,5 +682,9 @@ def _branch_words(mul, id_i: int, transps, b: int) -> dict:
             for t in transps:
                 key = (row[t], used if t in used else tuple(sorted(used + (t,))))
                 grown[key] = grown.get(key, 0) + n
+            if len(grown) > MAX_SCAN_WORD_KEYS:
+                raise BudgetExceeded(
+                    f"scan guard: b={b} branch-word table > {MAX_SCAN_WORD_KEYS} keys"
+                )
         counts = grown
     return counts

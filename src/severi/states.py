@@ -232,15 +232,25 @@ def key_tuple(s: SeveriState, mode: str = DEGREE):
     differ; point labels are canonicalized by minimizing over relabelings
     that respect the alpha ordering (ties capped at a small bound, beyond
     which the tie order falls back to the stored labels).
+
+    The key is ``(d, N, g)`` followed by :func:`shape_key`, which reads only
+    ``alpha`` and ``betas``; a caller keying many states of one shape may
+    compute that part once and reuse it.
     """
+    return (s.d, s.N, s.g) + shape_key(s.alpha, s.betas, mode)
+
+
+def shape_key(alpha, betas, mode: str = DEGREE) -> tuple:
+    """The part of :func:`key_tuple` read from a stored ``alpha`` and
+    ``betas``: in degree mode the alpha orders and the sorted pairs of group
+    profile and bundle degree, in symbolic mode the P-named alpha orders and
+    the least group forms over the relabelings."""
     if mode == DEGREE:
-        groups = tuple(
-            sorted((beta.entries, bundle.degree) for beta, bundle in s.betas)
-        )
-        return (s.d, s.N, s.g, s.alpha_profile().entries, groups)
+        groups = tuple(sorted((beta.entries, bundle.degree) for beta, bundle in betas))
+        return (tuple(order for order, _ in alpha), groups)
     if mode != SYMBOLIC:
         raise ValueError(f"unknown key mode {mode!r}")
-    return (s.d, s.N, s.g) + _symbolic_part(s)
+    return _symbolic_part(alpha, betas)
 
 
 def canonical_key(s: SeveriState, mode: str = DEGREE) -> str:
@@ -257,21 +267,21 @@ def _order_runs(alpha) -> list[tuple[tuple[int, str], ...]]:
     return [tuple(run) for _, run in itertools.groupby(alpha, key=lambda ent: ent[0])]
 
 
-def _symbolic_part(s: SeveriState):
+def _symbolic_part(alpha, betas):
     # P-names go by position and a run shares one order, so the alpha part
     # is the same under every relabeling; only the group forms are minimised
-    names = [f"P{i + 1}" for i in range(len(s.alpha))]
+    names = [f"P{i + 1}" for i in range(len(alpha))]
     alpha_part = tuple(
-        sorted(zip((order for order, _ in s.alpha), names), key=lambda t: (-t[0], t[1]))
+        sorted(zip((order for order, _ in alpha), names), key=lambda t: (-t[0], t[1]))
     )
-    runs = _order_runs(s.alpha)
+    runs = _order_runs(alpha)
     if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
-        mappings = [{lbl: name for (_, lbl), name in zip(s.alpha, names)}]
+        mappings = [{lbl: name for (_, lbl), name in zip(alpha, names)}]
     else:
         # a point no bundle names leaves the group forms alone, so only the
         # injective placements of the named points of a run on its names
         # are tried
-        named = {n for _, bundle in s.betas for n in bundle.point_names()}
+        named = {n for _, bundle in betas for n in bundle.point_names()}
         placements, start = [], 0
         for run in runs:
             labels = [lbl for _, lbl in run if lbl in named]
@@ -284,10 +294,10 @@ def _symbolic_part(s: SeveriState):
             dict(itertools.chain.from_iterable(combo))
             for combo in itertools.product(*placements)
         )
-    return alpha_part, min(_group_forms(s, mapping) for mapping in mappings)
+    return alpha_part, min(_group_forms(betas, mapping) for mapping in mappings)
 
 
-def _group_forms(s: SeveriState, mapping):
+def _group_forms(betas, mapping):
     def group_form(beta: Profile, bundle: LineBundle, names):
         expr = tuple(
             (k, names.get(n, n) if k == PT else n, d, c) for k, n, d, c in bundle.terms
@@ -295,16 +305,16 @@ def _group_forms(s: SeveriState, mapping):
         return (beta.entries, bundle.degree, tuple(sorted(expr)))
 
     rough = sorted(
-        (group_form(beta, bundle, mapping), idx) for idx, (beta, bundle) in enumerate(s.betas)
+        (group_form(beta, bundle, mapping), idx) for idx, (beta, bundle) in enumerate(betas)
     )
     names = dict(mapping)
     q = 1
     for _, idx in rough:
-        for n in s.betas[idx][1].point_names():
+        for n in betas[idx][1].point_names():
             if n not in names:
                 names[n] = f"Q{q}"
                 q += 1
-    return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in s.betas))
+    return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in betas))
 
 
 # -- JSON --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,10 +189,12 @@ def test_repeated_runs_are_byte_identical(args):
 
 
 @pytest.mark.parametrize(
-    "d,b,code", [("0", "2", 1), ("3", "-1", 1), ("7", "2", 3)]
+    "d,b,code", [("0", "2", 1), ("3", "-1", 1), ("7", "2", 3), ("6", "12", 3)]
 )
 def test_scan_boundary_exit_codes(d, b, code):
+    start = time.monotonic()
     proc = run_cli("mono", "scan", "--d", d, "--b", b, expect=code)
+    assert time.monotonic() - start < 5
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -15,6 +16,7 @@ from severi.states import (
     key_tuple,
     normalize,
     point,
+    shape_key,
     symbol,
 )
 from tests.conftest import random_normalized_state
@@ -324,6 +326,41 @@ def test_forest_keys_are_canonical_keys(mode, rng):
     assert normalized[True] > 0 and normalized[False] > 0
 
 
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_key_is_state_numbers_plus_shape_key(mode, rng):
+    states = [random_normalized_state(rng) for _ in range(40)]
+    states += [t.child for s in states[:20] for t in dg.successors_general(s, mode)]
+    for s in states:
+        key = key_tuple(s, mode)
+        assert key == (s.d, s.N, s.g) + shape_key(s.alpha, s.betas, mode)
+        if mode == DEGREE:
+            # the degree key spelled out from the state
+            groups = tuple(sorted((beta.entries, bundle.degree) for beta, bundle in s.betas))
+            assert key == (s.d, s.N, s.g, s.alpha_profile().entries, groups)
+        # N and g enter the key only through its first entries
+        other = dataclasses.replace(s, N=s.N + 3, g=s.g - 2)
+        assert key_tuple(other, mode)[3:] == key[3:]
+        assert key_tuple(other, mode)[:3] == (s.d, s.N + 3, s.g - 2)
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_dedup_validates_every_child_shape(mode):
+    parent = simple_state(3, 2, 2, 1, 2)
+    # the parent's shape one genus lower drops dimension by one and is valid;
+    # the same alpha and betas with d = 4 break the class equation and, at
+    # g - 2, still drop dimension by one
+    good = dataclasses.replace(parent, g=1)
+    bad = dataclasses.replace(parent, d=4, g=0)
+    assert dimension(good) == dimension(parent) - 1
+    terms = [dg.Term(dg.KIND_I, child) for child in (good, bad)]
+    with pytest.raises(InvalidState, match="class equation fails"):
+        dg._dedup(parent, terms[1:], mode, {})
+    # a cache keyed without d would pass the bad child as the good one
+    with pytest.raises(InvalidState, match="class equation fails"):
+        dg._dedup(parent, terms, mode, {})
+    assert len(dg._dedup(parent, terms[:1], mode, {})) == 1
+
+
 # -- byte-for-byte pins ------------------------------------------------------
 # sha256 digests of the simple enumerator's term JSON and of symbolic key
 # strings.  A change to the terms, their order, the term kept per key or a
@@ -380,6 +417,26 @@ def symbolic_key_states():
         betas = ((Profile.ones(4), L), (Profile.of(2, 1), M))
         states.append(SeveriState(d=n + 11, N=2, g=1, alpha=alpha, betas=betas))
     return states
+
+
+# fixed points of orders 2, 1, 1 and one group 1^2 with N = 3: type II
+# children for m = 1, 2, 3, and a degree walk over prefixes of a run
+DEGREE_FOREST_ROOT = SeveriState(
+    d=6,
+    N=3,
+    g=2,
+    alpha=((2, "p1"), (1, "p2"), (1, "p3")),
+    betas=((Profile.ones(2), symbol("L", 2)),),
+)
+
+
+def test_degree_forest_pinned():
+    forest = dg.build_forest([DEGREE_FOREST_ROOT], floor=0, key_mode=DEGREE)
+    assert not forest.truncated
+    assert (len(forest.nodes), len(forest.edges)) == (923, 7716)
+    assert digest(forest.to_json()) == (
+        "7706272fc607e8969639c48008075dd68e9647b661ba472f06b7134f64cf6292"
+    )
 
 
 def test_symbolic_keys_pinned():

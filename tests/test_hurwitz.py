@@ -7,12 +7,14 @@ import pytest
 
 from severi import words as wd
 from severi.hurwitz import (
+    MAX_SCAN_WORD_KEYS,
     PUSH_A,
     PUSH_B,
     HandleMove,
     MoveSet,
     ScanReport,
     _PackedMoves,
+    _branch_words,
     admissible,
     braid_move,
     braid_move_inverse,
@@ -507,3 +509,16 @@ def test_scan_boundaries():
     for d, b in [(3, 1), (4, 3)]:
         rep = scan_monodromy(d, b)
         assert rep.tuples == rep.groups == 0 and rep.ok
+
+
+def test_scan_budget_on_branch_words():
+    # (6, 4), the largest table a test or the benchmark scans, and (5, 6)
+    # stay under the budget; (5, 7) and (6, 5) go past it
+    for d, b, keys in [(6, 4, 15_405), (5, 6, 32_018)]:
+        _, index, mul, _, transps = perm_table(d)
+        assert len(_branch_words(mul, index[identity(d)], transps, b)) == keys
+        assert keys <= MAX_SCAN_WORD_KEYS
+    for d, b in [(5, 7), (6, 5), (6, 12)]:
+        message = rf"^scan guard: b={b} branch-word table > 40000 keys$"
+        with pytest.raises(BudgetExceeded, match=message):
+            scan_monodromy(d, b)
