@@ -7,6 +7,9 @@ Type I terms pin a moving point; type II terms split off E0 with some
 multiplicity m, at the price of genus.
 """
 
+import tempfile
+from pathlib import Path
+
 from severi import degeneration as dg
 from severi.profiles import Profile
 from severi.states import SeveriState, dimension, normalize, symbol
@@ -53,10 +56,12 @@ for dim_value in sorted(by_dim, reverse=True):
     row = by_dim[dim_value]
     print(f"  dim {dim_value}: {len(row)} state(s)")
 
-# DOT output for a graph viewer
-with open("/tmp/forest.dot", "w") as fh:
-    fh.write(dg.forest_to_dot(forest))
-print("DOT rendering written to /tmp/forest.dot")
+# DOT output for a graph viewer, written to a scratch directory that is
+# removed again; `severi forest --dot PATH` keeps one
+dot = dg.forest_to_dot(forest)
+with tempfile.TemporaryDirectory() as tmp:
+    (Path(tmp) / "forest.dot").write_text(dot)
+print(f"DOT rendering: {len(dot.splitlines())} lines")
 
 print()
 print("== singleton groups split as b^2 sibling varieties ==")

@@ -28,7 +28,11 @@ sheets by g sends a tuple (A, B, T_1..T_b) to its conjugate by g, a
 bijection between the tuples whose first entry is A and those whose first
 entry is g^-1 A g, and it changes neither transitivity, nor the invariant
 lattice, nor |G|, nor how the group's orbits on sheet pairs match the
-block-pair classes.
+block-pair classes.  For the same reason B runs over one representative
+per orbit of the centralizer C(A) acting by conjugation, weighted by the
+size of the orbit: conjugating by c in C(A) fixes A and sends the tuples
+(A, B, ...) one to one onto the tuples (A, c^-1 B c, ...).  So the scan
+visits one (A, B) pair per orbit of S_d on pairs.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -67,12 +71,15 @@ from .monodromy import (
 )
 
 # Budgets: the largest degree and branch count enumerated tuple by tuple,
-# and the largest degree and branch-word table the exhaustive scan accepts.
-# The table has 15,405 (product, letter set) keys at (d, b) = (6, 4) and
-# 32,018 at (5, 6), both admitted; (5, 7) has 42,520 and (6, 5) 111,420.
+# and the largest degree, branch count and branch-word table the exhaustive
+# scan accepts.  The table has 15,405 (product, letter set) keys at
+# (d, b) = (6, 4) and 32,018 at (5, 6), both admitted; (5, 7) has 42,520
+# and (6, 5) 111,420.  At d <= 4 the table stops growing (516 keys), so
+# only the bound on b stops a long scan; (4, 100) takes 0.3 s of CPU.
 MAX_ENUM_D = 5
 MAX_ENUM_B = 6
 MAX_SCAN_D = 6
+MAX_SCAN_B = 100
 MAX_SCAN_WORD_KEYS = 40_000
 
 
@@ -506,7 +513,8 @@ class ScanReport:
     b: int
     tuples: int = 0
     # transitive (A, B, set of T) groups checked, with A one representative
-    # per conjugacy class; not in to_json
+    # per conjugacy class and B one per orbit of its centralizer; not in
+    # to_json
     groups: int = 0
     primitive: int = 0
     full: int = 0
@@ -567,6 +575,15 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     only, and each group's word count is multiplied by the size of that
     class; the tallies are exactly those of the loop over all of S_d.
 
+    B is reduced the same way.  The centralizer C(A) = {c : c^-1 A c = A}
+    is read off the multiplication table, and conjugating by c in C(A)
+    fixes A and maps the branch words of [A, B] one to one onto those of
+    [A, c^-1 B c], letter sets and word counts included, changing no
+    check.  So B runs over the least-index member of each C(A)-orbit only,
+    and the weight of a group is also multiplied by the size of that
+    orbit.  The (A, B) pairs visited are then one per orbit of S_d on
+    pairs, and ``groups`` counts only the groups of those pairs.
+
     The kernel-order check is a claim about ramified tuples, so it is
     tallied only for b >= 1.  Counts failures instead of raising, so a red
     run is inspectable.
@@ -575,6 +592,8 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
         raise BudgetExceeded(f"scan guard: d={d} > {MAX_SCAN_D}")
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
+    if b > MAX_SCAN_B:
+        raise BudgetExceeded(f"scan guard: b={b} > {MAX_SCAN_B}")
     perms, index, mul, inv, transps = perm_table(d)
     id_i = index[identity(d)]
     dfact = math.factorial(d)
@@ -626,14 +645,25 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     for members in classes.values():
         a_i = members[0]
         a = perms[a_i]
+        row_a = mul[a_i]
+        # the centralizer C(A) as (c^-1, c) pairs; B runs over the least
+        # index of each C(A)-orbit, which is the first one not yet covered
+        centralizer = [(inv[c], c) for c in range(dfact) if row_a[c] == mul[c][a_i]]
+        covered = bytearray(dfact)
         for b_i, bb in enumerate(perms):
-            target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
+            if covered[b_i]:
+                continue
+            orbit = {mul[mul[ci][b_i]][c] for ci, c in centralizer}
+            for x in orbit:
+                covered[x] = 1
+            weight = len(members) * len(orbit)
+            target = mul[mul[row_a[b_i]][inv[a_i]]][inv[b_i]]
             for used, branch, words in sets_of_product.get(target, ()):
                 letters, w, lat = _sheet_lattice(d, [a, bb, *branch])
                 if lat is None:
                     continue
                 report.groups += 1
-                n = words * len(members)
+                n = words * weight
                 report.tuples += n
                 report.census[lat] = report.census.get(lat, 0) + n
                 primitive = lat == IDENTITY

@@ -17,7 +17,7 @@ DEMOS = ROOT / "demos"
 
 STDOUT_SHA256 = {
     "01_profiles_and_dimension_formulas.py": "8fa43a8640d5f5efa96488864b76afbc0485db23da815f722bb0c16097ecb9e8",
-    "02_degeneration_forest.py": "754ae07319bc462bcb0f1bd776dda4f84d8f9262f1d86ffa926d2fca24f9ed8b",
+    "02_degeneration_forest.py": "2732b948c21da8d6a86a31b83dffacb6d5de91e3b7362209bce3fe8004ac3609",
     "03_central_fiber_genus_bound.py": "d8f30162a2867af3e1e23c2f6a5ba4ed1488d4ae1b8643cd61f5e48f8a6cc25e",
     "04_isogeny_lattices.py": "f2602a71a8bf221eaea4c5d5eecdbf1d913d98a454f3e41612186e625a74a49c",
     "05_monodromy_and_orbits.py": "f2aa0db7f2f74e2ceb3d78a1cb780980f47696895b1a8670d3af48551f1d1886",

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 from dataclasses import fields
@@ -7,6 +9,7 @@ import pytest
 
 from severi import words as wd
 from severi.hurwitz import (
+    MAX_SCAN_B,
     MAX_SCAN_WORD_KEYS,
     PUSH_A,
     PUSH_B,
@@ -484,12 +487,43 @@ def test_scan_matches_per_tuple_reference(d, b):
 
 
 def test_scan_checks_each_group_once():
-    # A runs over one representative per conjugacy class; with A over all
-    # of S_d the same scans have 16,032 and 16,320 groups
-    assert scan_monodromy(4, 4).groups == 3_114
+    # A runs over one representative per conjugacy class and B over one
+    # per orbit of the centralizer of A; with B over all of S_d the same
+    # scans have 3,114 and 1,255 groups, and with A over all of S_d too
+    # 16,032 and 16,320
+    assert scan_monodromy(4, 4).groups == 1_061
     rep = scan_monodromy(5, 2)
-    assert rep.groups == 1_255
+    assert rep.groups == 265
     assert "groups" not in rep.to_json()
+
+
+def report_digest(rep) -> str:
+    return hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of json.dumps(scan_monodromy(d, b).to_json(), sort_keys=True),
+# recorded from the scan that walked every B in S_d
+SCAN_SHA256 = {
+    (1, 0): "3b1ea750b23d24e0cfe9c9f3204e54994df5863c6fe6f17ef759c09c843f71c5",
+    (2, 0): "96870e0f69c23fceffe045d540c2a29029e735ca6e78adf8481eb9ff2ae705e0",
+    (3, 0): "2957644afc428bfbd6d162fb00bd3b0971b85a16f1954a92e092371c68b113e7",
+    (4, 0): "c3452df38a29ec98ad9c7e1f565a3597c1f20092e8279320fecfadbd97250fd8",
+    (2, 2): "ecb2325cdd984acf2f421b294091a739dbfae762878350bbbf692903b9497ad2",
+    (3, 2): "0080a2cad42f1a55933bfe587207516a54ae910fa0bfa0b49c42c591575a4dc1",
+    (2, 6): "d66d228866ffdd98988d640c9f55d16c1a04f083ba502c09477ef2d963b133be",
+    (3, 3): "9663f9dd911f8d5ee5fa9a7670056bbe9fa484360b729d89e5816e783c2aaee7",
+    (3, 4): "4aa7445eb35bab78eb910a52761e0ce1b5807588ed9e38379089181913929f12",
+    (4, 2): "3cd84e717263e7776ff85743d65917fffc88df0a9b84b404e9f677321ca941d2",
+    (4, 4): "14e6e003425107b9ed878dbbc583b8f52381722a7109b7b5dd5bb6df191b6569",
+    (5, 2): "f9e4c2e318370d4d4f6bd625b8405bb56a4578575765df5437868d2b28b6b070",
+    (5, 4): "df2327f540d9cb8bea56f8ac94f196932a4e68424872560eb3dce11097f73e9e",
+    (6, 2): "1e29d79069e62b6b64c7e4e702e0a090bfa17fd948a85f701efbbc9a53a6fb3f",
+}
+
+
+@pytest.mark.parametrize("d,b", sorted(SCAN_SHA256))
+def test_scan_report_is_pinned(d, b):
+    assert report_digest(scan_monodromy(d, b)) == SCAN_SHA256[d, b]
 
 
 def test_scan_degree_six():
@@ -500,12 +534,28 @@ def test_scan_degree_six():
     assert set(rep.census) == set(expected_lattices(6))
 
 
+def test_scan_degree_six_four_branch_points():
+    rep = scan_monodromy(6, 4)
+    assert rep.ok and rep.kernel_failures == 0
+    # the Frobenius count of transitive (6, 4) tuples (bench/oracle.py)
+    assert rep.tuples == 65_197_440
+    assert set(rep.census) == set(expected_lattices(6))
+    assert report_digest(rep) == (
+        "c6be0c4dee4b90a05ed4ed257c42dbe91cd7b505fbaa7be960521e4ea67a503c"
+    )
+
+
 def test_scan_boundaries():
     for d, b in [(0, 2), (3, -1)]:
         with pytest.raises(ValueError):
             scan_monodromy(d, b)
     with pytest.raises(BudgetExceeded, match=r"^scan guard: d=7 > 6$"):
         scan_monodromy(7, 2)
+    # at d <= 4 the branch-word table stops growing, so only b bounds the work
+    assert scan_monodromy(2, MAX_SCAN_B).tuples == 4
+    for d, b in [(2, MAX_SCAN_B + 2), (4, 2_000), (4, 20_000)]:
+        with pytest.raises(BudgetExceeded, match=rf"^scan guard: b={b} > {MAX_SCAN_B}$"):
+            scan_monodromy(d, b)
     for d, b in [(3, 1), (4, 3)]:
         rep = scan_monodromy(d, b)
         assert rep.tuples == rep.groups == 0 and rep.ok
