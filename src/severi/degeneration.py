@@ -331,6 +331,11 @@ class Forest:
     edges: list = field(default_factory=list)
     roots: tuple = ()
     truncated: bool = False
+    # what the build did, kept out of to_json: nodes whose terms were listed
+    # (enumerated, or shifted from a node of the same shape), and of those
+    # the ones enumerated
+    expanded: int = 0
+    enumerated: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -360,56 +365,98 @@ def build_forest(
     Children are normalized on insertion (the b^2 splitting factor lands on
     the edge) and deduplicated by canonical key, so the result is a DAG in
     which every edge drops dimension by exactly one.  Nodes of dimension at
-    most ``floor`` are kept but not expanded.  If the node budget trips, the
-    partial forest is returned with ``truncated`` set.
+    most ``floor`` are kept but not expanded.  The roots count toward
+    ``max_nodes`` (at least 1); if the budget trips, the partial forest is
+    returned with ``truncated`` set.
 
-    One shape cache (see :func:`_dedup`) serves the whole build, for the
-    enumerated children and for the roots and normalized children alike, so
-    each state shape ``(d, alpha, betas)`` is validated and keyed once.
-    Each key tuple is turned into its string once, and that one string is
-    shared by the node and every edge naming it.  The enumeration, the
-    normalization and the per-term checks still run per node and term.
+    Each state shape ``(d, alpha, betas)`` is enumerated once per build.
+    The terms depend on ``(N, g)`` only through a shift: a term's kind, m,
+    tau, kept, dropped and child alpha and betas do not depend on them, its
+    child sits at ``(N - m, g - |tau|)`` (type I: m = 0, empty tau), and
+    the type II terms with m > N drop out.  Within one ``(kind, m, tau)``
+    the child's ``(d, N, g)`` is constant, so the sort by ``(kind, m, tau,
+    child key)`` and the first-wins deduplication come down to the shape
+    part of the key and are the same at every ``N``; ``fresh_labels`` and
+    normalization read only alpha and betas.  So a memo keyed by shape
+    holds each term with its normalized child, factor and child shape key
+    part.  A node of that shape and no larger ``N`` keeps the rows with
+    m <= N and shifts them; a node with a larger ``N`` enumerates and
+    replaces the entry.  Every emitted term still passes the term checks.
+
+    One shape cache (see :func:`_dedup`) serves the whole build, so each
+    shape is validated and keyed once, and each key tuple is turned into
+    its string once, shared by the node and every edge naming it.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     forest = Forest()
     shapes: dict = {}
     strings: dict = {}
+    memo: dict = {}  # (d, alpha, betas) -> (N, rows)
+    queue: deque = deque()
 
-    def key_string(key: tuple) -> str:
+    def insert(state: SeveriState, key: tuple):
+        """The key string of ``state``, added as a node if it is new; None
+        once the budget is spent."""
         text = strings.get(key)
         if text is None:
             text = strings[key] = _key_string(key)
+        if text not in forest.nodes:
+            if len(forest.nodes) >= max_nodes:
+                forest.truncated = True
+                return None
+            forest.nodes[text] = state
+            queue.append(text)
         return text
 
-    queue: deque = deque()
     root_keys = []
     for root in roots:
         nstate, _ = normalize(root)
-        key = key_string(_cached_key(shapes, nstate, key_mode))
+        key = insert(nstate, _cached_key(shapes, nstate, key_mode))
+        if key is None:
+            break
         root_keys.append(key)
-        if key not in forest.nodes:
-            forest.nodes[key] = nstate
-            queue.append(key)
     forest.roots = tuple(dict.fromkeys(root_keys))
 
-    while queue:
+    while queue and not forest.truncated:
         key = queue.popleft()
         state = forest.nodes[key]
-        if _dimension(state) <= floor:
+        parent_dim = _dimension(state)
+        if parent_dim <= floor:
             continue
-        for child_key, term in _successors_general_keyed(state, key_mode, shapes):
-            # The enumerator has checked and keyed every child already.
-            # Normalizing returns the child itself unless it has a singleton
-            # group, and only such changed children need a new key.
-            nchild, factor = _normalize(term.child)
-            if nchild is not term.child:
-                child_key = _cached_key(shapes, nchild, key_mode)
-            ckey = key_string(child_key)
-            if ckey not in forest.nodes:
-                if len(forest.nodes) >= max_nodes:
-                    forest.truncated = True
-                    return forest
-                forest.nodes[ckey] = nchild
-                queue.append(ckey)
+        forest.expanded += 1
+        d, N, g = state.d, state.N, state.g
+        shape = (d, state.alpha, state.betas)
+        entry = memo.get(shape)
+        fresh = entry is None or entry[0] < N
+        if fresh:
+            forest.enumerated += 1
+            rows = []
+            for child_key, term in _successors_general_keyed(state, key_mode, shapes):
+                # Normalizing returns the child itself unless it has a
+                # singleton group, and only such changed children need a key.
+                nchild, factor = _normalize(term.child)
+                if nchild is not term.child:
+                    child_key = _cached_key(shapes, nchild, key_mode)
+                rows.append((term, nchild, factor, child_key[3:]))
+            entry = memo[shape] = (N, rows)
+        # rows run type I (m = 0), then type II by ascending m
+        for term, nchild, factor, part in entry[1]:
+            if term.m > N:
+                break
+            cN, cg = N - term.m, g - term.tau.size
+            if not fresh:
+                child = SeveriState(d, cN, cg, term.child.alpha, term.child.betas)
+                if nchild is term.child:
+                    nchild = child
+                else:
+                    nchild = SeveriState(d, cN, cg, nchild.alpha, nchild.betas)
+                term = _check_term(
+                    parent_dim, Term(term.kind, child, term.m, term.tau, term.kept, term.dropped)
+                )
+            ckey = insert(nchild, (d, cN, cg) + part)
+            if ckey is None:
+                break
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))
     return forest
 

@@ -98,6 +98,25 @@ def test_forest_with_dot(tmp_path):
     assert out.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("max_nodes", ["0", "-1"])
+def test_forest_budget_below_one_is_one_error_line(max_nodes):
+    proc = run_cli(
+        "forest", "--root", str(FIXTURES / "state_simple.json"), "--max-nodes", max_nodes,
+        expect=1,
+    )
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: max_nodes must be >= 1")
+
+
+def test_forest_budget_of_one_node_exits_3():
+    proc = run_cli(
+        "forest", "--root", str(FIXTURES / "state_simple.json"), "--max-nodes", "1", expect=3
+    )
+    data = json.loads(proc.stdout)
+    assert data["truncated"] and len(data["nodes"]) == 1 and data["edges"] == []
+
+
 def test_genusbound():
     proc = run_cli("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3")
     data = json.loads(proc.stdout)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import deque
 
 import pytest
 
@@ -227,6 +228,25 @@ def test_forest_node_budget():
     assert len(forest.nodes) <= 5
 
 
+def test_forest_roots_count_toward_budget():
+    roots = [simple_state(3, N, 2, 1, 2) for N in (1, 2, 3)]
+    forest = dg.build_forest(roots, floor=0, max_nodes=1)
+    assert forest.truncated
+    assert len(forest.nodes) == 1 and forest.edges == []
+    assert forest.roots == tuple(forest.nodes)
+    forest = dg.build_forest(roots, floor=0, max_nodes=2)
+    assert forest.truncated and len(forest.nodes) == 2 and len(forest.roots) == 2
+    # a root already in the forest costs nothing
+    forest = dg.build_forest(roots[:1] * 3, floor=0, max_nodes=1)
+    assert len(forest.roots) == 1 and forest.expanded == 1
+
+
+@pytest.mark.parametrize("max_nodes", [0, -1])
+def test_forest_budget_below_one_is_refused(max_nodes):
+    with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+        dg.build_forest([simple_state(3, 2, 2, 1, 2)], max_nodes=max_nodes)
+
+
 def test_normalization_factor_lands_on_edge():
     # a IIb child with singleton tau group gets normalized on insertion
     root = simple_state(4, 2, 3, 2, 2)
@@ -324,6 +344,91 @@ def test_forest_keys_are_canonical_keys(mode, rng):
             normalized[nchild != e.term.child] += 1
     # both the reused and the recomputed child keys are exercised
     assert normalized[True] > 0 and normalized[False] > 0
+
+
+def reference_forest(roots, mode, max_nodes, floor=0):
+    """``build_forest`` from the public enumerator, normalize and key: every
+    node enumerated and every child keyed on its own."""
+    forest, queue = dg.Forest(), deque()
+
+    def insert(state):
+        key = canonical_key(state, mode)
+        if key not in forest.nodes:
+            if len(forest.nodes) >= max_nodes:
+                forest.truncated = True
+                return None
+            forest.nodes[key] = state
+            queue.append(key)
+        return key
+
+    for root in roots:
+        key = insert(normalize(root)[0])
+        if key is None:
+            break
+        if key not in forest.roots:
+            forest.roots += (key,)
+    while queue and not forest.truncated:
+        key = queue.popleft()
+        if dimension(forest.nodes[key]) <= floor:
+            continue
+        for term in dg.successors_general(forest.nodes[key], mode):
+            child, factor = normalize(term.child)
+            ckey = insert(child)
+            if ckey is None:
+                break
+            forest.edges.append(dg.ForestEdge(key, ckey, term, factor))
+    return forest
+
+
+def at_numbers(s, *Ns):
+    """``s`` at each of the given N, its shape and genus unchanged."""
+    return [dataclasses.replace(s, N=N) for N in Ns]
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_forest_matches_reference(mode, rng):
+    states = [random_normalized_state(rng) for _ in range(8)]
+    cases = [([s], 150) for s in states]
+    # one shape with a smaller N, then a larger one (its entry is enumerated
+    # again), and with a larger N, then a smaller one (its rows are shifted)
+    cases += [(at_numbers(s, 1, 3), 150) for s in states[:3]]
+    cases += [(at_numbers(s, 3, 0, 1), 150) for s in states[3:6]]
+    cases += [(at_numbers(simple_state(4, 0, 2, 1, 3), 1, 2, 0), 400)]
+    cases += [([simple_state(3, 2, 2, 1, 2), simple_state(4, 1, 3, 1, 3)], 5)]
+    for roots, max_nodes in cases:
+        forest = dg.build_forest(roots, max_nodes=max_nodes, key_mode=mode)
+        ref = reference_forest(roots, mode, max_nodes)
+        assert forest.to_json() == ref.to_json()
+        assert dg.forest_to_dot(forest) == dg.forest_to_dot(ref)
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_forest_shifts_or_enumerates_by_N(mode):
+    # the roots share one shape and dimension, and a floor one below that
+    # expands only the roots
+    s = simple_state(4, 0, 3, 1, 3)
+    floor = dimension(s) - 1
+    for Ns, enumerated in (((1, 3), 2), ((3, 1), 1), ((2, 0, 1), 1), ((0, 1, 2), 3)):
+        roots = at_numbers(s, *Ns)
+        forest = dg.build_forest(roots, floor=floor, key_mode=mode)
+        assert (forest.expanded, forest.enumerated) == (len(Ns), enumerated)
+        ref = reference_forest(roots, mode, 10_000, floor)
+        assert forest.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize(
+    "mode,size,N,g,counts",
+    [(DEGREE, 6, 4, 6, (1797, 712)), (SYMBOLIC, 5, 3, 4, (3672, 2351))],
+    ids=["F1", "F2"],
+)
+def test_forest_enumerates_each_shape_once(mode, size, N, g, counts):
+    forest = dg.build_forest([simple_state(size, N, g, 0, size)], key_mode=mode)
+    assert (forest.expanded, forest.enumerated) == counts
+    expanded = [s for s in forest.nodes.values() if dimension(s) > 0]
+    assert forest.expanded == len(expanded)
+    assert forest.enumerated == len({(s.d, s.alpha, s.betas) for s in expanded})
+    # the counters stay out of the output
+    assert set(forest.to_json()) == {"nodes", "edges", "roots", "truncated"}
 
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
@@ -436,6 +541,26 @@ def test_degree_forest_pinned():
     assert (len(forest.nodes), len(forest.edges)) == (923, 7716)
     assert digest(forest.to_json()) == (
         "7706272fc607e8969639c48008075dd68e9647b661ba472f06b7134f64cf6292"
+    )
+
+
+# fixed points of orders 2 and 1 and one group 1^2 whose class names the
+# order-one point, so the symbolic key reads a label; N = 2
+SYMBOLIC_FOREST_ROOT = SeveriState(
+    d=5,
+    N=2,
+    g=2,
+    alpha=((2, "p1"), (1, "p2")),
+    betas=((Profile.ones(2), symbol("L", 3) - point("p2")),),
+)
+
+
+def test_symbolic_forest_pinned():
+    forest = dg.build_forest([SYMBOLIC_FOREST_ROOT], floor=0, key_mode=SYMBOLIC)
+    assert not forest.truncated
+    assert (len(forest.nodes), len(forest.edges)) == (831, 1697)
+    assert digest(forest.to_json()) == (
+        "924ba84299ab50825a38e172d840a43035a0681fd09e51a87d3250db535c6c0a"
     )
 
 
