@@ -22,17 +22,8 @@ conjugations, so each class is closed under them, and the braid and handle
 moves commute with conjugation, so the images of a class are the classes
 of the images of any one of its tuples.
 
-The exhaustive scan visits one A per conjugacy class of S_d and weights
-what it finds by the size of the class.  This is exact: relabeling the
-sheets by g sends a tuple (A, B, T_1..T_b) to its conjugate by g, a
-bijection between the tuples whose first entry is A and those whose first
-entry is g^-1 A g, and it changes neither transitivity, nor the invariant
-lattice, nor |G|, nor how the group's orbits on sheet pairs match the
-block-pair classes.  For the same reason B runs over one representative
-per orbit of the centralizer C(A) acting by conjugation, weighted by the
-size of the orbit: conjugating by c in C(A) fixes A and sends the tuples
-(A, B, ...) one to one onto the tuples (A, c^-1 B c, ...).  So the scan
-visits one (A, B) pair per orbit of S_d on pairs.
+The exhaustive scan visits one (A, B) pair per orbit of S_d on pairs,
+weighted by the size of the orbit; :func:`scan_monodromy` says why.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -58,8 +49,6 @@ from .monodromy import (
     cycles_of,
     identity,
     inverse,
-    invariant_lattice,
-    is_transitive,
     pair_orbits_match_classes,
     perm_table,
     root,
@@ -98,18 +87,48 @@ def iter_tuples(d: int, b: int):
     For each (A, B), in lexicographic order, the branch words whose product
     is [A, B] are read from a table built once per call, and the transitive
     tuples among them are yielded.  The table holds all C(d, 2)^b words.
+
+    Branch letters only add edges to the sheet graph, so a word gives a
+    transitive tuple exactly when its transpositions join all the orbits of
+    <A, B>, and every word does when <A, B> is transitive.  The orbits
+    depend only on the cycle partitions of A and B, so each pair of
+    partitions is joined once, and the words of each (orbits, product) are
+    filtered once, for every (A, B) that shares them.
     """
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
     perms, index, mul, inv, transps = perm_table(d)
     words = _words_by_product(mul, index[identity(d)], transps, b)
+    cycles = [_orbits(d, [p]) for p in perms]
+    orbits_of: dict = {}  # (cycles of A, cycles of B) -> orbits of <A, B>
+    branches: dict = {}  # (orbits of <A, B>, [A, B]) -> branch tuples
     for a_i, a in enumerate(perms):
         for b_i, bb in enumerate(perms):
             target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
-            for word in words.get(target, ()):
-                branch = tuple(perms[x] for x in word)
-                if is_transitive(d, (a, bb) + branch):
-                    yield HurwitzTuple(d, a, bb, branch)
+            if target not in words:
+                continue
+            key = cycles[a_i], cycles[b_i]
+            orbs = orbits_of[key] = orbits_of.get(key) or _orbits(d, [a, bb])
+            if (orbs, target) not in branches:
+                found = (tuple(perms[x] for x in w) for w in words[target])
+                branches[orbs, target] = [
+                    t for t in found if not any(orbs) or not any(_orbits(d, t, orbs))
+                ]
+            for branch in branches[orbs, target]:
+                yield HurwitzTuple(d, a, bb, branch)
+
+
+def _orbits(d: int, gens, start=None) -> tuple[int, ...]:
+    """The orbits of the permutations ``gens`` on d sheets, joined to the
+    orbits ``start`` if given: the least sheet of each sheet's orbit, by
+    union-find, so the group is transitive exactly when every entry is 0."""
+    parent = list(start or range(d))
+    for p in gens:
+        for s in range(d):
+            if p[s] != s:
+                r, t = sorted((root(parent, s), root(parent, p[s])))
+                parent[t] = r
+    return tuple(root(parent, s) for s in range(d))
 
 
 def _words_by_product(mul, id_i: int, transps, b: int) -> dict:
@@ -153,14 +172,6 @@ def braid_move(t: HurwitzTuple, i: int) -> HurwitzTuple:
     return HurwitzTuple(t.d, t.A, t.B, tuple(T))
 
 
-def braid_move_inverse(t: HurwitzTuple, i: int) -> HurwitzTuple:
-    if not (0 <= i < t.b - 1):
-        raise ValueError(f"braid index {i} out of range for b={t.b}")
-    T = list(t.T)
-    T[i], T[i + 1] = T[i + 1], then(inverse(T[i + 1]), T[i], T[i + 1])
-    return HurwitzTuple(t.d, t.A, t.B, tuple(T))
-
-
 def conjugate_tuple(t: HurwitzTuple, g) -> HurwitzTuple:
     """Relabel sheets by g: every entry x becomes g^-1 x g."""
     gi = inverse(g)
@@ -185,14 +196,11 @@ class HandleMove:
         if t.b < 1:
             raise ValueError("handle moves need at least one branch letter")
         values = {"a": t.A, "b": t.B, "t": t.T[-1]}
-        ident = identity(t.d)
-        return HurwitzTuple(
-            t.d,
-            wd.evaluate(self.a_word, values, compose, ident, inverse),
-            wd.evaluate(self.b_word, values, compose, ident, inverse),
-            t.T[:-1]
-            + (wd.evaluate(self.t_word, values, compose, ident, inverse),),
+        a, b, t2 = (
+            wd.evaluate(word, values, compose, identity(t.d), inverse)
+            for word in (self.a_word, self.b_word, self.t_word)
         )
+        return HurwitzTuple(t.d, a, b, t.T[:-1] + (t2,))
 
 
 def admissible(mv: HandleMove) -> bool:
@@ -285,27 +293,25 @@ class _PackedMoves:
         self.mul, self.inv = mul, inv
         self.id_i = self.index[identity(d)]
 
-    def pack(self, entries) -> int:
-        return sum(x * w for x, w in zip(entries, self.weights))
-
     def unpack(self, key: int) -> list[int]:
         return [key // w % self.radix for w in self.weights]
 
     def conjugates(self, key: int) -> list[int]:
         """The packed conjugate of the tuple ``key`` by each g in S_d, in
         table order: every entry x becomes g^-1 x g."""
-        e = self.unpack(key)
-        mul, w = self.mul, self.weights
-        return [
-            sum(mul[row[x]][g] * wk for x, wk in zip(e, w))
-            for g, row in enumerate(mul[gi] for gi in self.inv)
-        ]
+        mul = self.mul
+        rows = [mul[gi] for gi in self.inv]
+        out = [0] * self.radix
+        for x, wk in zip(self.unpack(key), self.weights):
+            out = [o + mul[row[x]][g] * wk for g, (o, row) in enumerate(zip(out, rows))]
+        return out
 
     def images(self, key: int) -> list[int]:
         """The packed image of the tuple ``key`` under each braid and handle
         move, in the order of :func:`move_images`."""
         e = self.unpack(key)
         mul, inv, w = self.mul, self.inv, self.weights
+        compose = lambda x, y: mul[x][y]
         out = []
         for k in range(2, self.width - 1):
             x, y = e[k], e[k + 1]
@@ -315,25 +321,11 @@ class _PackedMoves:
             values = {"a": a, "b": b, "t": t}
             for mv in MOVES.handles:
                 a2, b2, t2 = (
-                    wd.evaluate(word, values, self._compose, self.id_i, inv.__getitem__)
+                    wd.evaluate(word, values, compose, self.id_i, inv.__getitem__)
                     for word in (mv.a_word, mv.b_word, mv.t_word)
                 )
                 out.append(key + (a2 - a) * w[0] + (b2 - b) * w[1] + (t2 - t) * w[-1])
         return out
-
-    def _compose(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def relation_holds(self, e) -> bool:
-        """Whether every T is a transposition and T_1..T_b = [A, B]."""
-        mul, inv = self.mul, self.inv
-        prod = self.id_i
-        for x in e[2:]:
-            if x not in self.transpositions:
-                return False
-            prod = mul[prod][x]
-        a, b = e[0], e[1]
-        return prod == mul[mul[mul[a][b]][inv[a]]][inv[b]]
 
 
 # -- orbits ---------------------------------------------------------------------
@@ -345,8 +337,9 @@ class OrbitReport:
 
     ``orbit_of[i]`` is the least input index in the orbit of tuple i, so
     it does not depend on the order in which the moves are applied.
-    ``classes`` counts the relabeling classes the orbits are made of; it
-    is not in :meth:`to_json`.
+    ``classes`` counts the relabeling classes the orbits are made of,
+    ``images`` the packed move images looked up, and ``unions`` the images
+    that joined two union-find trees; none is in :meth:`to_json`.
     """
 
     d: int
@@ -357,23 +350,23 @@ class OrbitReport:
     lattice_of_orbit: dict = field(default_factory=dict)
     census: dict = field(default_factory=dict)
     classes: int = 0
+    images: int = 0
+    unions: int = 0
 
     def to_json(self) -> dict:
-        census = sorted(
-            ((lat.to_json(), n) for lat, n in self.census.items()),
-            key=lambda x: x[0],
-        )
-        orbits = sorted(
-            ((lat.to_json(), n) for (lat, n) in self.lattice_of_orbit.items()),
-            key=lambda x: x[0],
-        )
         return {
             "d": self.d,
             "b": self.b,
             "tuple_count": len(self.tuples),
             "orbit_count": self.orbit_count,
-            "census": [{"lattice": l, "tuples": n} for l, n in census],
-            "orbits_per_lattice": [{"lattice": l, "orbits": n} for l, n in orbits],
+            "census": [
+                {"lattice": lat.to_json(), "tuples": n}
+                for lat, n in sorted(self.census.items())
+            ],
+            "orbits_per_lattice": [
+                {"lattice": lat.to_json(), "orbits": n}
+                for lat, n in sorted(self.lattice_of_orbit.items())
+            ],
         }
 
 
@@ -382,9 +375,10 @@ def orbits(tuples) -> OrbitReport:
     the orbit count and, per orbit, the common invariant lattice.
 
     The tuples must share one degree d <= 6 and one branch count, and none
-    may repeat.  Each is packed once as one int (:class:`_PackedMoves`) and
-    validated by table lookups.  In input order, the first tuple not yet
-    placed opens a class, which takes all its conjugates by S_d, and the
+    may repeat.  One pass of ``perm_table`` lookups, one per entry, checks
+    each tuple (every T a transposition, T_1..T_b = [A, B]) and packs it as
+    one int (:class:`_PackedMoves`).  In input order, the first tuple not
+    yet placed opens a class, which takes all its conjugates by S_d, and the
     invariant lattice is computed once per class.  Only the braid and
     handle moves are applied, to that first tuple, and the classes of the
     images are joined; the module docstring says why this gives the orbits
@@ -396,14 +390,24 @@ def orbits(tuples) -> OrbitReport:
         raise ValueError("no tuples to partition")
     d, b = tuples[0].d, tuples[0].b
     moves = _PackedMoves(d, b)
-    index = moves.index
+    index, mul, inv, transps = moves.index, moves.mul, moves.inv, moves.transpositions
+    radix, weights = moves.radix, moves.weights[2:]
     pos: dict = {}
     for i, t in enumerate(tuples):
-        e = [index.get(p) for p in t.generators()]
-        if None in e or len(e) != moves.width or not moves.relation_holds(e):
+        a, bb = index.get(t.A), index.get(t.B)
+        ok = t.d == d and len(t.T) == b and a is not None and bb is not None
+        if ok:
+            key, prod = a + bb * radix, moves.id_i
+            for x, w in zip(map(index.get, t.T), weights):
+                ok = x in transps
+                if not ok:
+                    break
+                key, prod = key + x * w, mul[prod][x]
+            ok = ok and prod == mul[mul[mul[a][bb]][inv[a]]][inv[bb]]
+        if not ok:
             check_valid(t)
             raise ValueError("orbits need tuples of one degree and one branch count")
-        j = pos.setdefault(moves.pack(e), i)
+        j = pos.setdefault(key, i)
         if j != i:
             raise ValueError(f"tuple {i} repeats tuple {j}")
 
@@ -412,23 +416,26 @@ def orbits(tuples) -> OrbitReport:
     # their least members
     class_of = [None] * len(tuples)
     first, keys, lattices = [], [], []
+    census: Counter = Counter()
     for i, key in enumerate(pos):
         if class_of[i] is not None:
             continue
         lat = _sheet_lattice(d, tuples[i].generators())[2]
         if lat is None:
             check_valid(tuples[i])
-        for image in moves.conjugates(key):
-            j = pos.get(image)
-            if j is None:
-                raise AssertionError("a move left the enumerated tuple set")
+        members = {pos.get(image) for image in moves.conjugates(key)}
+        if None in members:
+            raise AssertionError("a move left the enumerated tuple set")
+        for j in members:
             class_of[j] = len(first)
+        census[lat] += len(members)
         first.append(i)
         keys.append(key)
         lattices.append(lat)
 
     # the root of each union-find tree is its least class
     parent = list(range(len(first)))
+    images = unions = 0
     for c, key in enumerate(keys):
         for image in moves.images(key):
             j = pos.get(image)
@@ -436,20 +443,25 @@ def orbits(tuples) -> OrbitReport:
                 raise AssertionError("a move left the enumerated tuple set")
             r, s = sorted((root(parent, c), root(parent, class_of[j])))
             parent[s] = r
+            images += 1
+            unions += r != s
 
     lattice_of_root: dict = {}
     for c, lat in enumerate(lattices):
         if lattice_of_root.setdefault(root(parent, c), lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
+    least = [first[root(parent, c)] for c in range(len(first))]
     return OrbitReport(
         d=d,
         b=b,
         tuples=tuple(tuples),
-        orbit_of=tuple(first[root(parent, c)] for c in class_of),
+        orbit_of=tuple(map(least.__getitem__, class_of)),
         orbit_count=len(lattice_of_root),
         lattice_of_orbit=Counter(lattice_of_root.values()),
-        census=Counter(lattices[c] for c in class_of),
+        census=census,
         classes=len(first),
+        images=images,
+        unions=unions,
     )
 
 
@@ -462,10 +474,6 @@ def _sheet_lattice(d: int, gens):
     if len(reached) < d:
         return letters, w, None
     return letters, w, hnf(schreier_rows(letters, w, reached))
-
-
-def invariant_census(tuples) -> dict:
-    return Counter(invariant_lattice(t) for t in tuples)
 
 
 def expected_lattices(d: int) -> tuple[Lattice2, ...]:
@@ -482,16 +490,13 @@ def move_graph_dot(tuples) -> str:
     """DOT rendering of the move graph on an enumerated tuple set."""
     index = {t: i for i, t in enumerate(tuples)}
 
-    def label(t):
-        def c(p):
-            cyc = cycles_of(p)
-            return "".join("(" + " ".join(map(str, x)) + ")" for x in cyc) or "id"
-
-        return f"A={c(t.A)} B={c(t.B)} T={'|'.join(c(x) for x in t.T)}"
+    def c(p):
+        return "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
 
     lines = ["graph moves {"]
     for t, i in index.items():
-        lines.append(f'  n{i} [label="{label(t)}"];')
+        label = f"A={c(t.A)} B={c(t.B)} T={'|'.join(c(x) for x in t.T)}"
+        lines.append(f'  n{i} [label="{label}"];')
     seen = set()
     for t, i in index.items():
         for name, t2 in move_images(t):

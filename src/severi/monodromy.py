@@ -181,7 +181,7 @@ def violations(t: HurwitzTuple) -> tuple[str, ...]:
         prod = compose(prod, ti)
     if commutator(t.A, t.B) != prod:
         out.append("[A,B] != T1...Tb")
-    if not is_transitive(t.d, t.generators()):
+    if t.d < 1 or len(sheet_tree(t.d, sheet_letters(t.generators()))[1]) < t.d:
         out.append("sheets are not transitively permuted")
     return tuple(out)
 
@@ -254,12 +254,6 @@ def sheet_tree(d: int, letters):
                 w[s2] = (x + dx, y + dy)
                 order.append(s2)
     return w, order
-
-
-def is_transitive(d: int, gens) -> bool:
-    """Whether the tuple generators ``gens`` = (A, B, T...) act transitively
-    on d sheets; the one transitivity test of the library."""
-    return d > 0 and len(sheet_tree(d, sheet_letters(gens))[1]) == d
 
 
 def schreier_rows(letters, w, order):

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -20,12 +21,10 @@ from severi.hurwitz import (
     _branch_words,
     admissible,
     braid_move,
-    braid_move_inverse,
     branch_points,
     conjugate_tuple,
     enumerate_tuples,
     expected_lattices,
-    invariant_census,
     iter_tuples,
     move_graph_dot,
     move_images,
@@ -100,6 +99,22 @@ def test_enumeration_matches_bruteforce_oracle():
         assert list(iter_tuples(d, b)) == brute_force_tuples(d, b), (d, b)
 
 
+# sha256 of json.dumps([t.to_json() for t in enumerate_tuples(d, g)]),
+# recorded from the enumeration that tested every word for transitivity
+ENUM_SHA256 = {
+    (5, 2): (19_200, "486c0d32906c840e43f8c6f91e0ceb737f986162782de95def293cf5c090e894"),
+    (4, 3): (58_752, "10c6b1ce6f4d9e0434bf8a5f80533dddf77d5d0f8f9d1cd6fe20f54b04b8dc3d"),
+}
+
+
+@pytest.mark.parametrize("d,g", sorted(ENUM_SHA256))
+def test_enumeration_is_pinned(d, g):
+    """Past the brute-force oracle: the same tuples in the same order."""
+    ts = enumerate_tuples(d, g)
+    digest = hashlib.sha256(json.dumps([t.to_json() for t in ts]).encode()).hexdigest()
+    assert (len(ts), digest) == ENUM_SHA256[d, g]
+
+
 def test_enumeration_guard():
     with pytest.raises(BudgetExceeded, match=r"^enumeration guard: d=6 > 5 or b=2 > 6$"):
         enumerate_tuples(6, 2)
@@ -122,6 +137,13 @@ def test_braid_move():
     # conjugation computation: (12),(23) -> (13),(12)
     conj = then(t12, t23, inverse(t12))
     assert conj == transposition(3, 0, 2)
+
+
+def braid_move_inverse(t, i):
+    """(T_i, T_i+1) -> (T_i+1, T_i+1^-1 T_i T_i+1), the inverse braid move."""
+    T = list(t.T)
+    T[i], T[i + 1] = T[i + 1], then(inverse(T[i + 1]), T[i], T[i + 1])
+    return HurwitzTuple(t.d, t.A, t.B, tuple(T))
 
 
 def test_braid_move_fixed_point_and_inverse():
@@ -273,7 +295,6 @@ def test_packed_moves_match_move_images(d, g):
     for t in enumerate_tuples(d, g):
         entries = [index[p] for p in t.generators()]
         key = sum(x * n**i for i, x in enumerate(entries))
-        assert moves.pack(entries) == key
         decoded = [decode(image, d, width) for image in moves.images(key)]
         assert decoded == [t2 for name, t2 in move_images(t) if name[0] != "c"]
 
@@ -292,7 +313,7 @@ def test_conjugates_are_the_relabeling_closure(d, g):
             closure_of.update(dict.fromkeys(closure, closure))
         conjugates = [conjugate_tuple(t, p) for p in perms]
         assert set(conjugates) == closure_of[t]
-        key = moves.pack([index[p] for p in t.generators()])
+        key = sum(index[p] * len(perms) ** i for i, p in enumerate(t.generators()))
         assert [decode(c, d, 2 * g) for c in moves.conjugates(key)] == conjugates
 
 
@@ -306,6 +327,50 @@ def test_orbits_reject_any_set_missing_one_tuple():
     for i in range(len(ts)):
         with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
             orbits(ts[:i] + ts[i + 1 :])
+
+
+def malformed_orbit_inputs(name):
+    """(tuples, the exact ValueError message orbits() raises on them)."""
+    ts = enumerate_tuples(3, 2)
+    one_degree = r"^orbits need tuples of one degree and one branch count$"
+    return {
+        "empty": ([], r"^no tuples to partition$"),
+        "degree": (ts + enumerate_tuples(4, 2)[:1], one_degree),
+        "branch-count": (ts + enumerate_tuples(3, 3)[:1], one_degree),
+        # (1 1 3) is no permutation, so it is not in the table
+        "entry-not-in-table": (
+            ts + [HurwitzTuple(3, S12, S23, ((0, 0, 2), S12))],
+            r"^T1 is not a permutation of 3 sheets$",
+        ),
+        # a degree-3 tuple that claims four sheets, in place of the tuple
+        # it copies: every entry is in the degree-3 table
+        "degree-field": (
+            ts[1:] + [HurwitzTuple(4, ts[0].A, ts[0].B, ts[0].T)],
+            r"^A is not a permutation of 4 sheets$",
+        ),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field"]
+)
+def test_orbits_rejects_malformed_input(name):
+    tuples, message = malformed_orbit_inputs(name)
+    with pytest.raises(ValueError, match=message):
+        orbits(tuples)
+
+
+@pytest.mark.parametrize(
+    "d,g,classes,images,unions",
+    [(3, 2, 16, 48, 15), (4, 2, 72, 216, 68), (5, 2, 160, 480, 159)],
+)
+def test_orbit_counters(d, g, classes, images, unions):
+    """Each class takes b - 1 braid and two handle images; every union
+    joins two trees, so the classes less the unions are the orbits."""
+    rep = orbits(enumerate_tuples(d, g))
+    assert (rep.classes, rep.images, rep.unions) == (classes, images, unions)
+    assert rep.classes - rep.unions == rep.orbit_count
+    assert not {"classes", "images", "unions"} & set(rep.to_json())
 
 
 def test_orbits_reject_a_repeated_tuple():
@@ -337,7 +402,7 @@ def test_orbit_of_is_the_least_index_of_the_orbit(d, g):
 def test_orbits_refine_census():
     ts = enumerate_tuples(4, 2)
     rep = orbits(ts)
-    census = invariant_census(ts)
+    census = Counter(invariant_lattice(t) for t in ts)
     assert sum(census.values()) == len(ts)
     # orbits never split across lattices (checked inside orbits); counts agree
     assert sum(rep.lattice_of_orbit.values()) == rep.orbit_count
