@@ -28,6 +28,7 @@ discrepancy is deliberate and surfaced by tests, not resolved here.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -56,6 +57,12 @@ KIND_I = "I"
 KIND_IIA = "IIa"
 KIND_IIB = "IIb"
 KIND_II = "II"
+
+# The most kept-fixed-point choices one type II walk may visit: 2^|alpha|
+# when it walks every subset, the product of (run length + 1) over the runs
+# of equal orders in degree mode.  The benchmark's ten-point state W walks
+# 1,024 subsets in symbolic mode.
+MAX_ALPHA_CHOICES = 1_024
 
 
 @dataclass(frozen=True)
@@ -106,38 +113,63 @@ def _check_term(parent_dim: int, term: Term) -> Term:
 
 
 def _cached_key(shapes: dict, s: SeveriState, key_mode: str) -> tuple:
-    """``key_tuple(s, key_mode)``, its shape part looked up in ``shapes`` by
-    ``(d, alpha, betas)``.  A shape not yet there is checked with
+    """The shape part of ``key_tuple(s, key_mode)``, looked up in ``shapes``
+    by ``(d, alpha, betas)``.  A shape not yet there is checked with
     ``check_valid``, which reads only those fields, and added."""
     shape = (s.d, s.alpha, s.betas)
     part = shapes.get(shape)
     if part is None:
         check_valid(s)
         part = shapes[shape] = shape_key(s.alpha, s.betas, key_mode)
-    return (s.d, s.N, s.g) + part
+    return part
 
 
-def _dedup(
-    parent: SeveriState, terms, key_mode: str, shapes: dict
-) -> tuple[tuple[tuple, Term], ...]:
-    """The first term per (kind, m, tau, child key), checked, in key order,
-    each paired with the key tuple of its child.  The enumerators have
-    validated the parent on entry.
+def _dedup(rows, key_mode: str, shapes: dict) -> list[tuple]:
+    """The first row per (kind, tau, child shape part), in that order, each
+    extended with that part.
 
-    Once per child shape ``(d, alpha, betas)`` in ``shapes``, which the
-    caller keeps for one call: ``check_valid`` and the shape part of the
-    key.  Per term: the child key, ``(d, N, g)`` plus that part.  Per kept
-    term: the dimension-drop and tau = (1) checks; they read only fields of
-    the deduplication key, so they hold for every term sharing it.
+    A row ``(kind, tau, kept, dropped, child)`` is a term of one parent
+    without its m; ``child`` is the child of its first term, at m = 0 for
+    type I and m = 1 otherwise.  Once per child shape ``(d, alpha, betas)`` in
+    ``shapes``, which the caller keeps for one call or one build:
+    ``check_valid`` and the shape part of the key.
     """
-    parent_dim = _dimension(parent)
     seen = {}
-    for term in terms:
-        child_key = _cached_key(shapes, term.child, key_mode)
-        key = (term.kind, term.m, term.tau.entries, child_key)
+    for row in rows:
+        part = _cached_key(shapes, row[4], key_mode)
+        key = (row[0], row[1].entries, part)
         if key not in seen:
-            seen[key] = (child_key, _check_term(parent_dim, term))
-    return tuple(seen[k] for k in sorted(seen))
+            seen[key] = row + (part,)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _terms(s: SeveriState, rows):
+    """The terms of ``s`` from its rows (see :func:`_dedup`), each paired
+    with its row: a type I row once with m = 0, any other row once for each
+    m = 1..N.
+
+    The terms depend on ``(N, g)`` only through a shift: a term's kind,
+    tau, kept, dropped and child alpha and betas do not depend on them, and
+    its child sits at ``(N - m, g - |tau|)`` (type I: m = 0, empty tau).
+    The terms are the first per (kind, m, tau, child key), sorted by that
+    key.  Within one ``(kind, m, tau)`` the child's ``(d, N, g)`` is
+    constant, and the enumeration for one m runs in the same order for
+    every m, so the first-wins deduplication and the sort come down to
+    ``(kind, tau, shape part)`` on the rows, the same at every ``(N, g)``;
+    ``fresh_labels`` and normalization read only alpha and betas.  So one
+    row list serves every state of a shape, and the terms run by kind, then
+    m, then row.  Every term passes the term checks.
+    """
+    parent_dim = _dimension(s)
+    for kind, group in itertools.groupby(rows, key=lambda row: row[0]):
+        group = list(group)
+        for m in (0,) if kind == KIND_I else range(1, s.N + 1):
+            for row in group:
+                _, tau, kept, dropped, child = row[:5]
+                N, g = s.N - m, s.g - tau.size
+                if (child.N, child.g) != (N, g):
+                    child = SeveriState(s.d, N, g, child.alpha, child.betas)
+                yield row, _check_term(parent_dim, Term(kind, child, m, tau, kept, dropped))
 
 
 # -- the simple statement ----------------------------------------------------
@@ -157,8 +189,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
     a, b = len(s.alpha), beta.size
     if b < 1:
         raise InvalidState("simple enumerator needs a moving point")
-    labels = [lbl for _, lbl in s.alpha]
-    out: list[Term] = []
+    rows = []
 
     if b >= 2:
         (p_new,) = fresh_labels(s, 1, stem="p")
@@ -169,7 +200,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
             alpha=s.alpha + ((1, p_new),),
             betas=((Profile.ones(b - 1), bundle - point(p_new)),),
         )
-        out.append(Term(KIND_I, child, dropped=((0, 1),)))
+        rows.append((KIND_I, Profile(), (), ((0, 1),), child))
 
     # type II: in IIa one moving point escapes to the cover of E0, in IIb the
     # whole group survives on the residual curve.  Per case: the term's kept
@@ -179,27 +210,19 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
         (KIND_IIA, (), ((0, 1),), (), Profile.ones(b - 1), bundle),
         (KIND_IIB, (0,), (), s.betas, Profile(), LineBundle()),
     )
-    for m in range(1, s.N + 1):
-        for abar in range(0, a + 1):
-            for kept_labels in itertools.combinations(labels, abar):
-                alpha = tuple((1, l) for l in kept_labels)
-                released = _released(ent for ent in s.alpha if ent[1] not in kept_labels)
-                for kind, kept, dropped, intact, moving, base in cases:
-                    # tau meets the released points and, in IIa, the escaped one
-                    mass = a - abar + len(dropped)
-                    if mass < 2:
-                        continue
-                    merged_bundle = base + released
-                    for tau in partitions(mass):
-                        child = SeveriState(
-                            d=s.d,
-                            N=s.N - m,
-                            g=s.g - tau.size,
-                            alpha=alpha,
-                            betas=intact + ((moving + tau, merged_bundle),),
-                        )
-                        out.append(Term(kind, child, m=m, tau=tau, kept=kept, dropped=dropped))
-    return tuple(term for _, term in _dedup(s, out, key_mode, {}))
+    for alpha in _alpha_choices(s.alpha, every_subset=True) if s.N else ():
+        released = _released(ent for ent in s.alpha if ent not in alpha)
+        for kind, kept, dropped, intact, moving, base in cases:
+            # tau meets the released points and, in IIa, the escaped one
+            mass = a - len(alpha) + len(dropped)
+            if mass < 2:
+                continue
+            merged_bundle = base + released
+            for tau in partitions(mass):
+                betas = intact + ((moving + tau, merged_bundle),)
+                child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha, betas)
+                rows.append((kind, tau, kept, dropped, child))
+    return tuple(term for _, term in _terms(s, _dedup(rows, key_mode, {})))
 
 
 def _released(points) -> LineBundle:
@@ -223,53 +246,36 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
     the full walk meets them first at the lexicographically least such
     subset, which is this one, so deduplication keeps the same term.
     """
-    return tuple(term for _, term in _successors_general_keyed(s, key_mode, {}))
-
-
-def _successors_general_keyed(
-    s: SeveriState, key_mode: str, shapes: dict
-) -> tuple[tuple[tuple, Term], ...]:
-    """``successors_general``, each term paired with its child's key tuple;
-    ``shapes`` is the shape cache of :func:`_dedup`."""
     check_valid(s)
     if not is_normalized(s):
         raise InvalidState("general enumerator needs every group size >= 2; normalize first")
-    out: list[Term] = []
+    shapes: dict = {}
+    rows = _type_one_rows(s, key_mode, shapes)
+    if s.N:
+        rows += _type_two_rows(s, key_mode, shapes)
+    return tuple(term for _, term in _terms(s, rows))
 
-    # type I: one moving point of group j becomes fixed at a new point
+
+def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
+    """The type I rows of ``s`` (see :func:`_dedup`): one moving point of
+    group j becomes fixed at a new point."""
     (p_new,) = fresh_labels(s, 1, stem="p")
+    tau, rows = Profile(), []
     for j, (beta, bundle) in enumerate(s.betas):
         for n in sorted(set(beta.entries), reverse=True):
             new_groups = list(s.betas)
             new_groups[j] = (beta.without(n), LineBundle(bundle.terms + ((PT, p_new, 1, -n),)))
-            child = SeveriState(
-                d=s.d,
-                N=s.N,
-                g=s.g,
-                alpha=s.alpha + ((n, p_new),),
-                betas=tuple(new_groups),
-            )
-            out.append(Term(KIND_I, child, dropped=((j, n),)))
-
-    # type II: E0 splits off with multiplicity m, which changes only the
-    # child's N, so everything else is listed once for all m
-    if s.N:
-        splits = _type_two_splits(s, key_mode)
-        for m in range(1, s.N + 1):
-            for alpha_kept, betas, tau, kept, dropped in splits:
-                child = SeveriState(
-                    d=s.d, N=s.N - m, g=s.g - tau.size, alpha=alpha_kept, betas=betas
-                )
-                out.append(Term(KIND_II, child, m=m, tau=tau, kept=kept, dropped=dropped))
-    return _dedup(s, out, key_mode, shapes)
+            child = SeveriState(s.d, s.N, s.g, s.alpha + ((n, p_new),), tuple(new_groups))
+            rows.append((KIND_I, tau, (), ((j, n),), child))
+    return _dedup(rows, key_mode, shapes)
 
 
-def _type_two_splits(s: SeveriState, key_mode: str) -> list[tuple]:
-    """The type II terms of ``s`` for any one m, in enumeration order, as
-    (child alpha, child betas, tau, kept, dropped)."""
+def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
+    """The type II rows of ``s`` (see :func:`_dedup`): E0 splits off, which
+    sets only the child's N, so the rows serve every m."""
     ell = s.ell
-    alpha_choices = _alpha_prefixes(s.alpha) if key_mode == DEGREE else _alpha_subsets(s.alpha)
-    splits = []
+    alpha_choices = _alpha_choices(s.alpha, every_subset=key_mode != DEGREE)
+    rows = []
     for kept_mask in itertools.product((True, False), repeat=ell):
         kept = tuple(j for j in range(ell) if kept_mask[j])
         loose = [j for j in range(ell) if not kept_mask[j]]
@@ -293,21 +299,28 @@ def _type_two_splits(s: SeveriState, key_mode: str) -> list[tuple]:
                     if tau.size < 2:
                         continue
                     betas = intact + ((moving + tau, merged_bundle),)
-                    splits.append((tuple(alpha_kept), betas, tau, kept, dropped))
-    return splits
+                    child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha_kept, betas)
+                    rows.append((KIND_II, tau, kept, dropped, child))
+    return _dedup(rows, key_mode, shapes)
 
 
-def _alpha_subsets(alpha):
-    out = []
-    for r in range(len(alpha) + 1):
-        out.extend(itertools.combinations(alpha, r))
-    return out
+def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
+    """The kept parts of ``alpha`` a type II walk visits: every subset, or
+    one subset per multiset of orders, the first k points of each run of
+    equal orders for every k from 0 to the run's length.  Past
+    ``MAX_ALPHA_CHOICES`` choices it raises :class:`BudgetExceeded` before
+    listing any."""
+    runs = [(ent,) for ent in alpha] if every_subset else _order_runs(alpha)
+    choices = math.prod(len(run) + 1 for run in runs)
+    if choices > MAX_ALPHA_CHOICES:
+        # imported here: a run under the budget loads no module beyond its own
+        from .lattices import BudgetExceeded
 
-
-def _alpha_prefixes(alpha):
-    """One subset of ``alpha`` per multiset of orders: the first k points of
-    each run of equal orders, for every k from 0 to the run's length."""
-    runs = _order_runs(alpha)
+        raise BudgetExceeded(
+            f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}"
+        )
+    if every_subset:
+        return [c for r in range(len(alpha) + 1) for c in itertools.combinations(alpha, r)]
     return [
         tuple(itertools.chain.from_iterable(run[:k] for run, k in zip(runs, ks)))
         for ks in itertools.product(*(range(len(run) + 1) for run in runs))
@@ -331,9 +344,8 @@ class Forest:
     edges: list = field(default_factory=list)
     roots: tuple = ()
     truncated: bool = False
-    # what the build did, kept out of to_json: nodes whose terms were listed
-    # (enumerated, or shifted from a node of the same shape), and of those
-    # the ones enumerated
+    # what the build did, kept out of to_json: nodes whose terms were listed,
+    # and the distinct shapes (d, alpha, betas) among them
     expanded: int = 0
     enumerated: int = 0
 
@@ -369,30 +381,21 @@ def build_forest(
     ``max_nodes`` (at least 1); if the budget trips, the partial forest is
     returned with ``truncated`` set.
 
-    Each state shape ``(d, alpha, betas)`` is enumerated once per build.
-    The terms depend on ``(N, g)`` only through a shift: a term's kind, m,
-    tau, kept, dropped and child alpha and betas do not depend on them, its
-    child sits at ``(N - m, g - |tau|)`` (type I: m = 0, empty tau), and
-    the type II terms with m > N drop out.  Within one ``(kind, m, tau)``
-    the child's ``(d, N, g)`` is constant, so the sort by ``(kind, m, tau,
-    child key)`` and the first-wins deduplication come down to the shape
-    part of the key and are the same at every ``N``; ``fresh_labels`` and
-    normalization read only alpha and betas.  So a memo keyed by shape
-    holds each term with its normalized child, factor and child shape key
-    part.  A node of that shape and no larger ``N`` keeps the rows with
-    m <= N and shifts them; a node with a larger ``N`` enumerates and
-    replaces the entry.  Every emitted term still passes the term checks.
-
-    One shape cache (see :func:`_dedup`) serves the whole build, so each
-    shape is validated and keyed once, and each key tuple is turned into
-    its string once, shared by the node and every edge naming it.
+    A memo keyed by shape ``(d, alpha, betas)`` and kind lists each shape's
+    rows once per build (see :func:`_terms`), each with its normalized
+    child, factor and child shape key part; the type II rows are listed
+    only for a node with N > 0.  One shape cache (see :func:`_dedup`)
+    serves the whole build, so each shape is validated and keyed once, and
+    each key tuple is turned into its string once, shared by the node and
+    every edge naming it.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     forest = Forest()
     shapes: dict = {}
     strings: dict = {}
-    memo: dict = {}  # (d, alpha, betas) -> (N, rows)
+    memo: dict = {}  # ((d, alpha, betas), kind) -> rows
+    listers = {KIND_I: _type_one_rows, KIND_II: _type_two_rows}
     queue: deque = deque()
 
     def insert(state: SeveriState, key: tuple):
@@ -409,10 +412,23 @@ def build_forest(
             queue.append(text)
         return text
 
+    def rows_of(state: SeveriState, kind: str) -> list[tuple]:
+        """The memo's rows of one kind for the shape of ``state``, each
+        extended with its normalized child (the row's own child when
+        normalizing leaves it as it is), factor and that child's shape part."""
+        mkey = ((state.d, state.alpha, state.betas), kind)
+        entry = memo.get(mkey)
+        if entry is None:
+            entry = memo[mkey] = []
+            for row in listers[kind](state, key_mode, shapes):
+                nchild, factor = _normalize(row[4])
+                entry.append(row + (nchild, factor, _cached_key(shapes, nchild, key_mode)))
+        return entry
+
     root_keys = []
     for root in roots:
         nstate, _ = normalize(root)
-        key = insert(nstate, _cached_key(shapes, nstate, key_mode))
+        key = insert(nstate, (nstate.d, nstate.N, nstate.g) + _cached_key(shapes, nstate, key_mode))
         if key is None:
             break
         root_keys.append(key)
@@ -421,43 +437,24 @@ def build_forest(
     while queue and not forest.truncated:
         key = queue.popleft()
         state = forest.nodes[key]
-        parent_dim = _dimension(state)
-        if parent_dim <= floor:
+        if _dimension(state) <= floor:
             continue
         forest.expanded += 1
-        d, N, g = state.d, state.N, state.g
-        shape = (d, state.alpha, state.betas)
-        entry = memo.get(shape)
-        fresh = entry is None or entry[0] < N
-        if fresh:
-            forest.enumerated += 1
-            rows = []
-            for child_key, term in _successors_general_keyed(state, key_mode, shapes):
-                # Normalizing returns the child itself unless it has a
-                # singleton group, and only such changed children need a key.
-                nchild, factor = _normalize(term.child)
-                if nchild is not term.child:
-                    child_key = _cached_key(shapes, nchild, key_mode)
-                rows.append((term, nchild, factor, child_key[3:]))
-            entry = memo[shape] = (N, rows)
-        # rows run type I (m = 0), then type II by ascending m
-        for term, nchild, factor, part in entry[1]:
-            if term.m > N:
-                break
-            cN, cg = N - term.m, g - term.tau.size
-            if not fresh:
-                child = SeveriState(d, cN, cg, term.child.alpha, term.child.betas)
-                if nchild is term.child:
-                    nchild = child
-                else:
-                    nchild = SeveriState(d, cN, cg, nchild.alpha, nchild.betas)
-                term = _check_term(
-                    parent_dim, Term(term.kind, child, term.m, term.tau, term.kept, term.dropped)
-                )
-            ckey = insert(nchild, (d, cN, cg) + part)
+        rows = rows_of(state, KIND_I)
+        if state.N:
+            rows = rows + rows_of(state, KIND_II)
+        for row, term in _terms(state, rows):
+            nchild, factor, part = row[6:]
+            child = term.child
+            if nchild is not row[4]:  # normalizing changed the child
+                if (nchild.N, nchild.g) != (child.N, child.g):
+                    nchild = SeveriState(child.d, child.N, child.g, nchild.alpha, nchild.betas)
+                child = nchild
+            ckey = insert(child, (child.d, child.N, child.g) + part)
             if ckey is None:
                 break
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))
+    forest.enumerated = sum(kind == KIND_I for _, kind in memo)
     return forest
 
 

@@ -86,6 +86,23 @@ def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
     assert proc.stderr.startswith("budget exceeded:") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--key-mode", "symbolic"), ("--simple",), ("--simple", "--key-mode", "symbolic")],
+    ids=["symbolic", "simple-degree", "simple-symbolic"],
+)
+def test_fixed_point_walk_over_budget_exit_code(flags):
+    # 22 order-one fixed points: each of these walks 2^22 kept subsets and
+    # is refused before listing one; the degree-mode general walk visits
+    # one prefix per count, 23 in all, and stays under the budget
+    start = time.monotonic()
+    proc = run_cli("terms", "--state", str(FIXTURES / "state_many_points.json"), *flags, expect=3)
+    assert time.monotonic() - start < 5
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
+
+
 def test_forest_with_dot(tmp_path):
     out = tmp_path / "forest.dot"
     proc = run_cli(

@@ -389,8 +389,8 @@ def at_numbers(s, *Ns):
 def test_forest_matches_reference(mode, rng):
     states = [random_normalized_state(rng) for _ in range(8)]
     cases = [([s], 150) for s in states]
-    # one shape with a smaller N, then a larger one (its entry is enumerated
-    # again), and with a larger N, then a smaller one (its rows are shifted)
+    # one shape with a smaller N, then a larger one, and with a larger N,
+    # then a smaller one: the shape's rows are listed once for both
     cases += [(at_numbers(s, 1, 3), 150) for s in states[:3]]
     cases += [(at_numbers(s, 3, 0, 1), 150) for s in states[3:6]]
     cases += [(at_numbers(simple_state(4, 0, 2, 1, 3), 1, 2, 0), 400)]
@@ -403,15 +403,15 @@ def test_forest_matches_reference(mode, rng):
 
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
-def test_forest_shifts_or_enumerates_by_N(mode):
+def test_forest_lists_each_shape_once_in_any_N_order(mode):
     # the roots share one shape and dimension, and a floor one below that
     # expands only the roots
     s = simple_state(4, 0, 3, 1, 3)
     floor = dimension(s) - 1
-    for Ns, enumerated in (((1, 3), 2), ((3, 1), 1), ((2, 0, 1), 1), ((0, 1, 2), 3)):
+    for Ns in ((1, 3), (3, 1), (2, 0, 1), (0, 1, 2)):
         roots = at_numbers(s, *Ns)
         forest = dg.build_forest(roots, floor=floor, key_mode=mode)
-        assert (forest.expanded, forest.enumerated) == (len(Ns), enumerated)
+        assert (forest.expanded, forest.enumerated) == (len(Ns), 1)
         ref = reference_forest(roots, mode, 10_000, floor)
         assert forest.to_json() == ref.to_json()
 
@@ -457,13 +457,13 @@ def test_dedup_validates_every_child_shape(mode):
     good = dataclasses.replace(parent, g=1)
     bad = dataclasses.replace(parent, d=4, g=0)
     assert dimension(good) == dimension(parent) - 1
-    terms = [dg.Term(dg.KIND_I, child) for child in (good, bad)]
+    rows = [(dg.KIND_I, Profile(), (), (), child) for child in (good, bad)]
     with pytest.raises(InvalidState, match="class equation fails"):
-        dg._dedup(parent, terms[1:], mode, {})
+        dg._dedup(rows[1:], mode, {})
     # a cache keyed without d would pass the bad child as the good one
     with pytest.raises(InvalidState, match="class equation fails"):
-        dg._dedup(parent, terms, mode, {})
-    assert len(dg._dedup(parent, terms[:1], mode, {})) == 1
+        dg._dedup(rows, mode, {})
+    assert len(dg._dedup(rows[:1], mode, {})) == 1
 
 
 # -- byte-for-byte pins ------------------------------------------------------
@@ -489,6 +489,33 @@ def transverse_states(max_d):
                     if a:
                         incident = (Profile.ones(d - a), symbol("L'", d - a + 1) - point("p1"))
                         yield SeveriState(d=d, N=N, g=g, alpha=s.alpha, betas=(incident,))
+
+
+def shifted(terms, N, g):
+    """The terms with m <= N, each child moved to (N - m, g - |tau|)."""
+    return tuple(
+        dataclasses.replace(t, child=dataclasses.replace(t.child, N=N - t.m, g=g - t.tau.size))
+        for t in terms
+        if t.m <= N
+    )
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_terms_shift_with_N_and_g(mode, rng):
+    """The terms of a state at (N', g') are those at (N, g) with m <= N',
+    moved by the shift, for every N' <= N."""
+    for s in [random_normalized_state(rng) for _ in range(40)]:
+        terms = dg.successors_general(s, mode)
+        for N in range(s.N + 1):
+            other = dataclasses.replace(s, N=N, g=rng.randint(-6, 6))
+            assert dg.successors_general(other, mode) == shifted(terms, N, other.g)
+    for s in transverse_states(6):
+        if s.N == 3 and s.g == 2:
+            terms = dg.successors_simple(s, mode)
+            for N in range(4):
+                for g in range(2, 5):
+                    other = dataclasses.replace(s, N=N, g=g)
+                    assert dg.successors_simple(other, mode) == shifted(terms, N, g)
 
 
 @pytest.mark.parametrize(
