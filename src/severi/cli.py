@@ -25,7 +25,8 @@ EXIT_BUDGET = 3
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    # print writes the newline on its own, where appending it copies the text
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _read_json(path: str):

@@ -43,6 +43,7 @@ from .states import (
     _key_string,
     _normalize,
     _order_runs,
+    _state_json,
     check_valid,
     dimension,
     fresh_labels,
@@ -59,9 +60,9 @@ KIND_IIB = "IIb"
 KIND_II = "II"
 
 # The most kept-fixed-point choices one type II walk may visit: 2^|alpha|
-# when it walks every subset, the product of (run length + 1) over the runs
-# of equal orders in degree mode.  The benchmark's ten-point state W walks
-# 1,024 subsets in symbolic mode.
+# in symbolic mode, the product of (run length + 1) over the runs of equal
+# orders in degree mode.  The benchmark's ten-point state W walks 1,024
+# subsets in symbolic mode.
 MAX_ALPHA_CHOICES = 1_024
 
 
@@ -82,15 +83,27 @@ class Term:
         return _coefficient_token(self.kind, self.m, self.tau, self.kept, self.dropped)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "tau": self.tau.to_json(),
-            "kept": list(self.kept),
-            "dropped": [list(p) for p in self.dropped],
-            "coefficient": self.coefficient,
-            "child": state_to_json(self.child),
-        }
+        return _term_json(self, {})
+
+
+def _term_json(t: Term, memo: dict) -> dict:
+    """:meth:`Term.to_json` with its parts kept in ``memo`` (see :func:`_state_json`)."""
+    tau, kept, dropped = ("tau", id(t.tau)), ("kept", id(t.kept)), ("dropped", id(t.dropped))
+    coefficient = (t.kind, t.m, tau[1], kept[1], dropped[1])
+    if coefficient not in memo:
+        memo[coefficient] = t.coefficient
+        memo.setdefault(tau, t.tau.to_json())
+        memo.setdefault(kept, list(t.kept))
+        memo.setdefault(dropped, [list(p) for p in t.dropped])
+    return {
+        "kind": t.kind,
+        "m": t.m,
+        "tau": memo[tau],
+        "kept": memo[kept],
+        "dropped": memo[dropped],
+        "coefficient": memo[coefficient],
+        "child": _state_json(t.child, memo),
+    }
 
 
 def _coefficient_token(kind, m, tau, kept, dropped) -> str:
@@ -177,7 +190,8 @@ def _terms(s: SeveriState, rows):
 
 def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...]:
     """Terms of the hyperplane section for a state with alpha = 1^a (labeled)
-    and a single transverse group beta = 1^b.  Requires g >= 2."""
+    and a single transverse group beta = 1^b.  Requires g >= 2.  The type II
+    walk over kept fixed points is that of :func:`successors_general`."""
     check_valid(s)
     if s.ell != 1:
         raise InvalidState("simple enumerator needs exactly one moving group")
@@ -210,7 +224,7 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
         (KIND_IIA, (), ((0, 1),), (), Profile.ones(b - 1), bundle),
         (KIND_IIB, (0,), (), s.betas, Profile(), LineBundle()),
     )
-    for alpha in _alpha_choices(s.alpha, every_subset=True) if s.N else ():
+    for alpha in _alpha_choices(s.alpha, every_subset=key_mode != DEGREE) if s.N else ():
         released = _released(ent for ent in s.alpha if ent not in alpha)
         for kind, kept, dropped, intact, moving, base in cases:
             # tau meets the released points and, in IIa, the escaped one
@@ -344,21 +358,22 @@ class Forest:
     edges: list = field(default_factory=list)
     roots: tuple = ()
     truncated: bool = False
-    # what the build did, kept out of to_json: nodes whose terms were listed,
-    # and the distinct shapes (d, alpha, betas) among them
+    # what the build did, kept out of to_json: nodes expanded, the distinct
+    # shapes (d, alpha, betas) among them, and all distinct shapes keyed
     expanded: int = 0
     enumerated: int = 0
+    keyed: int = 0
 
     def to_json(self) -> dict:
+        """The forest as JSON, read-only: equal parts are shared objects."""
+        # the memo keys by id; the forest holds every keyed object, so none
+        # dies and gives its id to another during the call
+        memo: dict = {}
         return {
-            "nodes": {k: state_to_json(v) for k, v in sorted(self.nodes.items())},
+            "nodes": {k: _state_json(v, memo) for k, v in sorted(self.nodes.items())},
             "edges": [
-                {
-                    "parent": e.parent,
-                    "child": e.child,
-                    "factor": e.factor,
-                    **e.term.to_json(),
-                }
+                {"parent": e.parent, "child": e.child, "factor": e.factor}
+                | _term_json(e.term, memo)
                 for e in self.edges
             ],
             "roots": sorted(self.roots),
@@ -455,6 +470,7 @@ def build_forest(
                 break
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))
     forest.enumerated = sum(kind == KIND_I for _, kind in memo)
+    forest.keyed = len(shapes)
     return forest
 
 

@@ -269,67 +269,75 @@ def _order_runs(alpha) -> list[tuple[tuple[int, str], ...]]:
 
 def _symbolic_part(alpha, betas):
     # P-names go by position and a run shares one order, so the alpha part
-    # is the same under every relabeling; only the group forms are minimised
+    # is the same under every relabeling; only the group forms are minimised.
+    # Within a run the names sort as strings, which puts "P10" before "P9".
     names = [f"P{i + 1}" for i in range(len(alpha))]
-    alpha_part = tuple(
-        sorted(zip((order for order, _ in alpha), names), key=lambda t: (-t[0], t[1]))
-    )
+    alpha_part = tuple(zip((order for order, _ in alpha), names))
+    if len(alpha) >= 10:
+        alpha_part = tuple(sorted(alpha_part, key=lambda t: (-t[0], t[1])))
+    # per group: (profile, degree), its points (name, coeff) in bundle order,
+    # and its symbol terms, which sort after "pt" and so end every form
+    groups = []
+    for beta, bundle in betas:
+        points = [(n, c) for k, n, _, c in bundle.terms if k == PT]
+        groups.append(((beta.entries, bundle.degree), points, bundle.terms[len(points) :]))
     runs = _order_runs(alpha)
     if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
-        mappings = [{lbl: name for (_, lbl), name in zip(alpha, names)}]
-    else:
-        # a point no bundle names leaves the group forms alone, so only the
-        # injective placements of the named points of a run on its names
-        # are tried
-        named = {n for _, bundle in betas for n in bundle.point_names()}
-        placements, start = [], 0
-        for run in runs:
-            labels = [lbl for _, lbl in run if lbl in named]
-            run_names = names[start : start + len(run)]
-            placements.append(
-                [tuple(zip(labels, p)) for p in itertools.permutations(run_names, len(labels))]
-            )
-            start += len(run)
-        mappings = (
-            dict(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*placements)
-        )
-    return alpha_part, min(_group_forms(betas, mapping) for mapping in mappings)
+        return alpha_part, _group_forms(groups, {lbl: n for (_, lbl), n in zip(alpha, names)})
+    # only the placements of a run's points named in a bundle on its names
+    # change the forms; a named point alone in its run has one
+    named = {n for _, points, _ in groups for n, _ in points}
+    fixed, placements, start = {}, [], 0
+    for run in runs:
+        labels = [lbl for _, lbl in run if lbl in named]
+        run_names, start = names[start : start + len(run)], start + len(run)
+        if len(run) == 1:
+            fixed.update(zip(labels, run_names))
+        elif labels:
+            perms = itertools.permutations(run_names, len(labels))
+            placements.append([tuple(zip(labels, p)) for p in perms])
+    if not placements:
+        return alpha_part, _group_forms(groups, fixed)
+    mappings = (dict(itertools.chain(fixed.items(), *c)) for c in itertools.product(*placements))
+    return alpha_part, min(_group_forms(groups, mapping) for mapping in mappings)
 
 
-def _group_forms(betas, mapping):
-    def group_form(beta: Profile, bundle: LineBundle, names):
-        expr = tuple(
-            (k, names.get(n, n) if k == PT else n, d, c) for k, n, d, c in bundle.terms
-        )
-        return (beta.entries, bundle.degree, tuple(sorted(expr)))
+def _group_forms(groups, mapping):
+    # the sorted forms; the points ``mapping`` leaves out are named Q1, Q2, ...
+    # in the order of the forms under ``mapping`` alone, then of the points
+    def forms(names):
+        return [
+            head + (tuple(sorted([(PT, names.get(n, n), 1, c) for n, c in points])) + tail,)
+            for head, points, tail in groups
+        ]
 
-    rough = sorted(
-        (group_form(beta, bundle, mapping), idx) for idx, (beta, bundle) in enumerate(betas)
-    )
-    names = dict(mapping)
-    q = 1
-    for _, idx in rough:
-        for n in betas[idx][1].point_names():
+    if len(groups) > 1:
+        groups = [groups[i] for _, i in sorted(zip(forms(mapping), range(len(groups))))]
+    names, q = dict(mapping), 0
+    for _, points, _ in groups:
+        for n, _ in points:
             if n not in names:
-                names[n] = f"Q{q}"
                 q += 1
-    return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in betas))
+                names[n] = f"Q{q}"
+    return tuple(sorted(forms(names)))
 
 
 # -- JSON --------------------------------------------------------------------
 
 
 def state_to_json(s: SeveriState) -> dict:
-    return {
-        "d": s.d,
-        "N": s.N,
-        "g": s.g,
-        "alpha": [{"mult": order, "point": lbl} for order, lbl in s.alpha],
-        "betas": [
-            {"profile": beta.to_json(), "L": bundle.to_json()} for beta, bundle in s.betas
-        ],
-    }
+    return _state_json(s, {})
+
+
+def _state_json(s: SeveriState, memo: dict) -> dict:
+    """:func:`state_to_json` with the alpha and betas lists kept in ``memo``
+    by the identity of the tuples, which the caller keeps alive meanwhile."""
+    alpha, betas = ("alpha", id(s.alpha)), ("betas", id(s.betas))
+    if alpha not in memo:
+        memo[alpha] = [{"mult": order, "point": lbl} for order, lbl in s.alpha]
+    if betas not in memo:
+        memo[betas] = [{"profile": b.to_json(), "L": bundle.to_json()} for b, bundle in s.betas]
+    return {"d": s.d, "N": s.N, "g": s.g, "alpha": memo[alpha], "betas": memo[betas]}
 
 
 def state_from_json(data) -> SeveriState:

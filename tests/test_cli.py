@@ -88,19 +88,29 @@ def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--key-mode", "symbolic"), ("--simple",), ("--simple", "--key-mode", "symbolic")],
-    ids=["symbolic", "simple-degree", "simple-symbolic"],
+    [("--key-mode", "symbolic"), ("--simple", "--key-mode", "symbolic")],
+    ids=["symbolic", "simple-symbolic"],
 )
 def test_fixed_point_walk_over_budget_exit_code(flags):
-    # 22 order-one fixed points: each of these walks 2^22 kept subsets and
-    # is refused before listing one; the degree-mode general walk visits
-    # one prefix per count, 23 in all, and stays under the budget
+    # 22 order-one fixed points: in symbolic mode both statements walk 2^22
+    # kept subsets and are refused before listing one
     start = time.monotonic()
     proc = run_cli("terms", "--state", str(FIXTURES / "state_many_points.json"), *flags, expect=3)
     assert time.monotonic() - start < 5
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize("flags", [(), ("--simple",)], ids=["degree", "simple-degree"])
+def test_fixed_point_walk_over_run_prefixes_exit_code(flags):
+    # the same 22 points in degree mode: both statements walk one prefix per
+    # count of kept points, 23 in all, and stay under the budget
+    start = time.monotonic()
+    proc = run_cli("terms", "--state", str(FIXTURES / "state_many_points.json"), *flags)
+    assert time.monotonic() - start < 5
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["terms"]
 
 
 def test_forest_with_dot(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 from collections import deque
 
 import pytest
@@ -18,6 +20,7 @@ from severi.states import (
     normalize,
     point,
     shape_key,
+    state_to_json,
     symbol,
 )
 from tests.conftest import random_normalized_state
@@ -418,17 +421,25 @@ def test_forest_lists_each_shape_once_in_any_N_order(mode):
 
 @pytest.mark.parametrize(
     "mode,size,N,g,counts",
-    [(DEGREE, 6, 4, 6, (1797, 712)), (SYMBOLIC, 5, 3, 4, (3672, 2351))],
+    [(DEGREE, 6, 4, 6, (1797, 712, 5095)), (SYMBOLIC, 5, 3, 4, (3672, 2351, 7494))],
     ids=["F1", "F2"],
 )
 def test_forest_enumerates_each_shape_once(mode, size, N, g, counts):
     forest = dg.build_forest([simple_state(size, N, g, 0, size)], key_mode=mode)
-    assert (forest.expanded, forest.enumerated) == counts
+    assert (forest.expanded, forest.enumerated, forest.keyed) == counts
     expanded = [s for s in forest.nodes.values() if dimension(s) > 0]
     assert forest.expanded == len(expanded)
     assert forest.enumerated == len({(s.d, s.alpha, s.betas) for s in expanded})
+    # the nodes and the edges' children are keyed, and so are the children
+    # that deduplication dropped
+    children = [e.term.child for e in forest.edges]
+    kept = {(s.d, s.alpha, s.betas) for s in [*forest.nodes.values(), *children]}
+    assert len(kept) < forest.keyed
     # the counters stay out of the output
     assert set(forest.to_json()) == {"nodes", "edges", "roots", "truncated"}
+    blank = dataclasses.replace(forest, expanded=0, enumerated=0, keyed=0)
+    assert blank.to_json() == forest.to_json()
+    assert dg.forest_to_dot(blank) == dg.forest_to_dot(forest)
 
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
@@ -595,3 +606,135 @@ def test_symbolic_keys_pinned():
     keys = [canonical_key(s, SYMBOLIC) for s in symbolic_key_states()]
     assert len(keys) == 1841
     assert digest(keys) == "bda8c1e8b71899f92171f9dd8fd4410aa3ca2c6cb07c049bb24c64dd7a563d05"
+
+
+def unshared_forest_json(forest):
+    """``Forest.to_json`` spelled out per node and per edge, sharing nothing."""
+    return {
+        "nodes": {k: state_to_json(v) for k, v in sorted(forest.nodes.items())},
+        "edges": [
+            {"parent": e.parent, "child": e.child, "factor": e.factor, **e.term.to_json()}
+            for e in forest.edges
+        ],
+        "roots": sorted(forest.roots),
+        "truncated": forest.truncated,
+    }
+
+
+@pytest.mark.parametrize(
+    "root,mode",
+    [(DEGREE_FOREST_ROOT, DEGREE), (SYMBOLIC_FOREST_ROOT, SYMBOLIC)],
+    ids=[DEGREE, SYMBOLIC],
+)
+def test_forest_json_shares_equal_parts(root, mode):
+    forest = dg.build_forest([root], floor=0, key_mode=mode)
+    data = forest.to_json()
+    assert data == unshared_forest_json(forest)
+    # the root's type II terms run over its rows once for m = 1 and again
+    # for m = 2, so the two runs pair up row by row
+    (key,) = forest.roots
+    edges = [(e.term, js) for e, js in zip(forest.edges, data["edges"]) if e.parent == key]
+    runs = [[(t, js) for t, js in edges if t.m == m] for m in (1, 2)]
+    assert runs[0] and len(runs[0]) == len(runs[1])
+    for (t1, js1), (t2, js2) in zip(*runs):
+        assert (t1.kind, t1.tau, t1.kept, t1.dropped) == (t2.kind, t2.tau, t2.kept, t2.dropped)
+        assert t1.child.betas is t2.child.betas
+        assert js1["child"]["betas"] is js2["child"]["betas"]
+        assert js1["tau"] is js2["tau"] and js1["coefficient"] != js2["coefficient"]
+
+
+# -- the symbolic key against the code it replaced ---------------------------
+
+
+def reference_symbolic_part(alpha, betas):
+    """The symbolic shape part as first written: every relabeling renames
+    and sorts each group's whole expression, the alpha part is always
+    sorted, and the groups are always sorted before the Q-names are given."""
+    names = [f"P{i + 1}" for i in range(len(alpha))]
+    alpha_part = tuple(
+        sorted(zip((order for order, _ in alpha), names), key=lambda t: (-t[0], t[1]))
+    )
+    runs = [tuple(run) for _, run in itertools.groupby(alpha, key=lambda ent: ent[0])]
+    if math.prod(math.factorial(len(run)) for run in runs) > 720:
+        mappings = [{lbl: name for (_, lbl), name in zip(alpha, names)}]
+    else:
+        named = {n for _, bundle in betas for n in bundle.point_names()}
+        placements, start = [], 0
+        for run in runs:
+            labels = [lbl for _, lbl in run if lbl in named]
+            run_names = names[start : start + len(run)]
+            placements.append(
+                [tuple(zip(labels, p)) for p in itertools.permutations(run_names, len(labels))]
+            )
+            start += len(run)
+        mappings = (
+            dict(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*placements)
+        )
+    return alpha_part, min(reference_group_forms(betas, mapping) for mapping in mappings)
+
+
+def reference_group_forms(betas, mapping):
+    def group_form(beta, bundle, names):
+        expr = tuple(
+            (k, names.get(n, n) if k == "pt" else n, d, c) for k, n, d, c in bundle.terms
+        )
+        return (beta.entries, bundle.degree, tuple(sorted(expr)))
+
+    rough = sorted(
+        (group_form(beta, bundle, mapping), idx) for idx, (beta, bundle) in enumerate(betas)
+    )
+    names = dict(mapping)
+    q = 1
+    for _, idx in rough:
+        for n in betas[idx][1].point_names():
+            if n not in names:
+                names[n] = f"Q{q}"
+                q += 1
+    return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in betas))
+
+
+# ten order-one points, past the relabeling cap; in the alpha part P10
+# sorts before P2
+TEN_POINTS = simple_state(12, 3, 3, 10, 2)
+# orders 3, 2, 2 and a run of nine order-one points, some named in the bundle
+MIXED_TWELVE = SeveriState(
+    d=18,
+    N=1,
+    g=2,
+    alpha=((3, "a"), (2, "b"), (2, "c")) + tuple((1, f"p{i}") for i in range(1, 10)),
+    betas=((Profile.ones(2), symbol("L", 1) + point("p9") + point("c") - point("b")),),
+)
+# two groups stored in the reverse of their order under the alpha names
+# alone; the Q-names follow that order, so x1 is Q1, y1 Q2 and z1 Q3
+Q_ORDER = SeveriState(
+    d=5,
+    N=1,
+    g=1,
+    alpha=((1, "p1"),),
+    betas=(
+        (Profile.ones(2), symbol("M", 3) - point("z1")),
+        (Profile.ones(2), symbol("L", 1) + point("y1") + point("p1") - point("x1")),
+    ),
+)
+
+
+def test_symbolic_key_matches_reference(rng):
+    corpus = [random_normalized_state(rng) for _ in range(60)]
+    states = corpus + [t.child for s in corpus for t in dg.successors_general(s, SYMBOLIC)]
+    states += symbolic_key_states()
+    swapped = dataclasses.replace(Q_ORDER, betas=Q_ORDER.betas[::-1])
+    states += [TEN_POINTS, MIXED_TWELVE, Q_ORDER, swapped]
+    # past ten points the symbolic walk is over budget, so these children
+    # come from the degree-mode walk
+    states += [t.child for s in (TEN_POINTS, MIXED_TWELVE) for t in dg.successors_general(s)]
+    states += [t.child for t in dg.successors_general(Q_ORDER, SYMBOLIC)]
+    for s in states:
+        assert shape_key(s.alpha, s.betas, SYMBOLIC) == reference_symbolic_part(s.alpha, s.betas)
+    alpha_part, _ = shape_key(TEN_POINTS.alpha, TEN_POINTS.betas, SYMBOLIC)
+    assert [name for _, name in alpha_part] == ["P1", "P10"] + [f"P{i}" for i in range(2, 10)]
+    key = shape_key(Q_ORDER.alpha, Q_ORDER.betas, SYMBOLIC)
+    assert key == shape_key(swapped.alpha, swapped.betas, SYMBOLIC)
+    _, (l_form, m_form) = key
+    assert [name for _, name, _, _ in l_form[2]] == ["P1", "Q1", "Q2", "L"]
+    assert m_form[2] == (("pt", "Q3", 1, -1), ("sym", "M", 3, 1))
