@@ -4,25 +4,29 @@ Cutting the locus named by a state with the hyperplane of curves through a
 generic point of the distinguished fiber E0 produces components of exactly
 two shapes:
 
-* type I: one moving point of one group becomes fixed at the new point,
-  whose class is subtracted from that group's bundle;
+* type I: one moving point, of order n, of a group of at least two becomes
+  a fixed point of order n at the new point, and n times the new point's
+  class is subtracted from that group's bundle;
 * type II: E0 splits off with some multiplicity m >= 1; per moving group at
-  most one point escapes to the curve dominating E0, intact groups keep
-  their class, the depleted groups merge with a new tangency profile tau
-  recording how the residual curve meets the cover of E0, and the genus
-  drops by |tau|.
+  most one point escapes to the curve dominating E0, and any fixed points
+  are released; intact groups keep their class, the depleted groups merge,
+  with the released points' class added, under a new nonempty profile tau,
+  a partition of the escaped and released orders recording how the
+  residual curve meets the cover of E0, and the genus drops by |tau|.
 
 Every emitted child has dimension exactly one less than its parent.  The
 enumeration is a list of suspects: nothing here claims each term really
 appears, and the multiplicities are deliberately opaque placeholders.
 
-Two enumerators are provided.  ``successors_simple`` implements the
-statement available for states with simple fixed points and a single
-transverse moving group (it requires g >= 2 and excludes only tau = (1)),
-while ``successors_general`` implements the general statement (any
-normalized state, |tau| >= 2).  On common ground they agree except for the
-size-one tau terms, which only the simple statement admits; the
-discrepancy is deliberate and surfaced by tests, not resolved here.
+Two enumerators are provided, one per statement, and they share one walk.
+``successors_general`` implements the general statement (any normalized
+state, |tau| >= 2).  ``successors_simple`` implements the statement
+available for states with simple fixed points and a single transverse
+moving group: it requires g >= 2, admits |tau| = 1 as well (excluding only
+tau = (1)), and labels a type II term IIa when the group loses a point and
+IIb when it is kept.  On common ground the two statements differ only in
+the size-one tau terms; the discrepancy is deliberate and surfaced by
+tests, not resolved here.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .states import (
     fresh_labels,
     is_normalized,
     normalize,
-    point,
     shape_key,
     state_to_json,
 )
@@ -64,6 +67,11 @@ KIND_II = "II"
 # orders in degree mode.  The benchmark's ten-point state W walks 1,024
 # subsets in symbolic mode.
 MAX_ALPHA_CHOICES = 1_024
+
+# The most terms one call of either enumerator may emit.  A type II row
+# gives one term for each m = 1..N, so the count grows with N; the largest
+# test input, tests/fixtures/state_many_points.json, has 10,268 terms.
+MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -185,66 +193,24 @@ def _terms(s: SeveriState, rows):
                 yield row, _check_term(parent_dim, Term(kind, child, m, tau, kept, dropped))
 
 
-# -- the simple statement ----------------------------------------------------
+# -- the two statements ------------------------------------------------------
 
 
 def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...]:
     """Terms of the hyperplane section for a state with alpha = 1^a (labeled)
-    and a single transverse group beta = 1^b.  Requires g >= 2.  The type II
-    walk over kept fixed points is that of :func:`successors_general`."""
+    and a single transverse group beta = 1^b.  Requires g >= 2.  The walk is
+    that of :func:`successors_general`."""
     check_valid(s)
     if s.ell != 1:
         raise InvalidState("simple enumerator needs exactly one moving group")
-    beta, bundle = s.betas[0]
+    beta = s.betas[0][0]
     if any(order != 1 for order, _ in s.alpha) or set(beta.entries) - {1}:
         raise InvalidState("simple enumerator needs transverse contact only")
     if s.g < 2:
         raise InvalidState(f"simple statement requires g >= 2, got g={s.g}")
-    a, b = len(s.alpha), beta.size
-    if b < 1:
+    if beta.size < 1:
         raise InvalidState("simple enumerator needs a moving point")
-    rows = []
-
-    if b >= 2:
-        (p_new,) = fresh_labels(s, 1, stem="p")
-        child = SeveriState(
-            d=s.d,
-            N=s.N,
-            g=s.g,
-            alpha=s.alpha + ((1, p_new),),
-            betas=((Profile.ones(b - 1), bundle - point(p_new)),),
-        )
-        rows.append((KIND_I, Profile(), (), ((0, 1),), child))
-
-    # type II: in IIa one moving point escapes to the cover of E0, in IIb the
-    # whole group survives on the residual curve.  Per case: the term's kept
-    # and dropped fields, the groups the child keeps intact, and the moving
-    # points and class that join tau and the released points in a new group.
-    cases = (
-        (KIND_IIA, (), ((0, 1),), (), Profile.ones(b - 1), bundle),
-        (KIND_IIB, (0,), (), s.betas, Profile(), LineBundle()),
-    )
-    for alpha in _alpha_choices(s.alpha, every_subset=key_mode != DEGREE) if s.N else ():
-        released = _released(ent for ent in s.alpha if ent not in alpha)
-        for kind, kept, dropped, intact, moving, base in cases:
-            # tau meets the released points and, in IIa, the escaped one
-            mass = a - len(alpha) + len(dropped)
-            if mass < 2:
-                continue
-            merged_bundle = base + released
-            for tau in partitions(mass):
-                betas = intact + ((moving + tau, merged_bundle),)
-                child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha, betas)
-                rows.append((kind, tau, kept, dropped, child))
-    return tuple(term for _, term in _terms(s, _dedup(rows, key_mode, {})))
-
-
-def _released(points) -> LineBundle:
-    """The class of released fixed points: the sum of order * point(label)."""
-    return LineBundle(tuple((PT, lbl, 1, order) for order, lbl in points))
-
-
-# -- the general statement ---------------------------------------------------
+    return _successors(s, key_mode, simple=True)
 
 
 def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...]:
@@ -263,19 +229,43 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
     check_valid(s)
     if not is_normalized(s):
         raise InvalidState("general enumerator needs every group size >= 2; normalize first")
+    return _successors(s, key_mode)
+
+
+def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]:
+    """The terms of ``s`` from its type I rows and, if N > 0, its type II
+    rows.  Past ``MAX_TERMS`` terms (one per type I row, N per type II row)
+    it raises :class:`BudgetExceeded` before building any."""
     shapes: dict = {}
     rows = _type_one_rows(s, key_mode, shapes)
     if s.N:
-        rows += _type_two_rows(s, key_mode, shapes)
+        rows += _type_two_rows(s, key_mode, shapes, simple)
+    count = sum(1 if row[0] == KIND_I else s.N for row in rows)
+    if count > MAX_TERMS:
+        _over_budget(f"terms: {count} > {MAX_TERMS}")
     return tuple(term for _, term in _terms(s, rows))
+
+
+def _over_budget(message: str):
+    # imported here: a run under the budgets loads no module beyond its own
+    from .lattices import BudgetExceeded
+
+    raise BudgetExceeded(message)
+
+
+def _released(points) -> LineBundle:
+    """The class of released fixed points: the sum of order * point(label)."""
+    return LineBundle(tuple((PT, lbl, 1, order) for order, lbl in points))
 
 
 def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
     """The type I rows of ``s`` (see :func:`_dedup`): one moving point of
-    group j becomes fixed at a new point."""
+    group j, if it has another, becomes fixed at a new point."""
     (p_new,) = fresh_labels(s, 1, stem="p")
     tau, rows = Profile(), []
     for j, (beta, bundle) in enumerate(s.betas):
+        if beta.size < 2:
+            continue
         for n in sorted(set(beta.entries), reverse=True):
             new_groups = list(s.betas)
             new_groups[j] = (beta.without(n), LineBundle(bundle.terms + ((PT, p_new, 1, -n),)))
@@ -284,14 +274,17 @@ def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
     return _dedup(rows, key_mode, shapes)
 
 
-def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
+def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) -> list[tuple]:
     """The type II rows of ``s`` (see :func:`_dedup`): E0 splits off, which
-    sets only the child's N, so the rows serve every m."""
+    sets only the child's N, so the rows serve every m.  With ``simple``,
+    those of the simple statement: |tau| = 1 is admitted, and a row is
+    labeled IIb when the one group is kept and IIa when it loses a point."""
     ell = s.ell
     alpha_choices = _alpha_choices(s.alpha, every_subset=key_mode != DEGREE)
     rows = []
     for kept_mask in itertools.product((True, False), repeat=ell):
         kept = tuple(j for j in range(ell) if kept_mask[j])
+        kind = (KIND_IIB if kept else KIND_IIA) if simple else KIND_II
         loose = [j for j in range(ell) if not kept_mask[j]]
         intact = tuple(s.betas[j] for j in kept)
         drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
@@ -310,11 +303,11 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
                     continue
                 merged_bundle = groups_bundle + _released(alpha_dropped)
                 for tau in partitions(mass):
-                    if tau.size < 2:
+                    if tau.size < 2 and not simple:
                         continue
                     betas = intact + ((moving + tau, merged_bundle),)
                     child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha_kept, betas)
-                    rows.append((KIND_II, tau, kept, dropped, child))
+                    rows.append((kind, tau, kept, dropped, child))
     return _dedup(rows, key_mode, shapes)
 
 
@@ -327,12 +320,7 @@ def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
     runs = [(ent,) for ent in alpha] if every_subset else _order_runs(alpha)
     choices = math.prod(len(run) + 1 for run in runs)
     if choices > MAX_ALPHA_CHOICES:
-        # imported here: a run under the budget loads no module beyond its own
-        from .lattices import BudgetExceeded
-
-        raise BudgetExceeded(
-            f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}"
-        )
+        _over_budget(f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}")
     if every_subset:
         return [c for r in range(len(alpha) + 1) for c in itertools.combinations(alpha, r)]
     return [

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import words as wd
-from .lattices import IDENTITY, Lattice2, hnf, sublattices
+from .lattices import IDENTITY, Lattice2, sublattices
 from .monodromy import (
     BudgetExceeded,
     HurwitzTuple,
@@ -52,9 +52,7 @@ from .monodromy import (
     pair_orbits_match_classes,
     perm_table,
     root,
-    schreier_rows,
-    sheet_letters,
-    sheet_tree,
+    sheet_lattice,
     then,
     transposition,
 )
@@ -420,7 +418,7 @@ def orbits(tuples) -> OrbitReport:
     for i, key in enumerate(pos):
         if class_of[i] is not None:
             continue
-        lat = _sheet_lattice(d, tuples[i].generators())[2]
+        lat = sheet_lattice(d, tuples[i].generators())[2]
         if lat is None:
             check_valid(tuples[i])
         members = {pos.get(image) for image in moves.conjugates(key)}
@@ -463,17 +461,6 @@ def orbits(tuples) -> OrbitReport:
         images=images,
         unions=unions,
     )
-
-
-def _sheet_lattice(d: int, gens):
-    """The sheet letters of the tuple generators ``gens``, the spanning
-    tree's words w, and the invariant lattice, which is None when the
-    letters do not act transitively."""
-    letters = sheet_letters(gens)
-    w, reached = sheet_tree(d, letters)
-    if len(reached) < d:
-        return letters, w, None
-    return letters, w, hnf(schreier_rows(letters, w, reached))
 
 
 def expected_lattices(d: int) -> tuple[Lattice2, ...]:
@@ -664,7 +651,7 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
             weight = len(members) * len(orbit)
             target = mul[mul[row_a[b_i]][inv[a_i]]][inv[b_i]]
             for used, branch, words in sets_of_product.get(target, ()):
-                letters, w, lat = _sheet_lattice(d, [a, bb, *branch])
+                letters, w, lat = sheet_lattice(d, [a, bb, *branch])
                 if lat is None:
                     continue
                 report.groups += 1

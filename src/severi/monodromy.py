@@ -181,7 +181,7 @@ def violations(t: HurwitzTuple) -> tuple[str, ...]:
         prod = compose(prod, ti)
     if commutator(t.A, t.B) != prod:
         out.append("[A,B] != T1...Tb")
-    if t.d < 1 or len(sheet_tree(t.d, sheet_letters(t.generators()))[1]) < t.d:
+    if t.d < 1 or sheet_lattice(t.d, t.generators())[2] is None:
         out.append("sheets are not transitively permuted")
     return tuple(out)
 
@@ -229,20 +229,18 @@ def group_closure(gens) -> frozenset:
 # -- the invariant lattice ----------------------------------------------------
 
 
-def sheet_letters(gens):
-    """Pair each generator of a tuple with its image in Z^2: A gives (1, 0),
-    B gives (0, 1) and every branch letter (0, 0)."""
-    return [(gens[0], (1, 0)), (gens[1], (0, 1))] + [(p, (0, 0)) for p in gens[2:]]
+def sheet_lattice(d: int, gens):
+    """The sheet letters of the tuple generators ``gens`` (A, B, then the
+    branch letters), the words w of a spanning tree and the invariant
+    lattice, which is None when the letters do not act transitively.
 
-
-def sheet_tree(d: int, letters):
-    """Breadth-first spanning tree of the sheet graph, from sheet 0.
-
-    ``letters`` are (permutation, vector) pairs as made by
-    :func:`sheet_letters`.  Returns ``(w, order)``: ``order`` lists the
-    reached sheets in breadth-first order and ``w[s]`` sums the vectors
-    along the tree path to s (None where s is not reached).  The letters
-    act transitively exactly when ``len(order) == d``."""
+    A letter pairs a generator with its image in Z^2: (1, 0) for A, (0, 1)
+    for B, (0, 0) for a branch letter.  The breadth-first tree of the sheet
+    graph from sheet 0 sums the images along the path to each sheet s into
+    ``w[s]`` (None where s is not reached).  The nonzero abelianized
+    Schreier generators w(s) + v - w(p(s)) of the stabilizer of sheet 0
+    span the lattice; ``hnf`` reads them lazily, up to spanning Z^2."""
+    letters = [(gens[0], (1, 0)), (gens[1], (0, 1))] + [(p, (0, 0)) for p in gens[2:]]
     w: list[tuple[int, int] | None] = [None] * d
     w[0] = (0, 0)
     order = [0]
@@ -253,34 +251,24 @@ def sheet_tree(d: int, letters):
             if w[s2] is None:
                 w[s2] = (x + dx, y + dy)
                 order.append(s2)
-    return w, order
+    if len(order) < d:
+        return letters, w, None
 
+    def rows(letters, w, order):  # arguments, not cells, keep the loops above fast
+        for s in order:
+            x, y = w[s]
+            for p, (dx, dy) in letters:
+                x2, y2 = w[p[s]]
+                if x + dx != x2 or y + dy != y2:
+                    yield x + dx - x2, y + dy - y2
 
-def schreier_rows(letters, w, order):
-    """Yield the nonzero abelianized Schreier generators w(s) + v - w(p(s))
-    of the stabilizer of the tree's base sheet, for every reached sheet s in
-    ``order`` and every letter (p, v); ``w`` and ``order`` are as returned
-    by :func:`sheet_tree`.  They span the invariant lattice."""
-    for s in order:
-        x, y = w[s]
-        for p, (dx, dy) in letters:
-            x2, y2 = w[p[s]]
-            if x + dx != x2 or y + dy != y2:
-                yield x + dx - x2, y + dy - y2
-
-
-def schreier_vectors(t: HurwitzTuple):
-    """Spanning-tree words w(s) in Z^2 and the abelianized Schreier
-    generators of the stabilizer of sheet 0 under the sheet action."""
-    letters = sheet_letters(t.generators())
-    w, order = sheet_tree(t.d, letters)
-    return w, list(schreier_rows(letters, w, order))
+    return letters, w, hnf(rows(letters, w, order))
 
 
 def invariant_lattice(t: HurwitzTuple) -> Lattice2:
     """Image of the cover's fundamental group in Z^2, in Hermite form."""
     check_valid(t)
-    return hnf(schreier_vectors(t)[1])
+    return sheet_lattice(t.d, t.generators())[2]
 
 
 def is_primitive(t: HurwitzTuple) -> bool:
@@ -331,8 +319,7 @@ def factorize(t: HurwitzTuple) -> Factorization:
     A and B act on blocks as translations by (1,0) and (0,1), the branch
     letters act trivially."""
     check_valid(t)
-    w, vectors = schreier_vectors(t)
-    lat = hnf(vectors)
+    _, w, lat = sheet_lattice(t.d, t.generators())
     residues = lat.residues()
     res_index = {r: i for i, r in enumerate(residues)}
     block_of = tuple(res_index[lat.reduce(ws)] for ws in w)
@@ -410,9 +397,8 @@ def transitive_on_block_pairs(t: HurwitzTuple) -> bool:
     sheet pairs lie in one orbit exactly when their block pairs differ by a
     common translation."""
     check_valid(t)
-    w, _ = schreier_vectors(t)
-    letters = sheet_letters(t.generators())
-    return pair_orbits_match_classes(t.d, letters, factorize(t).lattice, w)
+    letters, w, lat = sheet_lattice(t.d, t.generators())
+    return pair_orbits_match_classes(t.d, letters, lat, w)
 
 
 def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:

@@ -113,6 +113,39 @@ def test_fixed_point_walk_over_run_prefixes_exit_code(flags):
     assert json.loads(proc.stdout)["terms"]
 
 
+# fixed points p1, p2 and one transverse group 1^2, for the simple statement
+TRANSVERSE = {
+    "d": 4,
+    "g": 3,
+    "alpha": [{"mult": 1, "point": "p1"}, {"mult": 1, "point": "p2"}],
+    "betas": [
+        {"profile": [1, 1], "L": {"degree": 2, "expr": [
+            {"kind": "sym", "name": "L", "deg": 2, "coeff": 1}]}}
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "document,flags",
+    [
+        (json.loads((FIXTURES / "state_two_groups.json").read_text()), ()),
+        (TRANSVERSE, ("--simple",)),
+    ],
+    ids=["general", "simple"],
+)
+def test_terms_output_over_budget_exit_code(tmp_path, document, flags):
+    # each type II row gives one term per m = 1..N: at N = 10^12 the terms
+    # are refused before the first is built
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**document, "N": 10**12}))
+    start = time.monotonic()
+    proc = run_cli("terms", "--state", str(path), *flags, expect=3)
+    assert time.monotonic() - start < 5
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded: terms: ")
+
+
 def test_forest_with_dot(tmp_path):
     out = tmp_path / "forest.dot"
     proc = run_cli(

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from severi import degeneration as dg
-from severi.profiles import Profile
+from severi.profiles import Profile, partitions
 from severi.states import (
     DEGREE,
     SYMBOLIC,
@@ -148,6 +148,80 @@ def test_general_agrees_with_simple_up_to_small_tau(rng):
         extra = simple_keys - general_keys
         assert all(len(k[2]) == 1 for k in extra)
         checked += 1
+
+
+# -- an independent oracle ---------------------------------------------------
+# The two statements of the module docstring, enumerated the slow way: every
+# moving point, every subset of the fixed points and every m on its own,
+# with no row lists, no walk over kept fixed points and no deduplication.
+
+
+def oracle_terms(s, mode, simple=False):
+    """The set of (kind, m, tau, child key) of the hyperplane section of
+    ``s``; with ``simple``, under the transverse-case statement."""
+    new = next(f"x{i}" for i in itertools.count() if f"x{i}" not in s.point_labels())
+    out = set()
+    # type I: a moving point of order n of a group that keeps another becomes
+    # a fixed point of order n; n times its class leaves the group's bundle
+    for j, (beta, bundle) in enumerate(s.betas):
+        for i, n in enumerate(beta.entries):
+            if beta.size < 2:
+                continue
+            rest = Profile(beta.entries[:i] + beta.entries[i + 1 :])
+            betas = s.betas[:j] + ((rest, bundle - n * point(new)),) + s.betas[j + 1 :]
+            child = SeveriState(s.d, s.N, s.g, s.alpha + ((n, new),), betas)
+            out.add(("I", 0, (), key_tuple(child, mode)))
+    # type II: each group is kept or loses one point, any fixed points are
+    # released, and the depleted groups merge under a tau partitioning the
+    # orders that left
+    escapes = [[None] + list(range(beta.size)) for beta, _ in s.betas]
+    for m in range(1, s.N + 1):
+        for escaped in itertools.product(*escapes):
+            kept = [j for j, i in enumerate(escaped) if i is None]
+            intact = tuple(s.betas[j] for j in kept)
+            rest, bundle, mass = [], point(new) - point(new), 0
+            for (beta, group_bundle), i in zip(s.betas, escaped):
+                if i is not None:
+                    rest += beta.entries[:i] + beta.entries[i + 1 :]
+                    bundle = bundle + group_bundle
+                    mass += beta.entries[i]
+            for r in range(len(s.alpha) + 1):
+                for released in itertools.combinations(range(len(s.alpha)), r):
+                    alpha = tuple(p for k, p in enumerate(s.alpha) if k not in released)
+                    total = mass + sum(s.alpha[k][0] for k in released)
+                    merged = bundle
+                    for k in released:
+                        merged = merged + s.alpha[k][0] * point(s.alpha[k][1])
+                    for tau in partitions(total):
+                        if tau.entries == (1,) or tau.size < (1 if simple else 2):
+                            continue
+                        group = (Profile(tuple(rest)) + tau, merged)
+                        child = SeveriState(s.d, s.N - m, s.g - tau.size, alpha, intact + (group,))
+                        kind = ("IIb" if kept else "IIa") if simple else "II"
+                        out.add((kind, m, tau.entries, key_tuple(child, mode)))
+    return out
+
+
+def term_keys(terms, mode):
+    return {(t.kind, t.m, t.tau.entries, key_tuple(t.child, mode)) for t in terms}
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_general_matches_oracle(mode, rng):
+    for _ in range(40):
+        s = random_normalized_state(rng)
+        assert term_keys(dg.successors_general(s, mode), mode) == oracle_terms(s, mode)
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_simple_matches_oracle(mode):
+    """IIa and IIb labels and the size-one tau terms included."""
+    small_tau = 0
+    for s in transverse_states(5):
+        expected = oracle_terms(s, mode, simple=True)
+        assert term_keys(dg.successors_simple(s, mode), mode) == expected
+        small_tau += sum(len(tau) == 1 for _, _, tau, _ in expected)
+    assert small_tau
 
 
 def test_dimension_drop_on_random_corpus(rng):

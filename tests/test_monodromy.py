@@ -23,8 +23,7 @@ from severi.monodromy import (
     kernel_order_check,
     pair_orbits_match_classes,
     perm_from_cycles,
-    schreier_vectors,
-    sheet_letters,
+    sheet_lattice,
     then,
     transposition,
     transitive_on_block_pairs,
@@ -85,6 +84,7 @@ def test_validity_examples():
     # intransitive
     t = HurwitzTuple(3, (0, 1, 2), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
     assert any("transitively" in v for v in violations(t))
+    assert sheet_lattice(t.d, t.generators())[2] is None
 
 
 def test_group_closure():
@@ -107,10 +107,9 @@ def test_invariant_lattice_examples():
 def test_invariant_lattice_base_sheet_independence():
     """Relabeling sheets by the swap (0 base) makes ``base`` the tree's base
     sheet; the Schreier vectors from there span the same lattice."""
-    from severi.lattices import hnf
-
     for t in sample_tuples(2, 60):
         lat = invariant_lattice(t)
+        assert sheet_lattice(t.d, t.generators())[2] == factorize(t).lattice == lat
         for base in range(1, t.d):
             swap = transposition(t.d, 0, base)
 
@@ -118,8 +117,7 @@ def test_invariant_lattice_base_sheet_independence():
                 return then(swap, p, swap)
 
             moved = HurwitzTuple(t.d, relabel(t.A), relabel(t.B), tuple(map(relabel, t.T)))
-            _, vectors = schreier_vectors(moved)
-            assert hnf(vectors) == lat
+            assert sheet_lattice(moved.d, moved.generators())[2] == lat
 
 
 def test_lattice_index_divides_degree():
@@ -191,13 +189,11 @@ def test_pair_kernel_answers_for_the_lattice_it_is_given():
     """Too coarse a lattice puts pairs of two orbits in one class; too fine
     a one splits the one orbit of S_3 over two classes."""
     t = imprimitive_witness()
-    w, _ = schreier_vectors(t)
-    letters = sheet_letters(t.generators())
+    letters, w, _ = sheet_lattice(t.d, t.generators())
     assert pair_orbits_match_classes(t.d, letters, invariant_lattice(t), w)
     assert not pair_orbits_match_classes(t.d, letters, IDENTITY, w)
     t = HurwitzTuple(3, (1, 2, 0), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
-    w, _ = schreier_vectors(t)
-    letters = sheet_letters(t.generators())
+    letters, w, _ = sheet_lattice(t.d, t.generators())
     assert pair_orbits_match_classes(3, letters, IDENTITY, w)
     assert not pair_orbits_match_classes(3, letters, Lattice2(2, 0, 1), w)
 
