@@ -10,7 +10,8 @@ balanced against; :mod:`.dual_graph` checks the central-fiber genus bound;
 :mod:`.lattices` classifies unramified covers of a torus as sublattices of
 Z^2; :mod:`.monodromy` and :mod:`.hurwitz` model covers by permutation
 tuples, factor them through their maximal unramified subcover, and compute
-orbits under the branch-point moves.
+orbits under the branch-point moves.  :mod:`.base`, which imports none of
+them, holds the exceptions and JSON checks they share.
 """
 
 import importlib

@@ -1,0 +1,53 @@
+"""What every layer shares: the two exception classes, the shape checks of
+the JSON readers, and a union-find root.  It imports no other part of the
+library, so that the hyperplane-section half (:mod:`.states`,
+:mod:`.dual_graph`) and the Hurwitz half (:mod:`.lattices`,
+:mod:`.monodromy`) and the CLI can each name an exception or read a field
+without loading the other half."""
+
+
+class InvalidState(ValueError):
+    """A document or state violating one of its structural invariants."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A computation would pass one of the library's resource budgets."""
+
+
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+_REQUIRED = object()
+
+
+def expect(value, kind: str, where: str) -> None:
+    """Raise :class:`InvalidState` unless ``value`` is a JSON ``kind``."""
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    if got != kind:
+        raise InvalidState(f"{where} must be a JSON {kind}, got {got}")
+
+
+def field_of(obj: dict, name: str, kind: str, where: str, default=_REQUIRED):
+    """The member ``name`` of ``obj``, checked to be a JSON ``kind``; a
+    missing member gives ``default`` if one is passed and raises otherwise."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise InvalidState(f"{where} is missing the field {name!r}")
+        return default
+    expect(obj[name], kind, f"{where}.{name}")
+    return obj[name]
+
+
+def root(parent, x):
+    """Union-find root of x in the forest ``parent`` (a list or a dict that
+    maps every node to its parent), halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x

@@ -6,10 +6,10 @@ so identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 domain error, 2 usage error, 3 resource budget exceeded.
 
 A subcommand imports only the modules it runs: each ``cmd_*`` function
-imports its own, and nothing at module level names a library module.  Every
-invocation is a cold process, whose cost is mostly interpreter start-up and
-imports, so ``dim`` loads :mod:`.surfaces` alone and ``mono factor`` does
-not load :mod:`.hurwitz`.
+imports its own, and at module level only the leaf :mod:`.base` is loaded,
+for the budget exception.  Every invocation is a cold process, whose cost is
+mostly interpreter start-up and imports, so ``dim`` loads :mod:`.surfaces`
+alone and ``mono factor`` does not load :mod:`.hurwitz`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from .base import BudgetExceeded
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -289,21 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_exceeded() -> type:
-    """The budget exception class.  ``main`` names it in an except clause,
-    which is evaluated only once something is raised, so a subcommand that
-    does not use :mod:`.lattices` does not load it when it succeeds."""
-    from .lattices import BudgetExceeded
-
-    return BudgetExceeded
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _budget_exceeded() as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -36,11 +36,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from .base import BudgetExceeded, InvalidState
 from .profiles import Profile, partitions
 from .states import (
     DEGREE,
     PT,
-    InvalidState,
     LineBundle,
     SeveriState,
     _dimension,
@@ -242,15 +242,8 @@ def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]
         rows += _type_two_rows(s, key_mode, shapes, simple)
     count = sum(1 if row[0] == KIND_I else s.N for row in rows)
     if count > MAX_TERMS:
-        _over_budget(f"terms: {count} > {MAX_TERMS}")
+        raise BudgetExceeded(f"terms: {count} > {MAX_TERMS}")
     return tuple(term for _, term in _terms(s, rows))
-
-
-def _over_budget(message: str):
-    # imported here: a run under the budgets loads no module beyond its own
-    from .lattices import BudgetExceeded
-
-    raise BudgetExceeded(message)
 
 
 def _released(points) -> LineBundle:
@@ -320,7 +313,7 @@ def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
     runs = [(ent,) for ent in alpha] if every_subset else _order_runs(alpha)
     choices = math.prod(len(run) + 1 for run in runs)
     if choices > MAX_ALPHA_CHOICES:
-        _over_budget(f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}")
+        raise BudgetExceeded(f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}")
     if every_subset:
         return [c for r in range(len(alpha) + 1) for c in itertools.combinations(alpha, r)]
     return [

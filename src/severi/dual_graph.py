@@ -17,10 +17,8 @@ joining X to it once each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .monodromy import root
-from .states import InvalidState, _expect, _field
+from .base import InvalidState, expect, field_of, root
 
 X = "X"
 
@@ -56,28 +54,28 @@ class CentralFiber:
     def from_json(data) -> "CentralFiber":
         """Parse a graph in the shape of ``docs/central_fiber.schema.json``.
 
-        A document of the wrong shape raises :class:`~.states.InvalidState`
+        A document of the wrong shape raises :class:`~.base.InvalidState`
         naming the field; omitted component or edge lists mean none."""
-        _expect(data, "object", "graph")
+        expect(data, "object", "graph")
         e_parts, z_parts = [], []
-        for i, c in enumerate(_field(data, "e_components", "array", "graph", default=[])):
+        for i, c in enumerate(field_of(data, "e_components", "array", "graph", default=[])):
             at = f"graph.e_components[{i}]"
-            _expect(c, "object", at)
-            e_parts.append((_field(c, "genus", "integer", at), _field(c, "degree", "integer", at)))
-        for i, c in enumerate(_field(data, "z_components", "array", "graph", default=[])):
+            expect(c, "object", at)
+            e_parts.append((field_of(c, "genus", "integer", at), field_of(c, "degree", "integer", at)))
+        for i, c in enumerate(field_of(data, "z_components", "array", "graph", default=[])):
             at = f"graph.z_components[{i}]"
-            _expect(c, "object", at)
-            z_parts.append(_field(c, "genus", "integer", at))
-        edges = _field(data, "edges", "array", "graph", default=[])
+            expect(c, "object", at)
+            z_parts.append(field_of(c, "genus", "integer", at))
+        edges = field_of(data, "edges", "array", "graph", default=[])
         for i, e in enumerate(edges):
             at = f"graph.edges[{i}]"
-            _expect(e, "array", at)
+            expect(e, "array", at)
             for v in e:
-                _expect(v, "string", at)
+                expect(v, "string", at)
             if len(e) != 2:
                 raise InvalidState(f"{at} must join two vertex ids, got {len(e)}")
         return CentralFiber(
-            x_genus=_field(data, "x_genus", "integer", "graph"),
+            x_genus=field_of(data, "x_genus", "integer", "graph"),
             e_parts=tuple(e_parts),
             z_parts=tuple(z_parts),
             edges=tuple((a, b) for a, b in edges),
@@ -169,27 +167,11 @@ def arithmetic_genus(gr: CentralFiber) -> int:
         g - 1 = (p_a(X)-1) + (p_a(E~)-1) + (d_X + d_E~)/2
                 + sum_i (g(Z_i) - 1 + d_{Z_i}/2)
 
-    computed over rationals and asserted integral at the end."""
+    in integers: on a valid graph every edge joins two known nodes, so the
+    degrees sum to twice the number of edges."""
     check_valid(gr)
-    d_x = Fraction(gr.degree(X))
-    d_e = Fraction(sum(gr.degree(f"E{i}") for i in range(len(gr.e_parts))))
-    total_degree = d_x + d_e + sum(
-        gr.degree(f"Z{i}") for i in range(len(gr.z_parts))
-    )
-    if total_degree % 2 != 0:
-        raise ValueError("handshake parity violated")
-    pa_e_minus_1 = sum(g - 1 for g, _ in gr.e_parts)
-    val = (
-        Fraction(gr.x_genus - 1)
-        + pa_e_minus_1
-        + (d_x + d_e) / 2
-        + sum(
-            Fraction(gz - 1) + Fraction(gr.degree(f"Z{i}")) / 2
-            for i, gz in enumerate(gr.z_parts)
-        )
-    )
-    assert val.denominator == 1
-    return int(val) + 1
+    parts = sum(g - 1 for g, _ in gr.e_parts) + sum(g - 1 for g in gr.z_parts)
+    return gr.x_genus + parts + len(gr.edges)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import words as wd
+from .base import BudgetExceeded, root
 from .lattices import IDENTITY, Lattice2, sublattices
 from .monodromy import (
-    BudgetExceeded,
     HurwitzTuple,
     check_valid,
     compose,
@@ -51,20 +51,20 @@ from .monodromy import (
     inverse,
     pair_orbits_match_classes,
     perm_table,
-    root,
     sheet_lattice,
     then,
     transposition,
 )
+from .profiles import partitions
 
-# Budgets: the largest degree and branch count enumerated tuple by tuple,
-# and the largest degree, branch count and branch-word table the exhaustive
-# scan accepts.  The table has 15,405 (product, letter set) keys at
-# (d, b) = (6, 4) and 32,018 at (5, 6), both admitted; (5, 7) has 42,520
+# Budgets: the largest branch count and tuple_count enumerated tuple by
+# tuple, and the largest degree, branch count and branch-word table the
+# exhaustive scan accepts.  The table has 15,405 (product, letter set) keys
+# at (d, b) = (6, 4) and 32,018 at (5, 6), both admitted; (5, 7) has 42,520
 # and (6, 5) 111,420.  At d <= 4 the table stops growing (516 keys), so
 # only the bound on b stops a long scan; (4, 100) takes 0.3 s of CPU.
-MAX_ENUM_D = 5
 MAX_ENUM_B = 6
+MAX_ENUM_TUPLES = 3_000_000
 MAX_SCAN_D = 6
 MAX_SCAN_B = 100
 MAX_SCAN_WORD_KEYS = 40_000
@@ -148,13 +148,26 @@ def _words_by_product(mul, id_i: int, transps, b: int) -> dict:
     return words
 
 
+def tuple_count(d: int, b: int) -> int:
+    """The tuples (A, B, T_1..T_b) of d sheets with [A, B] = T_1..T_b,
+    transitive or not: d! * sum over partitions lam of d of c(lam)^b, by
+    Frobenius, the content sum c(lam) being a transposition's central character."""
+    contents = (sum(n * (n - 1) // 2 - i * n for i, n in enumerate(lam)) for lam in partitions(d))
+    return math.factorial(d) * sum(c**b for c in contents)
+
+
 def enumerate_tuples(d: int, g: int) -> list[HurwitzTuple]:
-    """All valid tuples for degree d, source genus g (so b = 2g - 2)."""
+    """All valid tuples for degree d, source genus g (so b = 2g - 2).  Past
+    ``MAX_ENUM_B``, the tables' d <= 6 or ``MAX_ENUM_TUPLES`` tuples by
+    :func:`tuple_count` it raises :class:`BudgetExceeded` before enumerating."""
     b = branch_points(g)
-    if d > MAX_ENUM_D or b > MAX_ENUM_B:
-        raise BudgetExceeded(
-            f"enumeration guard: d={d} > {MAX_ENUM_D} or b={b} > {MAX_ENUM_B}"
-        )
+    if b > MAX_ENUM_B:
+        raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
+    if d >= 1:  # a smaller d falls through to iter_tuples' domain error
+        perm_table(d)  # refuses d > 6 before the partitions of d are listed
+        count = tuple_count(d, b)
+        if count > MAX_ENUM_TUPLES:
+            raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
     return list(iter_tuples(d, b))
 
 

@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-
-class BudgetExceeded(RuntimeError):
-    """A computation would pass one of the library's resource budgets.
-
-    Defined in this module, which imports no other part of the library, so
-    that every module and the CLI name one class."""
+from .base import BudgetExceeded
 
 
 # The largest sublattice index, and the largest degree, the enumerators

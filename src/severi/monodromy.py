@@ -26,8 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattices import IDENTITY, BudgetExceeded, Lattice2, hnf
-from .states import InvalidState, _expect, _field
+from .base import BudgetExceeded, InvalidState, expect, field_of, root
+from .lattices import IDENTITY, Lattice2, hnf
 
 # The largest group order a closure may reach: |S_8|.
 MAX_CLOSURE_ORDER = 40_320
@@ -138,30 +138,30 @@ class HurwitzTuple:
         """Parse a tuple in the shape of ``docs/tuple.schema.json``.
 
         A document of the wrong shape, or with ``d`` below 1, raises
-        :class:`~.states.InvalidState` naming the field; ``d`` above
+        :class:`~.base.InvalidState` naming the field; ``d`` above
         ``MAX_TUPLE_D`` raises :class:`BudgetExceeded` before any
         permutation is built.  An omitted A, B or T means the identity or
         no branch letters."""
-        _expect(data, "object", "tuple")
-        d = _field(data, "d", "integer", "tuple")
+        expect(data, "object", "tuple")
+        d = field_of(data, "d", "integer", "tuple")
         if d < 1:
             raise InvalidState(f"tuple.d must be at least 1, got {d}")
         if d > MAX_TUPLE_D:
             raise BudgetExceeded(f"tuple.d={d} > {MAX_TUPLE_D}")
         A = _perm_from_json(d, data.get("A", []), "tuple.A")
         B = _perm_from_json(d, data.get("B", []), "tuple.B")
-        T = _field(data, "T", "array", "tuple", default=[])
+        T = field_of(data, "T", "array", "tuple", default=[])
         return HurwitzTuple(
             d, A, B, tuple(_perm_from_json(d, c, f"tuple.T[{i}]") for i, c in enumerate(T))
         )
 
 
 def _perm_from_json(d: int, cycles, where: str) -> tuple[int, ...]:
-    _expect(cycles, "array", where)
+    expect(cycles, "array", where)
     for i, cyc in enumerate(cycles):
-        _expect(cyc, "array", f"{where}[{i}]")
+        expect(cyc, "array", f"{where}[{i}]")
         for x in cyc:
-            _expect(x, "integer", f"{where}[{i}]")
+            expect(x, "integer", f"{where}[{i}]")
     return perm_from_cycles(d, cycles)
 
 
@@ -423,15 +423,6 @@ def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
     # when it is injective as well
     reps = list(orbit_of_class.values())
     return len(set(reps)) == len(reps)
-
-
-def root(parent, x):
-    """Union-find root of x in the forest ``parent`` (a list or a dict that
-    maps every node to its parent), halving the path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 # -- dense tables for small degrees ------------------------------------------

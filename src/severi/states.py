@@ -22,14 +22,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from .base import InvalidState, expect, field_of
 from .profiles import Profile
 
 PT = "pt"
 SYM = "sym"
-
-
-class InvalidState(ValueError):
-    """A state violating one of its structural invariants."""
 
 
 @dataclass(frozen=True)
@@ -346,72 +343,45 @@ def state_from_json(data) -> SeveriState:
     A document of the wrong shape (not an object, a missing field, a field
     of the wrong JSON type) raises :class:`InvalidState` naming the field.
     """
-    _expect(data, "object", "state")
+    expect(data, "object", "state")
     alpha = []
-    for i, a in enumerate(_field(data, "alpha", "array", "state", default=[])):
+    for i, a in enumerate(field_of(data, "alpha", "array", "state", default=[])):
         at = f"state.alpha[{i}]"
-        _expect(a, "object", at)
-        alpha.append((_field(a, "mult", "integer", at), _field(a, "point", "string", at)))
+        expect(a, "object", at)
+        alpha.append((field_of(a, "mult", "integer", at), field_of(a, "point", "string", at)))
     betas = []
-    for j, b in enumerate(_field(data, "betas", "array", "state", default=[])):
+    for j, b in enumerate(field_of(data, "betas", "array", "state", default=[])):
         at = f"state.betas[{j}]"
-        _expect(b, "object", at)
-        profile = _field(b, "profile", "array", at)
+        expect(b, "object", at)
+        profile = field_of(b, "profile", "array", at)
         for x in profile:
-            _expect(x, "integer", f"{at}.profile")
-        bundle = _bundle_from_json(_field(b, "L", "object", at), f"{at}.L")
+            expect(x, "integer", f"{at}.profile")
+        bundle = _bundle_from_json(field_of(b, "L", "object", at), f"{at}.L")
         betas.append((Profile(tuple(profile)), bundle))
     return SeveriState(
-        d=_field(data, "d", "integer", "state"),
-        N=_field(data, "N", "integer", "state"),
-        g=_field(data, "g", "integer", "state"),
+        d=field_of(data, "d", "integer", "state"),
+        N=field_of(data, "N", "integer", "state"),
+        g=field_of(data, "g", "integer", "state"),
         alpha=tuple(alpha),
         betas=tuple(betas),
     )
 
 
 def _bundle_from_json(data, where: str) -> LineBundle:
-    _expect(data, "object", where)
+    expect(data, "object", where)
     terms = []
-    for i, t in enumerate(_field(data, "expr", "array", where, default=[])):
+    for i, t in enumerate(field_of(data, "expr", "array", where, default=[])):
         at = f"{where}.expr[{i}]"
-        _expect(t, "object", at)
+        expect(t, "object", at)
         terms.append(
             (
-                _field(t, "kind", "string", at),
-                _field(t, "name", "string", at),
-                _field(t, "deg", "integer", at),
-                _field(t, "coeff", "integer", at),
+                field_of(t, "kind", "string", at),
+                field_of(t, "name", "string", at),
+                field_of(t, "deg", "integer", at),
+                field_of(t, "coeff", "integer", at),
             )
         )
     lb = LineBundle(tuple(terms))
-    if _field(data, "degree", "integer", where, default=lb.degree) != lb.degree:
+    if field_of(data, "degree", "integer", where, default=lb.degree) != lb.degree:
         raise ValueError(f"stated degree {data['degree']} != expression degree {lb.degree}")
     return lb
-
-
-_JSON_TYPES = {
-    dict: "object",
-    list: "array",
-    str: "string",
-    int: "integer",
-    float: "number",
-    bool: "boolean",
-    type(None): "null",
-}
-_REQUIRED = object()
-
-
-def _expect(value, kind: str, where: str) -> None:
-    got = _JSON_TYPES.get(type(value), type(value).__name__)
-    if got != kind:
-        raise InvalidState(f"{where} must be a JSON {kind}, got {got}")
-
-
-def _field(obj: dict, name: str, kind: str, where: str, default=_REQUIRED):
-    if name not in obj:
-        if default is _REQUIRED:
-            raise InvalidState(f"{where} is missing the field {name!r}")
-        return default
-    _expect(obj[name], kind, f"{where}.{name}")
-    return obj[name]

@@ -74,7 +74,15 @@ def test_usage_error_exit_code():
 
 
 def test_budget_exit_code():
-    run_cli("hurwitz", "orbits", "--d", "6", "--g", "2", expect=3)
+    # (d, b) = (5, 6) has 243,765,360 tuples: refused by its count, before
+    # enumerating any
+    args = ("hurwitz", "orbits", "--d", "5", "--g", "4")
+    proc = subprocess.run(
+        [sys.executable, "-m", "severi.cli", *args], capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
 
 
 def test_tuple_sheet_count_over_budget_exit_code(tmp_path):

@@ -16,6 +16,7 @@ from severi.states import (
     SeveriState,
     canonical_key,
     dimension,
+    is_normalized,
     key_tuple,
     normalize,
     point,
@@ -119,37 +120,6 @@ def test_general_type_one_distinct_children():
         assert t.child.betas[j][1].degree == s.betas[j][1].degree - n
 
 
-def test_general_agrees_with_simple_up_to_small_tau(rng):
-    """On common ground the two statements differ exactly by the size-one
-    tau terms, which only the transverse-case statement admits."""
-    checked = 0
-    while checked < 20:
-        d = rng.randint(2, 5)
-        b = rng.randint(2, d)
-        a = d - b
-        g = rng.randint(2, 5)
-        N = rng.randint(1, 4)
-        s = simple_state(d, N, g, a, b)
-        simple = dg.successors_simple(s)
-        general = dg.successors_general(s)
-
-        def norm_kind(t):
-            if t.kind == "II":
-                return "IIa" if not t.kept else "IIb"
-            return t.kind
-
-        simple_keys = {
-            (t.kind, t.m, t.tau.entries, key_tuple(t.child)) for t in simple
-        }
-        general_keys = {
-            (norm_kind(t), t.m, t.tau.entries, key_tuple(t.child)) for t in general
-        }
-        assert general_keys <= simple_keys
-        extra = simple_keys - general_keys
-        assert all(len(k[2]) == 1 for k in extra)
-        checked += 1
-
-
 # -- an independent oracle ---------------------------------------------------
 # The two statements of the module docstring, enumerated the slow way: every
 # moving point, every subset of the fixed points and every m on its own,
@@ -215,13 +185,17 @@ def test_general_matches_oracle(mode, rng):
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
 def test_simple_matches_oracle(mode):
-    """IIa and IIb labels and the size-one tau terms included."""
-    small_tau = 0
+    """IIa and IIb labels and the size-one tau terms included; on the grid's
+    normalized states the general statement matches its own oracle too."""
+    small_tau = general = 0
     for s in transverse_states(5):
         expected = oracle_terms(s, mode, simple=True)
         assert term_keys(dg.successors_simple(s, mode), mode) == expected
         small_tau += sum(len(tau) == 1 for _, _, tau, _ in expected)
-    assert small_tau
+        if is_normalized(s):
+            assert term_keys(dg.successors_general(s, mode), mode) == oracle_terms(s, mode)
+            general += 1
+    assert small_tau and general
 
 
 def test_dimension_drop_on_random_corpus(rng):

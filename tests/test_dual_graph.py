@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,22 @@ def nodal_genus_oracle(gr: CentralFiber) -> int:
     return sum(genera) + len(gr.edges) - len(genera) + 1
 
 
+def grouped_genus_oracle(gr: CentralFiber) -> int:
+    """The grouped degree identity over rationals, each degree read off the
+    edges:  g - 1 = (p_a(X)-1) + (p_a(E~)-1) + (d_X + d_E~)/2
+                    + sum_i (g(Z_i) - 1 + d_{Z_i}/2)."""
+    d_x = Fraction(gr.degree("X"))
+    d_e = Fraction(sum(gr.degree(f"E{i}") for i in range(len(gr.e_parts))))
+    val = (
+        Fraction(gr.x_genus - 1)
+        + sum(g - 1 for g, _ in gr.e_parts)
+        + (d_x + d_e) / 2
+        + sum(Fraction(gz - 1) + Fraction(gr.degree(f"Z{i}")) / 2 for i, gz in enumerate(gr.z_parts))
+    )
+    assert val.denominator == 1
+    return int(val) + 1
+
+
 def test_random_graphs_match_oracle_and_claims():
     rng = random.Random(99)
     produced = 0
@@ -140,7 +157,7 @@ def test_random_graphs_match_oracle_and_claims():
             continue
         produced += 1
         g = arithmetic_genus(gr)
-        assert g == nodal_genus_oracle(gr)
+        assert g == nodal_genus_oracle(gr) == grouped_genus_oracle(gr)
         t = compute_T(gr)
         d_x = gr.degree("X")
         d_e = sum(gr.degree(f"E{i}") for i in range(len(gr.e_parts)))

@@ -10,6 +10,7 @@ import pytest
 
 from severi import words as wd
 from severi.hurwitz import (
+    MAX_ENUM_TUPLES,
     MAX_SCAN_B,
     MAX_SCAN_WORD_KEYS,
     PUSH_A,
@@ -30,6 +31,7 @@ from severi.hurwitz import (
     move_images,
     orbits,
     scan_monodromy,
+    tuple_count,
 )
 from severi.lattices import IDENTITY, hurwitz_component_count
 from severi.monodromy import (
@@ -116,10 +118,32 @@ def test_enumeration_is_pinned(d, g):
 
 
 def test_enumeration_guard():
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: d=6 > 5 or b=2 > 6$"):
-        enumerate_tuples(6, 2)
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: d=4 > 5 or b=8 > 6$"):
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(5, 6\) = 243765360 > 3000000$"):
+        enumerate_tuples(5, 4)
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: b=8 > 6$"):
         enumerate_tuples(4, 5)
+    with pytest.raises(BudgetExceeded, match=r"^dense tables are limited to d <= 6$"):
+        enumerate_tuples(7, 2)
+    # everything admitted before the count budget stays admitted but (5, 6)
+    assert tuple_count(5, 4) <= MAX_ENUM_TUPLES < tuple_count(5, 6)
+
+
+@pytest.mark.parametrize("d,b", [(2, 2), (3, 2), (4, 2), (3, 4), (2, 6)])
+def test_tuple_count_is_the_table_count(d, b):
+    """Frobenius's count against every (A, B) and every branch word, counted
+    on the multiplication table, transitive or not."""
+    perms, index, mul, inv, transps = perm_table(d)
+    words = Counter({index[identity(d)]: 1})
+    for _ in range(b):
+        grown = Counter()
+        for p, n in words.items():
+            for t in transps:
+                grown[mul[p][t]] += n
+        words = grown
+    count = sum(
+        words[mul[mul[mul[a][c]][inv[a]]][inv[c]]] for a in range(len(perms)) for c in range(len(perms))
+    )
+    assert tuple_count(d, b) == count
 
 
 def test_everything_enumerated_is_valid():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from severi import hurwitz, monodromy
+from severi import base, hurwitz, monodromy, states
 from severi.lattices import (
     IDENTITY,
     MAX_LATTICE_INDEX,
@@ -205,6 +205,8 @@ def test_enumerators_over_budget():
 
 def test_one_budget_exception_class():
     assert monodromy.BudgetExceeded is hurwitz.BudgetExceeded is BudgetExceeded
+    assert BudgetExceeded is base.BudgetExceeded
+    assert states.InvalidState is base.InvalidState
 
 
 def test_residues_and_reduce(rng):

@@ -40,35 +40,56 @@ def loaded_modules(code: str, *args: str) -> tuple[int, set[str]]:
     return exit_code, {m.removeprefix("severi.") for m in modules}
 
 
+# Every subcommand loads the leaf module base; the genus bound and the
+# monodromy factorization load nothing of the other half of the package.
 @pytest.mark.parametrize(
     "args,expected",
     [
-        (("dim", "--d", "3", "--g", "2", "--b", "3"), {"cli", "surfaces"}),
-        (
-            ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2",
-             "--b", "0", "--g", "3"),
-            {"cli", "surfaces"},
-        ),
-        (("lattice", "counts", "--d", "6"), {"cli", "lattices"}),
-        (("lattice", "snf", "--rows", "2,0;0,4"), {"cli", "lattices"}),
         (
             ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-            {"cli", "degeneration", "states", "profiles"},
+            {"cli", "base", "degeneration", "states", "profiles"},
+        ),
+        (
+            ("terms", "--state", str(FIXTURES / "state_simple.json")),
+            {"cli", "base", "degeneration", "states", "profiles"},
         ),
         (
             ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-            {"cli", "degeneration", "states", "profiles"},
+            {"cli", "base", "degeneration", "states", "profiles"},
+        ),
+        (("dim", "--d", "3", "--g", "2", "--b", "3"), {"cli", "base", "surfaces"}),
+        (
+            ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2",
+             "--b", "0", "--g", "3"),
+            {"cli", "base", "surfaces"},
+        ),
+        (
+            ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
+            {"cli", "base", "dual_graph"},
+        ),
+        (("lattice", "counts", "--d", "6"), {"cli", "base", "lattices"}),
+        (("lattice", "snf", "--rows", "2,0;0,4"), {"cli", "base", "lattices"}),
+        (
+            ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
+            {"cli", "base", "lattices", "monodromy"},
+        ),
+        (
+            ("hurwitz", "orbits", "--d", "4", "--g", "2"),
+            {"cli", "base", "hurwitz", "lattices", "monodromy", "profiles", "words"},
         ),
     ],
-    ids=["dim", "gamma", "lattice-counts", "lattice-snf", "terms", "forest"],
+    ids=[
+        "terms", "terms-simple", "forest", "dim", "gamma", "genusbound",
+        "lattice-counts", "lattice-snf", "mono-factor", "hurwitz-orbits",
+    ],
 )
 def test_subcommand_loads_only_its_modules(args, expected):
     assert loaded_modules(PROBE, *args) == (0, expected)
 
 
-def test_mono_factor_does_not_load_hurwitz():
-    code, modules = loaded_modules(PROBE, "mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json"))
-    assert code == 0 and "monodromy" in modules and "hurwitz" not in modules
+def test_base_imports_no_other_module():
+    probe = 'import json, sys, severi.base\nprint(json.dumps([0, [m for m in sys.modules if m.startswith("severi.")]]))'
+    assert loaded_modules(probe) == (0, {"base"})
 
 
 def test_import_severi_loads_no_submodule():
