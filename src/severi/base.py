@@ -1,9 +1,13 @@
 """What every layer shares: the two exception classes, the shape checks of
-the JSON readers, and a union-find root.  It imports no other part of the
-library, so that the hyperplane-section half (:mod:`.states`,
-:mod:`.dual_graph`) and the Hurwitz half (:mod:`.lattices`,
-:mod:`.monodromy`) and the CLI can each name an exception or read a field
-without loading the other half."""
+the JSON readers, a union-find root and the names of the two canonical-key
+modes.  It imports no other part of the library, so that the
+hyperplane-section half (:mod:`.states`, :mod:`.dual_graph`) and the
+Hurwitz half (:mod:`.lattices`, :mod:`.monodromy`) and the CLI can each
+name an exception or read a field without loading the other half, and the
+CLI's parser can offer the key modes without loading :mod:`.states`."""
+
+DEGREE = "degree"
+SYMBOLIC = "symbolic"
 
 
 class InvalidState(ValueError):

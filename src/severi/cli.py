@@ -7,9 +7,10 @@ so identical inputs produce byte-identical output.  Exit codes: 0 success,
 
 A subcommand imports only the modules it runs: each ``cmd_*`` function
 imports its own, and at module level only the leaf :mod:`.base` is loaded,
-for the budget exception.  Every invocation is a cold process, whose cost is
-mostly interpreter start-up and imports, so ``dim`` loads :mod:`.surfaces`
-alone and ``mono factor`` does not load :mod:`.hurwitz`.
+for the budget exception and the key-mode names.  Every invocation is a cold
+process, whose cost is mostly interpreter start-up and imports, so ``dim``
+loads :mod:`.surfaces` alone and ``mono factor`` does not load
+:mod:`.hurwitz`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import argparse
 import json
 import sys
 
-from .base import BudgetExceeded
+from .base import DEGREE, SYMBOLIC, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
@@ -61,10 +61,6 @@ _MODELS = {
     "quadric": lambda sf: sf.quadric(),
     "p2": lambda sf: sf.projective_plane(),
 }
-
-# states.DEGREE and states.SYMBOLIC, spelled out so that building the parser
-# imports no library module; a test pins them to the constants.
-_KEY_MODES = ("degree", "symbolic")
 
 
 def cmd_terms(args) -> int:
@@ -228,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("terms", help="hyperplane-section terms of a state")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--simple", action="store_true", help="use the transverse-case enumerator")
-    p.add_argument("--key-mode", choices=_KEY_MODES, default=_KEY_MODES[0])
+    p.add_argument("--key-mode", choices=(DEGREE, SYMBOLIC), default=DEGREE)
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("forest", help="iterated hyperplane-section forest")
     p.add_argument("--root", required=True, help="root state JSON file")
     p.add_argument("--floor", type=int, default=0, help="do not expand nodes at or below this dimension")
     p.add_argument("--max-nodes", type=int, default=10_000)
-    p.add_argument("--key-mode", choices=_KEY_MODES, default=_KEY_MODES[0])
+    p.add_argument("--key-mode", choices=(DEGREE, SYMBOLIC), default=DEGREE)
     p.add_argument("--dot", help="write a DOT rendering to this path")
     p.set_defaults(func=cmd_forest)
 

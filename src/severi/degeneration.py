@@ -353,8 +353,7 @@ class Forest:
         return {
             "nodes": {k: _state_json(v, memo) for k, v in sorted(self.nodes.items())},
             "edges": [
-                {"parent": e.parent, "child": e.child, "factor": e.factor}
-                | _term_json(e.term, memo)
+                {"parent": e.parent, "factor": e.factor} | _term_json(e.term, memo)
                 for e in self.edges
             ],
             "roots": sorted(self.roots),

@@ -43,6 +43,7 @@ from . import words as wd
 from .base import BudgetExceeded, root
 from .lattices import IDENTITY, Lattice2, sublattices
 from .monodromy import (
+    MAX_TABLE_D,
     HurwitzTuple,
     check_valid,
     compose,
@@ -58,14 +59,14 @@ from .monodromy import (
 from .profiles import partitions
 
 # Budgets: the largest branch count and tuple_count enumerated tuple by
-# tuple, and the largest degree, branch count and branch-word table the
-# exhaustive scan accepts.  The table has 15,405 (product, letter set) keys
-# at (d, b) = (6, 4) and 32,018 at (5, 6), both admitted; (5, 7) has 42,520
-# and (6, 5) 111,420.  At d <= 4 the table stops growing (516 keys), so
-# only the bound on b stops a long scan; (4, 100) takes 0.3 s of CPU.
+# tuple, and the largest branch count and branch-word table the exhaustive
+# scan accepts; the degree bound of both is ``MAX_TABLE_D``.  The table has
+# 15,405 (product, letter set) keys at (d, b) = (6, 4) and 32,018 at (5, 6),
+# both admitted; (5, 7) has 42,520 and (6, 5) 111,420.  At d <= 4 the table
+# stops growing (516 keys), so only the bound on b stops a long scan;
+# (4, 100) takes 0.3 s of CPU.
 MAX_ENUM_B = 6
 MAX_ENUM_TUPLES = 3_000_000
-MAX_SCAN_D = 6
 MAX_SCAN_B = 100
 MAX_SCAN_WORD_KEYS = 40_000
 
@@ -158,13 +159,12 @@ def tuple_count(d: int, b: int) -> int:
 
 def enumerate_tuples(d: int, g: int) -> list[HurwitzTuple]:
     """All valid tuples for degree d, source genus g (so b = 2g - 2).  Past
-    ``MAX_ENUM_B``, the tables' d <= 6 or ``MAX_ENUM_TUPLES`` tuples by
+    ``MAX_ENUM_B``, ``MAX_TABLE_D`` or ``MAX_ENUM_TUPLES`` tuples by
     :func:`tuple_count` it raises :class:`BudgetExceeded` before enumerating."""
     b = branch_points(g)
     if b > MAX_ENUM_B:
         raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
-    if d >= 1:  # a smaller d falls through to iter_tuples' domain error
-        perm_table(d)  # refuses d > 6 before the partitions of d are listed
+    if 1 <= d <= MAX_TABLE_D:  # iter_tuples refuses any other d
         count = tuple_count(d, b)
         if count > MAX_ENUM_TUPLES:
             raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
@@ -342,6 +342,11 @@ class _PackedMoves:
 # -- orbits ---------------------------------------------------------------------
 
 
+def _per_lattice(counts: dict, name: str) -> list:
+    """The JSON list of ``counts``, a count per lattice, in lattice order."""
+    return [{"lattice": lat.to_json(), name: n} for lat, n in sorted(counts.items())]
+
+
 @dataclass
 class OrbitReport:
     """The orbit partition of a tuple set under the moves.
@@ -370,14 +375,8 @@ class OrbitReport:
             "b": self.b,
             "tuple_count": len(self.tuples),
             "orbit_count": self.orbit_count,
-            "census": [
-                {"lattice": lat.to_json(), "tuples": n}
-                for lat, n in sorted(self.census.items())
-            ],
-            "orbits_per_lattice": [
-                {"lattice": lat.to_json(), "orbits": n}
-                for lat, n in sorted(self.lattice_of_orbit.items())
-            ],
+            "census": _per_lattice(self.census, "tuples"),
+            "orbits_per_lattice": _per_lattice(self.lattice_of_orbit, "orbits"),
         }
 
 
@@ -385,16 +384,16 @@ def orbits(tuples) -> OrbitReport:
     """Union-find closure of the move action on relabeling classes; reports
     the orbit count and, per orbit, the common invariant lattice.
 
-    The tuples must share one degree d <= 6 and one branch count, and none
-    may repeat.  One pass of ``perm_table`` lookups, one per entry, checks
-    each tuple (every T a transposition, T_1..T_b = [A, B]) and packs it as
-    one int (:class:`_PackedMoves`).  In input order, the first tuple not
-    yet placed opens a class, which takes all its conjugates by S_d, and the
-    invariant lattice is computed once per class.  Only the braid and
-    handle moves are applied, to that first tuple, and the classes of the
-    images are joined; the module docstring says why this gives the orbits
-    of the whole move set.  Every conjugate and every image must be in the
-    set.
+    The tuples must share one degree d <= ``MAX_TABLE_D`` and one branch
+    count, and none may repeat.  One pass of ``perm_table`` lookups, one per
+    entry, checks each tuple (every T a transposition, T_1..T_b = [A, B])
+    and packs it as one int (:class:`_PackedMoves`).  In input order, the
+    first tuple not yet placed opens a class, which takes all its conjugates
+    by S_d, and the invariant lattice is computed once per class.  Only the
+    braid and handle moves are applied, to that first tuple, and the classes
+    of the images are joined; the module docstring says why this gives the
+    orbits of the whole move set.  Every conjugate and every image must be
+    in the set.
     """
     tuples = list(tuples)
     if not tuples:
@@ -546,10 +545,7 @@ class ScanReport:
             "kernel_checked": self.kernel_checked,
             "kernel_failures": self.kernel_failures,
             "blockpair_failures": self.blockpair_failures,
-            "census": [
-                {"lattice": lat.to_json(), "tuples": n}
-                for lat, n in sorted(self.census.items())
-            ],
+            "census": _per_lattice(self.census, "tuples"),
             "ok": self.ok,
         }
 
@@ -593,8 +589,8 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     tallied only for b >= 1.  Counts failures instead of raising, so a red
     run is inspectable.
     """
-    if d > MAX_SCAN_D:
-        raise BudgetExceeded(f"scan guard: d={d} > {MAX_SCAN_D}")
+    if d > MAX_TABLE_D:
+        raise BudgetExceeded(f"scan guard: d={d} > {MAX_TABLE_D}")
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
     if b > MAX_SCAN_B:

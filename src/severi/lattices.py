@@ -114,18 +114,9 @@ def snf(L: Lattice2) -> tuple[int, int]:
     return d1, L.index // d1
 
 
-def cokernel_invariant(L: Lattice2) -> tuple[int, int]:
-    """(m, n) with Z^2 / L isomorphic to C_m + C_n, m | n."""
-    return snf(L)
-
-
 def m_invariant(L: Lattice2) -> int:
     """Largest m with L contained in m*Z^2; the cover is reduced iff m = 1."""
     return snf(L)[0]
-
-
-def is_reduced(L: Lattice2) -> bool:
-    return m_invariant(L) == 1
 
 
 def sublattices(e: int) -> tuple[Lattice2, ...]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .base import BudgetExceeded, InvalidState, expect, field_of, root
 from .lattices import IDENTITY, Lattice2, hnf
@@ -34,6 +34,9 @@ MAX_CLOSURE_ORDER = 40_320
 
 # The largest sheet count a tuple document may name.
 MAX_TUPLE_D = 10_000
+
+# The largest degree d whose S_d has a dense table, :func:`perm_table`.
+MAX_TABLE_D = 6
 
 
 # -- permutations on {0..d-1}, word form -------------------------------------
@@ -353,15 +356,7 @@ class KernelReport:
     ok: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "e": self.e,
-            "dtilde": self.dtilde,
-            "quotient_order": self.quotient_order,
-            "expected": self.expected,
-            "actual": self.actual,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def kernel_order_check(t: HurwitzTuple) -> KernelReport:
@@ -431,8 +426,8 @@ def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
 @functools.lru_cache(maxsize=None)
 def perm_table(d: int):
     """Dense multiplication table for S_d, for the exhaustive scans."""
-    if d > 6:
-        raise BudgetExceeded("dense tables are limited to d <= 6")
+    if d > MAX_TABLE_D:
+        raise BudgetExceeded(f"dense tables are limited to d <= {MAX_TABLE_D}")
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     mul = [[index[compose(p, q)] for q in perms] for p in perms]

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .base import InvalidState, expect, field_of
+from .base import DEGREE, SYMBOLIC, InvalidState, expect, field_of
 from .profiles import Profile
 
 PT = "pt"
@@ -215,9 +215,6 @@ def _normalize(s: SeveriState) -> tuple[SeveriState, int]:
 
 # -- canonical keys ----------------------------------------------------------
 
-DEGREE = "degree"
-SYMBOLIC = "symbolic"
-
 _TIE_CAP = 720  # refuse to branch over more relabelings than this
 
 
@@ -278,24 +275,22 @@ def _symbolic_part(alpha, betas):
     for beta, bundle in betas:
         points = [(n, c) for k, n, _, c in bundle.terms if k == PT]
         groups.append(((beta.entries, bundle.degree), points, bundle.terms[len(points) :]))
+    # only the points named in a bundle appear in the forms, each by its
+    # positional name unless a placement of its run's names moves it; a
+    # named point alone in its run has one placement, the positional one
+    named = {n for _, points, _ in groups for n, _ in points}
+    positional = {lbl: n for (_, lbl), n in zip(alpha, names) if lbl in named}
     runs = _order_runs(alpha)
     if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
-        return alpha_part, _group_forms(groups, {lbl: n for (_, lbl), n in zip(alpha, names)})
-    # only the placements of a run's points named in a bundle on its names
-    # change the forms; a named point alone in its run has one
-    named = {n for _, points, _ in groups for n, _ in points}
-    fixed, placements, start = {}, [], 0
+        return alpha_part, _group_forms(groups, positional)
+    placements, start = [], 0
     for run in runs:
         labels = [lbl for _, lbl in run if lbl in named]
         run_names, start = names[start : start + len(run)], start + len(run)
-        if len(run) == 1:
-            fixed.update(zip(labels, run_names))
-        elif labels:
+        if len(run) > 1 and labels:
             perms = itertools.permutations(run_names, len(labels))
             placements.append([tuple(zip(labels, p)) for p in perms])
-    if not placements:
-        return alpha_part, _group_forms(groups, fixed)
-    mappings = (dict(itertools.chain(fixed.items(), *c)) for c in itertools.product(*placements))
+    mappings = (positional | dict(itertools.chain(*c)) for c in itertools.product(*placements))
     return alpha_part, min(_group_forms(groups, mapping) for mapping in mappings)
 
 

@@ -63,15 +63,6 @@ def conjugate_of(word: Word, sym: str) -> bool:
     return cyclic_reduce(word) == ((sym, 1),)
 
 
-def substitute(word: Word, assignment: dict) -> Word:
-    """Replace each letter by a word; the assignment maps symbols to words."""
-    out: Word = ()
-    for sym, exp in word:
-        piece = assignment[sym]
-        out = mul(out, piece if exp == 1 else inv(piece))
-    return out
-
-
 def evaluate(word: Word, values: dict, compose, identity, invert):
     """Evaluate a word in a group: ``compose(x, y)`` applies x then y, and
     juxtaposition in the word means exactly that."""

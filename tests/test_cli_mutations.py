@@ -1,10 +1,15 @@
-"""Seeded mutations of the CLI's input documents, run in process through
-``cli.main``.  Each mutation replaces one node of a fixture with a value of
-another shape or size, or deletes it.  Whatever the document, the exit code
-is 0-3, no exception escapes, and a failure prints at most one stderr line.
+"""Mutations of the CLI's inputs, run in process through ``cli.main``.
+
+A seeded mutation of an input document replaces one node of a fixture with
+a value of another shape or size, or deletes it.  A mutation of a
+flag-driven subcommand replaces one flag value with each of a fixed set of
+values.  Whatever the input, the exit code is 0-3 and no exception escapes;
+a failure prints at most one stderr line, and a domain or budget error
+exactly one.
 """
 
 import copy
+import itertools
 import json
 import random
 from pathlib import Path
@@ -74,3 +79,47 @@ def test_mutated_documents_exit_cleanly(fixture, args, tmp_path, capsys):
         assert code in (0, 1, 2, 3), where
         if code:
             assert len(err.splitlines()) <= 1, where
+
+
+# the flag-driven subcommands, each with admitted flag values
+FLAG_COMMANDS = [
+    ["dim", "--d", "3", "--g", "2", "--b", "3"],
+    ["gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2", "--b", "0", "--g", "3"],
+    ["lattice", "snf", "--rows", "2,0;0,4"],
+    ["lattice", "sublattices", "--e", "6"],
+    ["lattice", "hat", "--rows", "2,0;0,4", "--D", "3"],
+    ["lattice", "counts", "--d", "6"],
+    ["mono", "scan", "--d", "4", "--b", "2"],
+    ["hurwitz", "orbits", "--d", "4", "--g", "2"],
+]
+
+# 6 is left out as a degree: hurwitz orbits admits (6, 2), which takes seconds
+FLAG_VALUES = [
+    "-1", "0", "1", "2", "7", str(10**12), str(-(10**12)),
+    "x", "", "1.5", "3,", "1,2,3", ";", "0,0", "1,0;0,0",
+]
+
+
+def exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        return exc.code
+
+
+def subcommand(argv) -> str:
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("--"), argv))
+
+
+@pytest.mark.parametrize("argv", FLAG_COMMANDS, ids=map(subcommand, FLAG_COMMANDS))
+def test_mutated_flags_exit_cleanly(argv, capsys):
+    assert exit_code(argv) == 0
+    capsys.readouterr()
+    for i in [i + 1 for i, a in enumerate(argv) if a.startswith("--")]:
+        for value in FLAG_VALUES:
+            mutant = argv[:i] + [value] + argv[i + 1 :]
+            code = exit_code(mutant)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), mutant
+            if code in (1, 3):
+                assert len(err.splitlines()) == 1, mutant

@@ -661,7 +661,7 @@ def unshared_forest_json(forest):
     return {
         "nodes": {k: state_to_json(v) for k, v in sorted(forest.nodes.items())},
         "edges": [
-            {"parent": e.parent, "child": e.child, "factor": e.factor, **e.term.to_json()}
+            {"parent": e.parent, "factor": e.factor, **e.term.to_json()}
             for e in forest.edges
         ],
         "roots": sorted(forest.roots),

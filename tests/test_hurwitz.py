@@ -118,10 +118,15 @@ def test_enumeration_is_pinned(d, g):
 
 
 def test_enumeration_guard():
+    # the refusals by branch count and by tuple count build no table
+    perm_table.cache_clear()
     with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(5, 6\) = 243765360 > 3000000$"):
         enumerate_tuples(5, 4)
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(6, 4\) = 83481120 > 3000000$"):
+        enumerate_tuples(6, 3)
     with pytest.raises(BudgetExceeded, match=r"^enumeration guard: b=8 > 6$"):
         enumerate_tuples(4, 5)
+    assert perm_table.cache_info().currsize == 0
     with pytest.raises(BudgetExceeded, match=r"^dense tables are limited to d <= 6$"):
         enumerate_tuples(7, 2)
     # everything admitted before the count budget stays admitted but (5, 6)

@@ -6,7 +6,6 @@ from severi.words import (
     inv,
     mul,
     reduce,
-    substitute,
     w,
 )
 
@@ -32,12 +31,6 @@ def test_cyclic_reduce_and_conjugacy():
     assert conjugate_of(word, "t")
     assert not conjugate_of(mul(w("t"), w("t")), "t")
     assert not conjugate_of(inv(w("t")), "t")
-
-
-def test_substitute():
-    word = w("a", ("b", -1))
-    out = substitute(word, {"a": w("x", "y"), "b": w("y")})
-    assert out == w("x")
 
 
 def test_evaluate_left_to_right():
