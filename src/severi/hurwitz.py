@@ -22,8 +22,9 @@ conjugations, so each class is closed under them, and the braid and handle
 moves commute with conjugation, so the images of a class are the classes
 of the images of any one of its tuples.
 
-The exhaustive scan visits one (A, B) pair per orbit of S_d on pairs,
-weighted by the size of the orbit; :func:`scan_monodromy` says why.
+The exhaustive scan visits one (A, B) pair per orbit of S_d on pairs, and
+one letter set per orbit of the pair's stabilizer, each weighted by the
+size of its orbit; :func:`scan_monodromy` says why.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -516,10 +517,13 @@ class ScanReport:
     d: int
     b: int
     tuples: int = 0
-    # transitive (A, B, set of T) groups checked, with A one representative
-    # per conjugacy class and B one per orbit of its centralizer; not in
+    # groups: the transitive (A, B, set of T) groups checked, with A one
+    # representative per conjugacy class, B one per orbit of its
+    # centralizer and the set one per orbit of C(A) ∩ C(B); closure_keys:
+    # the distinct generator sets whose group was closed; neither is in
     # to_json
     groups: int = 0
+    closure_keys: int = 0
     primitive: int = 0
     full: int = 0
     equivalence_failures: int = 0
@@ -583,7 +587,26 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     check.  So B runs over the least-index member of each C(A)-orbit only,
     and the weight of a group is also multiplied by the size of that
     orbit.  The (A, B) pairs visited are then one per orbit of S_d on
-    pairs, and ``groups`` counts only the groups of those pairs.
+    pairs.
+
+    The letter sets of a pair are reduced once more.  Conjugating by c in
+    the stabilizer C(A) ∩ C(B) of the pair fixes A, B and [A, B], and maps
+    the branch words of one letter set one to one onto those of the
+    conjugate set, again changing no check.  So of each orbit of letter
+    sets under the stabilizer only the first set in table order is
+    visited, transitive or not, and its weight is also multiplied by the
+    orbit's size (orbit-stabilizer: the stabilizer's order over that of
+    the set's own stabilizer in it).  ``groups`` counts only the groups
+    visited.
+
+    Fullness is decided on subgroups first.  For each letter t of the set,
+    in order, the group <A, B, t> is closed, and the first one of order d!
+    settles it: a group that contains a subgroup of order d! is S_d.  Only
+    when no such subgroup is full is the group of the whole set closed, so
+    the order the kernel check reads is d! or the true |G|.  No theorem on
+    primitive groups is used, so "primitive iff full" stays a real check.
+    Each closure is cached by its sorted generator indices for the call;
+    ``closure_keys`` counts the distinct ones.
 
     The kernel-order check is a claim about ramified tuples, so it is
     tallied only for b >= 1.  Counts failures instead of raising, so a red
@@ -659,16 +682,33 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                 covered[x] = 1
             weight = len(members) * len(orbit)
             target = mul[mul[row_a[b_i]][inv[a_i]]][inv[b_i]]
+            # the stabilizer of the pair, C(A) ∩ C(B), as (c^-1, c) pairs;
+            # each letter set is visited only if no conjugate came first
+            stabilizer = [(ci, c) for ci, c in centralizer if mul[c][b_i] == mul[b_i][c]]
+            conjugated: set = set()
             for used, branch, words in sets_of_product.get(target, ()):
+                size = 1
+                if len(stabilizer) > 1:
+                    if used in conjugated:
+                        continue
+                    images = {
+                        tuple(sorted(mul[mul[ci][x]][c] for x in used)) for ci, c in stabilizer
+                    }
+                    conjugated |= images
+                    size = len(images)
                 letters, w, lat = sheet_lattice(d, [a, bb, *branch])
                 if lat is None:
                     continue
                 report.groups += 1
-                n = words * weight
+                n = words * weight * size
                 report.tuples += n
                 report.census[lat] = report.census.get(lat, 0) + n
                 primitive = lat == IDENTITY
-                order = closure_order(tuple(sorted({a_i, b_i, *used})))
+                # a group with a subgroup of order d! is S_d; the whole set
+                # is closed only when no {A, B, t} is full
+                order = dfact
+                if not any(closure_order(tuple(sorted({a_i, b_i, t}))) == dfact for t in used):
+                    order = closure_order(tuple(sorted({a_i, b_i, *used})))
                 full = order == dfact
                 if primitive:
                     report.primitive += n
@@ -693,6 +733,7 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                         report.blockpair_failures += n
                 elif not pair_orbits_match_classes(d, letters, lat, w):
                     report.blockpair_failures += n
+    report.closure_keys = len(closure_cache)
     return report
 
 

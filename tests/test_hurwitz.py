@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from severi import hurwitz
 from severi import words as wd
 from severi.hurwitz import (
     MAX_ENUM_TUPLES,
@@ -47,6 +48,7 @@ from severi.monodromy import (
     is_valid,
     kernel_order_check,
     perm_table,
+    sheet_lattice,
     then,
     transposition,
 )
@@ -575,20 +577,30 @@ def test_scan_matches_per_tuple_reference(d, b):
     rep = scan_monodromy(d, b)
     ref = reference_scan(d, b)
     for f in fields(ScanReport):
-        if f.name != "groups":
+        if f.name not in ("groups", "closure_keys"):
             assert getattr(rep, f.name) == getattr(ref, f.name), f.name
     assert 0 < rep.groups <= rep.tuples
 
 
-def test_scan_checks_each_group_once():
-    # A runs over one representative per conjugacy class and B over one
-    # per orbit of the centralizer of A; with B over all of S_d the same
-    # scans have 3,114 and 1,255 groups, and with A over all of S_d too
-    # 16,032 and 16,320
-    assert scan_monodromy(4, 4).groups == 1_061
-    rep = scan_monodromy(5, 2)
-    assert rep.groups == 265
-    assert "groups" not in rep.to_json()
+def test_scan_checks_each_group_once(monkeypatch):
+    # A runs over one representative per conjugacy class, B over one per
+    # orbit of the centralizer of A, and the letter sets, transitive or
+    # not, over one per orbit of C(A) ∩ C(B); each visited set gets one
+    # sheet_lattice call.  With every letter set of each pair the same
+    # scans have 1,061 and 265 groups, with B over all of S_d too 3,114
+    # and 1,255, and with A over all of S_d too 16,032 and 16,320
+    visited = []
+
+    def counted(degree, gens):
+        visited.append(gens)
+        return sheet_lattice(degree, gens)
+
+    monkeypatch.setattr(hurwitz, "sheet_lattice", counted)
+    for d, b, groups, sets, closure_keys in [(4, 4, 713, 777, 137), (5, 2, 136, 294, 92)]:
+        visited.clear()
+        rep = scan_monodromy(d, b)
+        assert (rep.groups, len(visited), rep.closure_keys) == (groups, sets, closure_keys)
+        assert not {"groups", "closure_keys"} & set(rep.to_json())
 
 
 def report_digest(rep) -> str:
@@ -596,7 +608,9 @@ def report_digest(rep) -> str:
 
 
 # sha256 of json.dumps(scan_monodromy(d, b).to_json(), sort_keys=True),
-# recorded from the scan that walked every B in S_d
+# recorded from the scan that walked every B in S_d; (5, 6), the largest
+# branch-word table the scan admits, from the scan that walked B modulo
+# C(A) and every letter set of each pair
 SCAN_SHA256 = {
     (1, 0): "3b1ea750b23d24e0cfe9c9f3204e54994df5863c6fe6f17ef759c09c843f71c5",
     (2, 0): "96870e0f69c23fceffe045d540c2a29029e735ca6e78adf8481eb9ff2ae705e0",
@@ -612,6 +626,7 @@ SCAN_SHA256 = {
     (5, 2): "f9e4c2e318370d4d4f6bd625b8405bb56a4578575765df5437868d2b28b6b070",
     (5, 4): "df2327f540d9cb8bea56f8ac94f196932a4e68424872560eb3dce11097f73e9e",
     (6, 2): "1e29d79069e62b6b64c7e4e702e0a090bfa17fd948a85f701efbbc9a53a6fb3f",
+    (5, 6): "4b722a55381aee032b49e6782c60f36a6781fdf6e7e935acb7684bb7306f6c91",
 }
 
 
