@@ -192,13 +192,11 @@ def cmd_mono(args) -> int:
             }
         )
         return EXIT_OK
-    if args.action == "factor":
-        fac = mo.factorize(t)
-        out = fac.to_json()
-        out["kernel"] = mo.kernel_order_check(t).to_json()
-        _emit(out)
-        return EXIT_OK
-    raise AssertionError(args.action)
+    fac = mo.factorize(t)
+    out = fac.to_json()
+    out["kernel"] = mo.kernel_order_check(t).to_json()
+    _emit(out)
+    return EXIT_OK
 
 
 def cmd_hurwitz(args) -> int:

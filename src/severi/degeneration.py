@@ -31,6 +31,7 @@ tests, not resolved here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -54,7 +55,6 @@ from .states import (
     is_normalized,
     normalize,
     shape_key,
-    state_to_json,
 )
 
 KIND_I = "I"
@@ -208,8 +208,6 @@ def successors_simple(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ...
         raise InvalidState("simple enumerator needs transverse contact only")
     if s.g < 2:
         raise InvalidState(f"simple statement requires g >= 2, got g={s.g}")
-    if beta.size < 1:
-        raise InvalidState("simple enumerator needs a moving point")
     return _successors(s, key_mode, simple=True)
 
 
@@ -388,7 +386,7 @@ def build_forest(
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     forest = Forest()
     shapes: dict = {}
-    strings: dict = {}
+    key_string = functools.cache(_key_string)
     memo: dict = {}  # ((d, alpha, betas), kind) -> rows
     listers = {KIND_I: _type_one_rows, KIND_II: _type_two_rows}
     queue: deque = deque()
@@ -396,9 +394,7 @@ def build_forest(
     def insert(state: SeveriState, key: tuple):
         """The key string of ``state``, added as a node if it is new; None
         once the budget is spent."""
-        text = strings.get(key)
-        if text is None:
-            text = strings[key] = _key_string(key)
+        text = key_string(key)
         if text not in forest.nodes:
             if len(forest.nodes) >= max_nodes:
                 forest.truncated = True
@@ -465,15 +461,6 @@ class StableMapShape:
     tau: Profile
     nodes: int
     cover_degree_partitions: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "tau": self.tau.to_json(),
-            "nodes": self.nodes,
-            "cover_degree_partitions": [list(p) for p in self.cover_degree_partitions],
-            "residual": state_to_json(self.child),
-        }
 
 
 def limit_stable_map(term: Term) -> StableMapShape:

@@ -196,7 +196,6 @@ class GenusBoundReport:
 
 def genus_bound_check(gr: CentralFiber, g: int) -> GenusBoundReport:
     """Check p_a(X) + T <= g and, on equality, the structural characterization."""
-    check_valid(gr)
     actual = arithmetic_genus(gr)
     if actual != g:
         raise ValueError(f"genus mismatch: graph has arithmetic genus {actual}, not {g}")

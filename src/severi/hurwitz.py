@@ -36,6 +36,7 @@ lattice, which every admitted move must preserve.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -622,12 +623,9 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     id_i = index[identity(d)]
     dfact = math.factorial(d)
     half = dfact // 2
-    closure_cache: dict = {}
 
+    @functools.cache
     def closure_order(key) -> int:
-        hit = closure_cache.get(key)
-        if hit is not None:
-            return hit
         seen = bytearray(dfact)
         seen[id_i] = 1
         frontier = [id_i]
@@ -646,7 +644,6 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                 order = dfact  # a proper subgroup has order at most d!/2
                 break
             frontier = nxt
-        closure_cache[key] = order
         return order
 
     # When |G| = d! the group is literally all of S_d, whose transitivity on
@@ -733,7 +730,7 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                         report.blockpair_failures += n
                 elif not pair_orbits_match_classes(d, letters, lat, w):
                     report.blockpair_failures += n
-    report.closure_keys = len(closure_cache)
+    report.closure_keys = closure_order.cache_info().currsize
     return report
 
 

@@ -79,10 +79,6 @@ class Profile:
     def to_json(self) -> list[int]:
         return list(self.entries)
 
-    @staticmethod
-    def from_json(data) -> "Profile":
-        return Profile(tuple(int(x) for x in data))
-
 
 def subprofiles(p: Profile) -> tuple[Profile, ...]:
     """All sub-multisets of ``p``, the empty and the full profile included.

@@ -77,10 +77,6 @@ class LineBundle:
             ],
         }
 
-    @staticmethod
-    def from_json(data) -> "LineBundle":
-        return _bundle_from_json(data, "L")
-
 
 def symbol(name: str, degree: int) -> LineBundle:
     return LineBundle(((SYM, name, degree, 1),))
@@ -225,7 +221,9 @@ def key_tuple(s: SeveriState, mode: str = DEGREE):
     In symbolic mode the key also separates states whose bundle expressions
     differ; point labels are canonicalized by minimizing over relabelings
     that respect the alpha ordering (ties capped at a small bound, beyond
-    which the tie order falls back to the stored labels).
+    which the tie order falls back to the stored labels).  Points outside
+    ``alpha`` are named by their stored labels, even below the cap, so two
+    relabelings of one state can get different symbolic keys.
 
     The key is ``(d, N, g)`` followed by :func:`shape_key`, which reads only
     ``alpha`` and ``betas``; a caller keying many states of one shape may

@@ -191,6 +191,47 @@ def test_genusbound():
     assert data["holds"] and data["equality"]
 
 
+_EMPTY_GROUP = {
+    "d": 3, "N": 2, "g": 2,
+    "alpha": [{"mult": 1, "point": f"p{i}"} for i in (1, 2, 3)],
+    "betas": [{"profile": [], "L": {"degree": 0, "expr": []}}],
+}
+_ONE_EDGE = {
+    "x_genus": 2,
+    "e_components": [{"genus": 1, "degree": 1}],
+    "z_components": [{"genus": 0}],
+    "edges": [["X", "Z0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "args,document,message",
+    [
+        pytest.param(
+            ("terms", "--simple", "--state"), _EMPTY_GROUP,
+            "group 0: empty moving group", id="terms-simple-empty-group",
+        ),
+        pytest.param(
+            ("genusbound", "--g", "2", "--graph"), _ONE_EDGE,
+            "Z0 is a rational tail; the central fiber must be minimal; "
+            "central fiber must be connected",
+            id="genusbound-invalid-graph",
+        ),
+        pytest.param(
+            ("genusbound", "--g", "5", "--graph"), None,
+            "genus mismatch: graph has arithmetic genus 3, not 5", id="genusbound-mismatch",
+        ),
+    ],
+)
+def test_validation_errors_are_one_pinned_line(tmp_path, args, document, message):
+    path = FIXTURES / "graph_chain.json"
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+    proc = run_cli(*args, str(path), expect=1)
+    assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
+
 def test_lattice_subcommands():
     data = json.loads(run_cli("lattice", "snf", "--rows", "2,0;0,4").stdout)
     assert data["snf"] == [2, 4]

@@ -113,4 +113,3 @@ def test_additivity_properties():
 
 def test_json_is_sorted_descending():
     assert Profile.of(1, 3, 2).to_json() == [3, 2, 1]
-    assert Profile.from_json([3, 2, 1]) == Profile.of(1, 2, 3)
