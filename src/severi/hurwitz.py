@@ -22,9 +22,9 @@ conjugations, so each class is closed under them, and the braid and handle
 moves commute with conjugation, so the images of a class are the classes
 of the images of any one of its tuples.
 
-The exhaustive scan visits one (A, B) pair per orbit of S_d on pairs, and
+The exhaustive scan checks one (A, B) pair per orbit of S_d on pairs, and
 one letter set per orbit of the pair's stabilizer, each weighted by the
-size of its orbit; :func:`scan_monodromy` says why.
+size of its orbit; :func:`_pair_classes` walks them and says why.
 
 The handle-move formulas are data, not doctrine: each is admitted only
 after a symbolic check that it preserves the surface relation and sends
@@ -61,16 +61,15 @@ from .monodromy import (
 from .profiles import partitions
 
 # Budgets: the largest branch count and tuple_count enumerated tuple by
-# tuple, and the largest branch count and branch-word table the exhaustive
-# scan accepts; the degree bound of both is ``MAX_TABLE_D``.  The table has
-# 15,405 (product, letter set) keys at (d, b) = (6, 4) and 32,018 at (5, 6),
-# both admitted; (5, 7) has 42,520 and (6, 5) 111,420.  At d <= 4 the table
-# stops growing (516 keys), so only the bound on b stops a long scan;
-# (4, 100) takes 0.3 s of CPU.
+# tuple, and per degree the largest branch count the exhaustive scan
+# accepts, checked before any table is built; the degree bound of both is
+# ``MAX_TABLE_D``.  Each scan bound is the last b whose branch-word table
+# stays within 40,000 (product, letter set) keys: 32,018 at (d, b) = (5, 6)
+# and 15,405 at (6, 4), against 42,520 at (5, 7) and 111,420 at (6, 5); at
+# d <= 4 the table stops at 516 keys, and (4, 100) takes 0.3 s of CPU.
 MAX_ENUM_B = 6
 MAX_ENUM_TUPLES = 3_000_000
-MAX_SCAN_B = 100
-MAX_SCAN_WORD_KEYS = 40_000
+MAX_SCAN_B = {1: 100, 2: 100, 3: 100, 4: 100, 5: 6, 6: 4}
 
 
 def branch_points(g: int) -> int:
@@ -518,11 +517,10 @@ class ScanReport:
     d: int
     b: int
     tuples: int = 0
-    # groups: the transitive (A, B, set of T) groups checked, with A one
-    # representative per conjugacy class, B one per orbit of its
-    # centralizer and the set one per orbit of C(A) ∩ C(B); closure_keys:
-    # the distinct generator sets whose group was closed; neither is in
-    # to_json
+    # sets: the (A, B, set of T) classes walked, transitive or not; groups:
+    # the transitive ones, whose group was checked; closure_keys: the
+    # distinct generator sets whose group was closed; none is in to_json
+    sets: int = 0
     groups: int = 0
     closure_keys: int = 0
     primitive: int = 0
@@ -569,36 +567,9 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     multiplicity of the branch letters; the group is generated by the set;
     and the block-pair verdict compares orbits with the classes of
     w(y) - w(x) modulo the lattice, which another spanning tree shifts by
-    lattice vectors only.  So the ordered branch words are counted once
-    per (product, set of letters), each transitive (A, B, set) group is
-    checked once, and every tally adds the group's word count.
-
-    Every check is also invariant under simultaneous conjugation of all
-    entries, which relabels the sheets, and the table of branch words does
-    not depend on A.  Conjugating by g maps the tuples with first entry A
-    one to one onto those with first entry g^-1 A g, word counts included.
-    So A runs over one representative per conjugacy class (cycle type)
-    only, and each group's word count is multiplied by the size of that
-    class; the tallies are exactly those of the loop over all of S_d.
-
-    B is reduced the same way.  The centralizer C(A) = {c : c^-1 A c = A}
-    is read off the multiplication table, and conjugating by c in C(A)
-    fixes A and maps the branch words of [A, B] one to one onto those of
-    [A, c^-1 B c], letter sets and word counts included, changing no
-    check.  So B runs over the least-index member of each C(A)-orbit only,
-    and the weight of a group is also multiplied by the size of that
-    orbit.  The (A, B) pairs visited are then one per orbit of S_d on
-    pairs.
-
-    The letter sets of a pair are reduced once more.  Conjugating by c in
-    the stabilizer C(A) ∩ C(B) of the pair fixes A, B and [A, B], and maps
-    the branch words of one letter set one to one onto those of the
-    conjugate set, again changing no check.  So of each orbit of letter
-    sets under the stabilizer only the first set in table order is
-    visited, transitive or not, and its weight is also multiplied by the
-    orbit's size (orbit-stabilizer: the stabilizer's order over that of
-    the set's own stabilizer in it).  ``groups`` counts only the groups
-    visited.
+    lattice vectors only.  So each transitive (A, B, set) class that
+    :func:`_pair_classes` yields is checked once, and every tally adds the
+    class's tuple count.
 
     Fullness is decided on subgroups first.  For each letter t of the set,
     in order, the group <A, B, t> is closed, and the first one of order d!
@@ -611,15 +582,15 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
 
     The kernel-order check is a claim about ramified tuples, so it is
     tallied only for b >= 1.  Counts failures instead of raising, so a red
-    run is inspectable.
+    run is inspectable; a b past ``MAX_SCAN_B[d]`` is refused before any table.
     """
-    if d > MAX_TABLE_D:
-        raise BudgetExceeded(f"scan guard: d={d} > {MAX_TABLE_D}")
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
-    if b > MAX_SCAN_B:
-        raise BudgetExceeded(f"scan guard: b={b} > {MAX_SCAN_B}")
-    perms, index, mul, inv, transps = perm_table(d)
+    if d > MAX_TABLE_D:
+        raise BudgetExceeded(f"scan guard: d={d} > {MAX_TABLE_D}")
+    if b > MAX_SCAN_B[d]:
+        raise BudgetExceeded(f"scan guard: b={b} > {MAX_SCAN_B[d]}")
+    perms, index, mul, _, _ = perm_table(d)
     id_i = index[identity(d)]
     dfact = math.factorial(d)
     half = dfact // 2
@@ -653,34 +624,107 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
     sd_letters = [(transposition(d, i, i + 1), (0, 0)) for i in range(d - 1)]
     sd_pair_transitive = pair_orbits_match_classes(d, sd_letters, IDENTITY, [(0, 0)] * d)
 
+    report = ScanReport(d=d, b=b)
+    for a_i, b_i, used, branch, n in _pair_classes(d, b):
+        report.sets += 1
+        letters, w, lat = sheet_lattice(d, [perms[a_i], perms[b_i], *branch])
+        if lat is None:
+            continue
+        report.groups += 1
+        report.tuples += n
+        report.census[lat] = report.census.get(lat, 0) + n
+        primitive = lat == IDENTITY
+        # a group with a subgroup of order d! is S_d; the whole set is
+        # closed only when no {A, B, t} is full
+        order = dfact
+        if not any(closure_order(tuple(sorted({a_i, b_i, t}))) == dfact for t in used):
+            order = closure_order(tuple(sorted({a_i, b_i, *used})))
+        full = order == dfact
+        if primitive:
+            report.primitive += n
+        if full:
+            report.full += n
+        if primitive != full:
+            report.equivalence_failures += n
+
+        # kernel order under the canonical factorization, a claim about
+        # ramified tuples only; the translations act regularly on the e
+        # blocks Z^2 / L, so the quotient group has order e
+        e = lat.index
+        if b and d % e:
+            report.kernel_failures += n
+        elif b:
+            report.kernel_checked += n
+            if math.factorial(d // e) ** e * e != order:
+                report.kernel_failures += n
+
+        if full and primitive:
+            if not sd_pair_transitive:
+                report.blockpair_failures += n
+        elif not pair_orbits_match_classes(d, letters, lat, w):
+            report.blockpair_failures += n
+    report.closure_keys = closure_order.cache_info().currsize
+    return report
+
+
+def _pair_classes(d: int, b: int):
+    """Yield (A, B, used, branch, n): one class of the tuples of d sheets
+    with b branch letters, transitive or not, and n, its number of tuples,
+    so the n add up to :func:`tuple_count`.  A and B are ``perm_table(d)``
+    indices; the letter set is given by its sorted indices ``used`` and its
+    permutations ``branch``, built once per set.
+
+    Every check of :func:`scan_monodromy` is invariant under simultaneous
+    conjugation of all entries, which relabels the sheets, and the table
+    of branch words does not depend on A.  Conjugating by g maps the
+    tuples with first entry A one to one onto those with first entry
+    g^-1 A g, word counts included.  So A runs over one representative per
+    conjugacy class (cycle type) only, and each count is multiplied by the
+    size of that class; the tallies are exactly those of the loop over all
+    of S_d.
+
+    B is reduced the same way.  The centralizer C(A) = {c : c^-1 A c = A}
+    is read off the multiplication table, and conjugating by c in C(A)
+    fixes A and maps the branch words of [A, B] one to one onto those of
+    [A, c^-1 B c], letter sets and word counts included, changing no
+    check.  So B runs over the least-index member of each C(A)-orbit only,
+    and each count is also multiplied by the size of that orbit.  The
+    (A, B) pairs visited are then one per orbit of S_d on pairs.
+
+    The letter sets of a pair are reduced once more.  Conjugating by c in
+    the stabilizer C(A) ∩ C(B) of the pair fixes A, B and [A, B], and maps
+    the branch words of one letter set one to one onto those of the
+    conjugate set, again changing no check.  So of each orbit of letter
+    sets under the stabilizer only the first set in table order is
+    yielded, and its count is also multiplied by the orbit's size
+    (orbit-stabilizer: the stabilizer's order over that of the set's own
+    stabilizer in it).
+    """
+    perms, index, mul, inv, transps = perm_table(d)
     sets_of_product: dict = {}
-    for (p, used), n in _branch_words(mul, id_i, transps, b).items():
-        branch = [perms[x] for x in used]
-        sets_of_product.setdefault(p, []).append((used, branch, n))
+    for (p, used), n in _branch_words(mul, index[identity(d)], transps, b).items():
+        sets_of_product.setdefault(p, []).append((used, [perms[x] for x in used], n))
 
     classes: dict = {}
     for i, p in enumerate(perms):
         classes.setdefault(tuple(sorted(map(len, cycles_of(p)))), []).append(i)
 
-    report = ScanReport(d=d, b=b)
     for members in classes.values():
         a_i = members[0]
-        a = perms[a_i]
         row_a = mul[a_i]
         # the centralizer C(A) as (c^-1, c) pairs; B runs over the least
         # index of each C(A)-orbit, which is the first one not yet covered
-        centralizer = [(inv[c], c) for c in range(dfact) if row_a[c] == mul[c][a_i]]
-        covered = bytearray(dfact)
-        for b_i, bb in enumerate(perms):
+        centralizer = [(inv[c], c) for c in range(len(perms)) if row_a[c] == mul[c][a_i]]
+        covered = bytearray(len(perms))
+        for b_i in range(len(perms)):
             if covered[b_i]:
                 continue
             orbit = {mul[mul[ci][b_i]][c] for ci, c in centralizer}
             for x in orbit:
                 covered[x] = 1
-            weight = len(members) * len(orbit)
             target = mul[mul[row_a[b_i]][inv[a_i]]][inv[b_i]]
             # the stabilizer of the pair, C(A) ∩ C(B), as (c^-1, c) pairs;
-            # each letter set is visited only if no conjugate came first
+            # each letter set is yielded only if no conjugate came first
             stabilizer = [(ci, c) for ci, c in centralizer if mul[c][b_i] == mul[b_i][c]]
             conjugated: set = set()
             for used, branch, words in sets_of_product.get(target, ()):
@@ -693,45 +737,7 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
                     }
                     conjugated |= images
                     size = len(images)
-                letters, w, lat = sheet_lattice(d, [a, bb, *branch])
-                if lat is None:
-                    continue
-                report.groups += 1
-                n = words * weight * size
-                report.tuples += n
-                report.census[lat] = report.census.get(lat, 0) + n
-                primitive = lat == IDENTITY
-                # a group with a subgroup of order d! is S_d; the whole set
-                # is closed only when no {A, B, t} is full
-                order = dfact
-                if not any(closure_order(tuple(sorted({a_i, b_i, t}))) == dfact for t in used):
-                    order = closure_order(tuple(sorted({a_i, b_i, *used})))
-                full = order == dfact
-                if primitive:
-                    report.primitive += n
-                if full:
-                    report.full += n
-                if primitive != full:
-                    report.equivalence_failures += n
-
-                # kernel order under the canonical factorization, a claim
-                # about ramified tuples only; the translations act regularly
-                # on the e blocks Z^2 / L, so the quotient group has order e
-                e = lat.index
-                if b and d % e:
-                    report.kernel_failures += n
-                elif b:
-                    report.kernel_checked += n
-                    if math.factorial(d // e) ** e * e != order:
-                        report.kernel_failures += n
-
-                if full and primitive:
-                    if not sd_pair_transitive:
-                        report.blockpair_failures += n
-                elif not pair_orbits_match_classes(d, letters, lat, w):
-                    report.blockpair_failures += n
-    report.closure_keys = closure_order.cache_info().currsize
-    return report
+                yield a_i, b_i, used, branch, words * len(members) * len(orbit) * size
 
 
 def _branch_words(mul, id_i: int, transps, b: int) -> dict:
@@ -739,9 +745,7 @@ def _branch_words(mul, id_i: int, transps, b: int) -> dict:
     tuple of the distinct letters used).
 
     Grown one letter at a time, so the table never holds more than
-    d! * (number of letter sets) keys, however many words there are.  Past
-    ``MAX_SCAN_WORD_KEYS`` keys it raises :class:`BudgetExceeded`, checked
-    as the table grows.
+    d! * (number of letter sets) keys, however many words there are.
     """
     counts = {(id_i, ()): 1}
     for _ in range(b):
@@ -751,9 +755,5 @@ def _branch_words(mul, id_i: int, transps, b: int) -> dict:
             for t in transps:
                 key = (row[t], used if t in used else tuple(sorted(used + (t,))))
                 grown[key] = grown.get(key, 0) + n
-            if len(grown) > MAX_SCAN_WORD_KEYS:
-                raise BudgetExceeded(
-                    f"scan guard: b={b} branch-word table > {MAX_SCAN_WORD_KEYS} keys"
-                )
         counts = grown
     return counts

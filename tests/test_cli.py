@@ -318,7 +318,14 @@ def test_repeated_runs_are_byte_identical(args):
 
 @pytest.mark.parametrize(
     "d,b,code",
-    [("0", "2", 1), ("3", "-1", 1), ("7", "2", 3), ("6", "12", 3), ("4", "20000", 3)],
+    [
+        ("0", "2", 1),
+        ("3", "-1", 1),
+        ("7", "-1", 1),
+        ("7", "2", 3),
+        ("6", "12", 3),
+        ("4", "20000", 3),
+    ],
 )
 def test_scan_boundary_exit_codes(d, b, code):
     start = time.monotonic()

@@ -8,12 +8,10 @@ from dataclasses import fields
 
 import pytest
 
-from severi import hurwitz
 from severi import words as wd
 from severi.hurwitz import (
     MAX_ENUM_TUPLES,
     MAX_SCAN_B,
-    MAX_SCAN_WORD_KEYS,
     PUSH_A,
     PUSH_B,
     HandleMove,
@@ -21,6 +19,7 @@ from severi.hurwitz import (
     ScanReport,
     _PackedMoves,
     _branch_words,
+    _pair_classes,
     admissible,
     braid_move,
     branch_points,
@@ -36,6 +35,7 @@ from severi.hurwitz import (
 )
 from severi.lattices import IDENTITY, hurwitz_component_count
 from severi.monodromy import (
+    MAX_TABLE_D,
     BudgetExceeded,
     HurwitzTuple,
     commutator,
@@ -48,7 +48,6 @@ from severi.monodromy import (
     is_valid,
     kernel_order_check,
     perm_table,
-    sheet_lattice,
     then,
     transposition,
 )
@@ -577,30 +576,30 @@ def test_scan_matches_per_tuple_reference(d, b):
     rep = scan_monodromy(d, b)
     ref = reference_scan(d, b)
     for f in fields(ScanReport):
-        if f.name not in ("groups", "closure_keys"):
+        if f.name not in ("sets", "groups", "closure_keys"):
             assert getattr(rep, f.name) == getattr(ref, f.name), f.name
     assert 0 < rep.groups <= rep.tuples
 
 
-def test_scan_checks_each_group_once(monkeypatch):
+def test_scan_checks_each_group_once():
     # A runs over one representative per conjugacy class, B over one per
     # orbit of the centralizer of A, and the letter sets, transitive or
-    # not, over one per orbit of C(A) ∩ C(B); each visited set gets one
-    # sheet_lattice call.  With every letter set of each pair the same
-    # scans have 1,061 and 265 groups, with B over all of S_d too 3,114
-    # and 1,255, and with A over all of S_d too 16,032 and 16,320
-    visited = []
-
-    def counted(degree, gens):
-        visited.append(gens)
-        return sheet_lattice(degree, gens)
-
-    monkeypatch.setattr(hurwitz, "sheet_lattice", counted)
+    # not, over one per orbit of C(A) ∩ C(B); each set walked is checked
+    # once.  With every letter set of each pair the same scans have 1,061
+    # and 265 groups, with B over all of S_d too 3,114 and 1,255, and with
+    # A over all of S_d too 16,032 and 16,320
     for d, b, groups, sets, closure_keys in [(4, 4, 713, 777, 137), (5, 2, 136, 294, 92)]:
-        visited.clear()
         rep = scan_monodromy(d, b)
-        assert (rep.groups, len(visited), rep.closure_keys) == (groups, sets, closure_keys)
-        assert not {"groups", "closure_keys"} & set(rep.to_json())
+        assert (rep.groups, rep.sets, rep.closure_keys) == (groups, sets, closure_keys)
+        assert not {"sets", "groups", "closure_keys"} & set(rep.to_json())
+
+
+@pytest.mark.parametrize("d,b", [(d, b) for d in range(1, 6) for b in range(7)] + [(6, 2), (6, 4)])
+def test_pair_class_counts_add_up_to_every_tuple(d, b):
+    # Frobenius's count of all tuples, transitive or not, weighs every class
+    # the walk yields: one tuple per letter set, or C(A) in place of
+    # C(A) ∩ C(B) in the set orbits, would miss it
+    assert sum(n for *_, n in _pair_classes(d, b)) == tuple_count(d, b)
 
 
 def report_digest(rep) -> str:
@@ -655,29 +654,51 @@ def test_scan_degree_six_four_branch_points():
 
 
 def test_scan_boundaries():
-    for d, b in [(0, 2), (3, -1)]:
+    # the domain check comes first, so a negative b is a domain error at any d
+    for d, b in [(0, 2), (3, -1), (7, -1), (0, 200)]:
         with pytest.raises(ValueError):
             scan_monodromy(d, b)
-    with pytest.raises(BudgetExceeded, match=r"^scan guard: d=7 > 6$"):
-        scan_monodromy(7, 2)
-    # at d <= 4 the branch-word table stops growing, so only b bounds the work
-    assert scan_monodromy(2, MAX_SCAN_B).tuples == 4
-    for d, b in [(2, MAX_SCAN_B + 2), (4, 2_000), (4, 20_000)]:
-        with pytest.raises(BudgetExceeded, match=rf"^scan guard: b={b} > {MAX_SCAN_B}$"):
-            scan_monodromy(d, b)
+    assert set(MAX_SCAN_B) == set(range(1, MAX_TABLE_D + 1))
+    assert scan_monodromy(2, MAX_SCAN_B[2]).tuples == 4
     for d, b in [(3, 1), (4, 3)]:
         rep = scan_monodromy(d, b)
         assert rep.tuples == rep.groups == 0 and rep.ok
 
 
-def test_scan_budget_on_branch_words():
-    # (6, 4), the largest table a test or the benchmark scans, and (5, 6)
-    # stay under the budget; (5, 7) and (6, 5) go past it
-    for d, b, keys in [(6, 4, 15_405), (5, 6, 32_018)]:
-        _, index, mul, _, transps = perm_table(d)
-        assert len(_branch_words(mul, index[identity(d)], transps, b)) == keys
-        assert keys <= MAX_SCAN_WORD_KEYS
-    for d, b in [(5, 7), (6, 5), (6, 12)]:
-        message = rf"^scan guard: b={b} branch-word table > 40000 keys$"
-        with pytest.raises(BudgetExceeded, match=message):
+def test_scan_refusals_build_no_table():
+    perm_table.cache_clear()
+    refused = [
+        (7, 2, "d=7 > 6"),
+        (2, 102, "b=102 > 100"),
+        (4, 2_000, "b=2000 > 100"),
+        (4, 20_000, "b=20000 > 100"),
+        (5, 7, "b=7 > 6"),
+        (6, 5, "b=5 > 4"),
+        (6, 12, "b=12 > 4"),
+    ]
+    for d, b, message in refused:
+        with pytest.raises(BudgetExceeded, match=rf"^scan guard: {message}$"):
             scan_monodromy(d, b)
+    assert perm_table.cache_info().currsize == 0
+
+
+def test_scan_budget_on_branch_words():
+    # each degree's bound on b is the last b whose branch-word table, grown
+    # one letter at a time, stays within 40,000 (product, letter set) keys.
+    # Appending t t for a letter t of a word keeps its key, so from b = 1 the
+    # keys at b + 2 include those at b, and the keys at b + 1 depend only on
+    # those at b: once two key sets b apart by 2 are equal, they repeat
+    pins = {4: {6: 516, 8: 516}, 5: {6: 32_018, 7: 42_520}, 6: {4: 15_405, 5: 111_420}}
+    for d in range(1, MAX_TABLE_D + 1):
+        _, index, mul, _, transps = perm_table(d)
+        last = 8 if d <= 4 else MAX_SCAN_B[d] + 1
+        keys = [set(_branch_words(mul, index[identity(d)], transps, b)) for b in range(last + 1)]
+        sizes = [len(k) for k in keys]
+        assert all(keys[b] <= keys[b + 2] for b in range(1, last - 1))
+        assert {b: sizes[b] for b in pins.get(d, ())} == pins.get(d, {})
+        if d <= 4:
+            # the table saturates at 516 keys, so only the bound of 100
+            # stops a long scan
+            assert keys[6] == keys[8] and max(sizes) <= 516 and MAX_SCAN_B[d] == 100
+        else:
+            assert max(sizes[:-1]) <= 40_000 < sizes[-1]
