@@ -33,7 +33,10 @@ def _emit(obj) -> None:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _vector(text: str) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .base import BudgetExceeded, InvalidState
-from .profiles import Profile, partitions
+from .profiles import Profile, partition_count, partitions
 from .states import (
     DEGREE,
     PT,
@@ -146,8 +146,7 @@ def _cached_key(shapes: dict, s: SeveriState, key_mode: str) -> tuple:
 
 
 def _dedup(rows, key_mode: str, shapes: dict) -> list[tuple]:
-    """The first row per (kind, tau, child shape part), in that order, each
-    extended with that part.
+    """The first row per (kind, tau, child shape part), in that order.
 
     A row ``(kind, tau, kept, dropped, child)`` is a term of one parent
     without its m; ``child`` is the child of its first term, at m = 0 for
@@ -160,7 +159,7 @@ def _dedup(rows, key_mode: str, shapes: dict) -> list[tuple]:
         part = _cached_key(shapes, row[4], key_mode)
         key = (row[0], row[1].entries, part)
         if key not in seen:
-            seen[key] = row + (part,)
+            seen[key] = row
     return [seen[k] for k in sorted(seen)]
 
 
@@ -236,7 +235,7 @@ def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]
     it raises :class:`BudgetExceeded` before building any."""
     shapes: dict = {}
     rows = _type_one_rows(s, key_mode, shapes)
-    if s.N:
+    if s.N > 0:
         rows += _type_two_rows(s, key_mode, shapes, simple)
     count = sum(1 if row[0] == KIND_I else s.N for row in rows)
     if count > MAX_TERMS:
@@ -269,7 +268,13 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
     """The type II rows of ``s`` (see :func:`_dedup`): E0 splits off, which
     sets only the child's N, so the rows serve every m.  With ``simple``,
     those of the simple statement: |tau| = 1 is admitted, and a row is
-    labeled IIb when the one group is kept and IIa when it loses a point."""
+    labeled IIb when the one group is kept and IIa when it loses a point.
+
+    One choice of kept groups, drops and kept fixed points, of mass
+    ``mass``, gives at least p(mass) - 1 rows, one per partition tau of size
+    two or more.  Their taus differ, so deduplication keeps them all, and
+    each row gives at least one term.  So when p(mass) - 1 > ``MAX_TERMS``
+    it raises :class:`BudgetExceeded` before listing the partitions."""
     ell = s.ell
     alpha_choices = _alpha_choices(s.alpha, every_subset=key_mode != DEGREE)
     rows = []
@@ -292,6 +297,8 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
                 mass = sum(o for o, _ in alpha_dropped) + sum(drops)
                 if mass < 2:
                     continue
+                if partition_count(mass, MAX_TERMS + 1) > MAX_TERMS + 1:
+                    raise BudgetExceeded(f"terms: p({mass}) - 1 type II rows > {MAX_TERMS}")
                 merged_bundle = groups_bundle + _released(alpha_dropped)
                 for tau in partitions(mass):
                     if tau.size < 2 and not simple:
@@ -432,10 +439,10 @@ def build_forest(
             continue
         forest.expanded += 1
         rows = rows_of(state, KIND_I)
-        if state.N:
+        if state.N > 0:
             rows = rows + rows_of(state, KIND_II)
         for row, term in _terms(state, rows):
-            nchild, factor, part = row[6:]
+            nchild, factor, part = row[5:]
             child = term.child
             if nchild is not row[4]:  # normalizing changed the child
                 if (nchild.N, nchild.g) != (child.N, child.g):

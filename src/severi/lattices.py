@@ -62,7 +62,7 @@ class Lattice2:
         return [[self.a, self.b], [0, self.c]]
 
 
-IDENTITY = None  # set below
+IDENTITY = Lattice2(1, 0, 1)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -104,9 +104,6 @@ def hnf(rows) -> Lattice2:
     return Lattice2(g, uy % c, c)
 
 
-IDENTITY = Lattice2(1, 0, 1)
-
-
 def snf(L: Lattice2) -> tuple[int, int]:
     """Smith normal form (d1, d2) with d1 | d2: d1 is the gcd of the entries
     and d1*d2 the index."""
@@ -142,42 +139,18 @@ def is_full(L: Lattice2) -> bool:
     return L.index == 1
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def primitive_vector(L: Lattice2) -> tuple[int, int, int]:
     """(a, b, m) with (a*m, b*m) in L, gcd(a, b) = 1 and m the m-invariant.
 
-    Divide out m, take the Hermite basis (A, B), (0, C); if gcd(A, B) > 1,
-    shift B by a multiple of C chosen by the Chinese remainder theorem so
-    that no prime of A divides the result.
+    Divide out m, take the Hermite basis (a, b0), (0, c) and return the
+    least shift b = b0 + k*c, k >= 0, with gcd(a, b) = 1.  No factoring is
+    needed: gcd(a, b0, c) = 1, so a prime of a that divides c never divides
+    b0 + k*c, and each other prime of a rules out one residue of k.
     """
     m = m_invariant(L)
-    A, B, C = L.a // m, L.b // m, L.c // m
-    a, b = A, B
-    if math.gcd(a, b) != 1:
-        residue, modulus = 0, 1
-        for p in _prime_factors(A):
-            if C % p == 0:
-                continue  # p cannot divide B, any shift works
-            bad = (-B * pow(C, -1, p)) % p
-            want = (bad + 1) % p
-            # combine residue mod modulus with want mod p
-            g, r, s = _ext_gcd(modulus, p)
-            residue = (residue * s * p + want * r * modulus) % (modulus * p)
-            modulus *= p
-        b = B + residue * C
+    a, b, c = L.a // m, L.b // m, L.c // m
+    while math.gcd(a, b) != 1:
+        b += c
     assert math.gcd(a, b) == 1
     assert L.contains((a * m, b * m))
     return a, b, m

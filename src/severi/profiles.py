@@ -47,9 +47,6 @@ class Profile:
     def __add__(self, other: "Profile") -> "Profile":
         return Profile(self.entries + other.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -143,3 +140,27 @@ def _partitions(m: int) -> tuple[Profile, ...]:
 
     rec(m, m, [])
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def partition_count(m: int, cap: int) -> int:
+    """The number p(m) of partitions of ``m``, or ``cap + 1`` if p(m) > cap.
+
+    Euler's pentagonal recurrence builds p(0), p(1), ... and stops at the
+    first value past ``cap``: p never decreases, so a huge ``m`` costs no more.
+
+    >>> partition_count(4, 10), partition_count(10**9, 10)
+    (5, 11)
+    """
+    if m < 0:
+        raise ValueError("partitions need m >= 0")
+    p = [1]
+    while len(p) <= m and p[-1] <= cap:
+        n, total, k = len(p), 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    total += p[n - g] if k % 2 else -p[n - g]
+            k += 1
+        p.append(total)
+    return min(p[-1], cap + 1)

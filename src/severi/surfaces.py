@@ -55,16 +55,6 @@ class DivisorClass:
         _same_model(self, other)
         return DivisorClass(self.model, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _same_model(self, other)
-        return DivisorClass(self.model, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.model, tuple(-x for x in self.coeffs))
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(self.model, tuple(k * x for x in self.coeffs))
-
 
 def _same_model(a: DivisorClass, b: DivisorClass) -> None:
     if a.model != b.model:

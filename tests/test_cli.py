@@ -154,6 +154,21 @@ def test_terms_output_over_budget_exit_code(tmp_path, document, flags):
     assert len(lines) == 1 and lines[0].startswith("budget exceeded: terms: ")
 
 
+@pytest.mark.parametrize("mass", [55, 70])
+def test_type_two_partitions_over_budget_exit_code(tmp_path, mass):
+    # one fixed point of order m, released at once: p(m) - 1 type II rows,
+    # 451,275 at m = 55, refused before any partition is listed
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": mass, "N": 1, "g": 0, "alpha": [{"mult": mass, "point": "p1"}]}))
+    for command in ("terms", "--state"), ("forest", "--root"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "severi.cli", *command, str(path)],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == f"budget exceeded: terms: p({mass}) - 1 type II rows > 100000\n"
+
+
 def test_forest_with_dot(tmp_path):
     out = tmp_path / "forest.dot"
     proc = run_cli(
@@ -243,6 +258,17 @@ def test_lattice_subcommands():
     assert data["feasible"] is False
     data = json.loads(run_cli("lattice", "counts", "--d", "6").stdout)
     assert data["hurwitz_components"] == 8
+
+
+def test_lattice_hat_with_a_large_prime_factor():
+    # 2000000000000000006 = 2 * (10**18 + 3), a prime that takes trial
+    # division 10^9 steps: the witness is the least shift of 2 by 3, to 5
+    args = ("lattice", "hat", "--rows", "2000000000000000006,2;0,3", "--D", "5")
+    proc = subprocess.run(
+        [sys.executable, "-m", "severi.cli", *args], capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["v"] == [2000000000000000006, 5]
 
 
 @pytest.mark.parametrize("action", ["snf", "hat"])

@@ -5,7 +5,8 @@ a value of another shape or size, or deletes it.  A mutation of a
 flag-driven subcommand replaces one flag value with each of a fixed set of
 values.  Whatever the input, the exit code is 0-3 and no exception escapes;
 a failure prints at most one stderr line, and a domain or budget error
-exactly one.
+exactly one.  A document nested deeper than the JSON parser recurses is
+written as raw text, which ``json.dumps`` cannot write.
 """
 
 import copy
@@ -81,6 +82,16 @@ def test_mutated_documents_exit_cleanly(fixture, args, tmp_path, capsys):
             assert len(err.splitlines()) <= 1, where
 
 
+@pytest.mark.parametrize(
+    "args", sorted({tuple(args) for _, args in COMMANDS}), ids=lambda args: " ".join(args[:-1])
+)
+def test_deeply_nested_documents_are_one_error_line(args, tmp_path, capsys):
+    target = tmp_path / "input.json"
+    target.write_text("[" * 200_000)
+    assert cli.main([*args, str(target)]) == 1
+    assert capsys.readouterr().err == f"error: {target}: JSON nested too deeply\n"
+
+
 # the flag-driven subcommands, each with admitted flag values
 FLAG_COMMANDS = [
     ["dim", "--d", "3", "--g", "2", "--b", "3"],
@@ -97,6 +108,8 @@ FLAG_COMMANDS = [
 FLAG_VALUES = [
     "-1", "0", "1", "2", "7", str(10**12), str(-(10**12)),
     "x", "", "1.5", "3,", "1,2,3", ";", "0,0", "1,0;0,0",
+    # a Hermite entry whose prime factor 10**18 + 3 takes trial division 10^9 steps
+    "2000000000000000006,2;0,3",
 ]
 
 

@@ -8,7 +8,8 @@ from collections import deque
 import pytest
 
 from severi import degeneration as dg
-from severi.profiles import Profile, partitions
+from severi.base import BudgetExceeded
+from severi.profiles import Profile, partition_count, partitions
 from severi.states import (
     DEGREE,
     SYMBOLIC,
@@ -296,6 +297,46 @@ def test_forest_roots_count_toward_budget():
 def test_forest_budget_below_one_is_refused(max_nodes):
     with pytest.raises(ValueError, match="max_nodes must be >= 1"):
         dg.build_forest([simple_state(3, 2, 2, 1, 2)], max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
+def test_partition_budget_refuses_only_what_the_term_budget_refuses(mode, rng, monkeypatch):
+    """One type II choice of mass m gives p(m) - 1 rows of distinct tau, so
+    the early refusal when p(m) - 1 > MAX_TERMS leaves the refused inputs
+    those whose term count passes MAX_TERMS, and lists no refused mass."""
+    budget = 20  # p(8) - 1 = 21 refuses every mass from 8 on
+    states = [
+        SeveriState(d=m, N=N, g=0, alpha=((m, "p1"),), betas=())
+        for m in range(2, 13) for N in (1, 2, 3)
+    ]
+    states += [random_normalized_state(rng) for _ in range(60)]
+    counts = [len(dg.successors_general(s, mode)) for s in states]
+    listed = []
+    monkeypatch.setattr(dg, "partitions", lambda m: listed.append(m) or partitions(m))
+    monkeypatch.setattr(dg, "MAX_TERMS", budget)
+    refused = 0
+    for s, count in zip(states, counts):
+        try:
+            dg.successors_general(s, mode)
+        except BudgetExceeded:
+            assert count > budget, s
+            refused += 1
+        else:
+            assert count <= budget, s
+    assert refused and listed
+    assert all(partition_count(m, budget + 1) - 1 <= budget for m in listed)
+
+
+def test_negative_N_walks_no_type_two_choice():
+    # 22 fixed points: the symbolic type II walk over them is refused, but at
+    # N < 0 there is no type II term, so neither enumerator nor forest walks it
+    points = tuple((1, f"p{i}") for i in range(1, 23))
+    s = SeveriState(d=24, N=-1, g=3, alpha=points, betas=((Profile.ones(2), symbol("L", 2)),))
+    for mode in (DEGREE, SYMBOLIC):
+        terms = dg.successors_general(s, mode)
+        assert terms and {t.kind for t in terms} == {dg.KIND_I}
+        forest = dg.build_forest([s], max_nodes=5, key_mode=mode)
+        assert {e.term.kind for e in forest.edges} == {dg.KIND_I}
 
 
 def test_normalization_factor_lands_on_edge():

@@ -126,16 +126,33 @@ def test_lattice_sum_and_fullness():
     assert not is_full(lattice_sum(Lattice2(2, 0, 2), Lattice2(2, 2, 4)))
 
 
+# primes whose trial division takes about 10^9 steps
+BIG_PRIMES = (10**18 + 3, 2**61 - 1)
+
+
 def test_primitive_vector_contract(rng):
-    cases = [Lattice2(1, 1, 2), Lattice2(2, 0, 2), Lattice2(3, 0, 1)]
+    P = BIG_PRIMES[0]
+    cases = [
+        Lattice2(1, 1, 2), Lattice2(2, 0, 2), Lattice2(3, 0, 1), Lattice2(15, 3, 7),
+        Lattice2(2 * P, 2, 3), Lattice2(6 * P, 2 * P, 2 * P + 1),
+    ]
     for _ in range(200):
         a, c = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append(Lattice2(a, rng.randrange(c), c))
+    for _ in range(200):
+        a = rng.choice((1, 2, 6, 30, 210)) * rng.choice(BIG_PRIMES)
+        c = rng.randint(1, 40) * rng.choice((1,) + BIG_PRIMES)
         cases.append(Lattice2(a, rng.randrange(c), c))
     for lat in cases:
         a, b, m = primitive_vector(lat)
         assert m == m_invariant(lat)
         assert math.gcd(a, b) == 1
         assert lat.contains((a * m, b * m))
+        # the least shift: b = b0 + k*c for the least k >= 0 with gcd(a, b) = 1
+        b0, c = lat.b // m, lat.c // m
+        k, r = divmod(b - b0, c)
+        assert a == lat.a // m and r == 0 and k >= 0
+        assert all(math.gcd(a, b0 + j * c) != 1 for j in range(k))
 
 
 def test_construct_hat_examples():

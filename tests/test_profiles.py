@@ -5,6 +5,7 @@ import pytest
 from severi.profiles import (
     Profile,
     complement,
+    partition_count,
     partitions,
     remove_one_entry,
     subprofiles,
@@ -100,6 +101,17 @@ def test_partition_count_matches_recursive_oracle():
         assert len(parts) == _partition_count_oracle(m)
         assert len(set(parts)) == len(parts)
         assert all(p.multiplicity == m for p in parts)
+
+
+def test_capped_partition_count_matches_oracle():
+    for m in range(80):
+        count = _partition_count_oracle(m)
+        for cap in (0, 1, 7, 1000, count - 1, count, 10**30):
+            assert partition_count(m, cap) == min(count, cap + 1)
+    # past the cap, the count never reaches m
+    assert partition_count(10**15, 100_000) == 100_001
+    with pytest.raises(ValueError):
+        partition_count(-1, 10)
 
 
 def test_additivity_properties():
