@@ -88,7 +88,12 @@ class Term:
     @property
     def coefficient(self) -> str:
         """Opaque placeholder token, derived from the other fields."""
-        return _coefficient_token(self.kind, self.m, self.tau, self.kept, self.dropped)
+        bits = [f"kind={self.kind}", f"m={self.m}", f"tau={list(self.tau.entries)}"]
+        if self.kept:
+            bits.append(f"kept={list(self.kept)}")
+        if self.dropped:
+            bits.append(f"dropped={[list(p) for p in self.dropped]}")
+        return "coeff(" + ",".join(bits) + ")"
 
     def to_json(self) -> dict:
         return _term_json(self, {})
@@ -112,15 +117,6 @@ def _term_json(t: Term, memo: dict) -> dict:
         "coefficient": memo[coefficient],
         "child": _state_json(t.child, memo),
     }
-
-
-def _coefficient_token(kind, m, tau, kept, dropped) -> str:
-    bits = [f"kind={kind}", f"m={m}", f"tau={list(tau.entries)}"]
-    if kept:
-        bits.append(f"kept={list(kept)}")
-    if dropped:
-        bits.append(f"dropped={[list(p) for p in dropped]}")
-    return "coeff(" + ",".join(bits) + ")"
 
 
 def _check_term(parent_dim: int, term: Term) -> Term:

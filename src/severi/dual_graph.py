@@ -111,23 +111,15 @@ def violations(gr: CentralFiber) -> tuple[str, ...]:
             # a rational contracted component with one node is a (-1)-curve
             # that the minimal model contracts away
             out.append(f"Z{i} is a rational tail; the central fiber must be minimal")
-    if not _connected(gr):
+    if len(_components(gr.node_ids(), gr.edges)) != 1:
         out.append("central fiber must be connected")
     return tuple(out)
-
-
-def _connected(gr: CentralFiber) -> bool:
-    return len(_components(gr.node_ids(), gr.edges)) == 1
 
 
 def check_valid(gr: CentralFiber) -> None:
     bad = violations(gr)
     if bad:
         raise ValueError("; ".join(bad))
-
-
-def _z_components(gr: CentralFiber) -> list[set[str]]:
-    return _components([f"Z{i}" for i in range(len(gr.z_parts))], gr.edges)
 
 
 def _components(nodes, edges) -> list[set[str]]:
@@ -155,7 +147,7 @@ def _attachments(gr: CentralFiber) -> list[tuple[int, int]]:
     """Per connected component of Z, its numbers of edges to X and to the
     dominating curve."""
     out = []
-    for comp in _z_components(gr):
+    for comp in _components([f"Z{i}" for i in range(len(gr.z_parts))], gr.edges):
         ends = [b if a in comp else a for a, b in gr.edges if (a in comp) != (b in comp)]
         out.append((ends.count(X), sum(1 for v in ends if v.startswith("E"))))
     return out
@@ -212,7 +204,7 @@ def genus_bound_check(gr: CentralFiber, g: int) -> GenusBoundReport:
                     for i, gz in enumerate(gr.z_parts)
                 ),
             ),
-            ("chains_join_once_each", _chains_join_once(gr)),
+            ("chains_join_once_each", all(att == (1, 1) for att in _attachments(gr))),
         )
     return GenusBoundReport(
         p_a_x=gr.x_genus,
@@ -222,7 +214,3 @@ def genus_bound_check(gr: CentralFiber, g: int) -> GenusBoundReport:
         equality=lhs == g,
         conditions=conditions,
     )
-
-
-def _chains_join_once(gr: CentralFiber) -> bool:
-    return all(att == (1, 1) for att in _attachments(gr))

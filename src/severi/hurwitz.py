@@ -12,15 +12,15 @@ covers.  The move set used here:
 * two handle moves pushing the last branch point around the two handle
   loops of the target.
 
-:data:`MOVES` is the one admitted move set; :func:`move_images` lists its
-moves of a tuple in that order, and the DOT rendering of the move graph
-walks it.  The orbit closure works on relabeling classes: it groups the
-tuples, packed as ``perm_table`` indices (:class:`_PackedMoves`), into
-classes under simultaneous conjugation, and applies only the braid and
-handle moves, to one tuple per class.  This is exact: the relabelings are
-conjugations, so each class is closed under them, and the braid and handle
-moves commute with conjugation, so the images of a class are the classes
-of the images of any one of its tuples.
+:data:`MOVES` is the one admitted move set.  The orbit closure and the
+DOT rendering of the move graph apply it to tuples packed as ``perm_table``
+indices (:class:`_PackedMoves`); the object-level moves are the reference
+that the tests check the packed moves against.  The orbit closure groups
+the tuples into classes under simultaneous conjugation, and applies only
+the braid and handle moves, to one tuple per class.  This is exact: the
+relabelings are conjugations, so each class is closed under them, and the
+braid and handle moves commute with conjugation, so the images of a class
+are the classes of the images of any one of its tuples.
 
 The exhaustive scan checks one (A, B) pair per orbit of S_d on pairs, and
 one letter set per orbit of the pair's stabilizer, each weighted by the
@@ -272,22 +272,8 @@ def default_moves() -> MoveSet:
     return MOVES
 
 
-def move_images(t: HurwitzTuple):
-    """Yield (label, image) for every move on t: the braid moves s1.., the
-    relabelings c1.. by adjacent transpositions, then the handle moves of
-    :data:`MOVES` by name."""
-    for k in range(t.b - 1):
-        yield f"s{k + 1}", braid_move(t, k)
-    for k in range(t.d - 1):
-        yield f"c{k + 1}", conjugate_tuple(t, transposition(t.d, k, k + 1))
-    if t.b >= 1:
-        for mv in MOVES.handles:
-            yield mv.name, mv.apply(t)
-
-
 class _PackedMoves:
-    """The braid and handle moves of :func:`move_images`, in its order, and
-    the relabeling classes, on packed tuples.
+    """The moves of :data:`MOVES` and the relabeling classes on packed tuples.
 
     A tuple (A, B, T_1..T_b) of degree d is packed as one int: the
     ``perm_table(d)`` indices of its entries are the digits of a mixed-radix
@@ -299,6 +285,7 @@ class _PackedMoves:
     def __init__(self, d: int, b: int):
         perms, self.index, mul, inv, transps = perm_table(d)
         self.transpositions = frozenset(transps)
+        self.adjacent = [self.index[transposition(d, k, k + 1)] for k in range(d - 1)]
         self.radix = len(perms)
         self.width = b + 2
         self.weights = [self.radix**i for i in range(self.width)]
@@ -318,9 +305,15 @@ class _PackedMoves:
             out = [o + mul[row[x]][g] * wk for g, (o, row) in enumerate(zip(out, rows))]
         return out
 
+    def relabelings(self, key: int) -> list[int]:
+        """The packed conjugate of the tuple ``key`` by each adjacent
+        transposition (1 2), (2 3), ..., the relabeling moves c1.., c{d-1}."""
+        mul, inv, e, w = self.mul, self.inv, self.unpack(key), self.weights
+        return [sum(mul[mul[inv[g]][x]][g] * wk for x, wk in zip(e, w)) for g in self.adjacent]
+
     def images(self, key: int) -> list[int]:
-        """The packed image of the tuple ``key`` under each braid and handle
-        move, in the order of :func:`move_images`."""
+        """The packed image of the tuple ``key`` under each braid move
+        s1.., s{b-1}, then each handle move of :data:`MOVES`, in order."""
         e = self.unpack(key)
         mul, inv, w = self.mul, self.inv, self.weights
         compose = lambda x, y: mul[x][y]
@@ -479,32 +472,39 @@ def orbits(tuples) -> OrbitReport:
 def expected_lattices(d: int) -> tuple[Lattice2, ...]:
     """Lattices realizable by simply branched tuples: index divides d but is
     not d (the primitive part must have degree at least two)."""
-    out = []
-    for e in range(1, d):
-        if d % e == 0:
-            out.extend(sublattices(e))
-    return tuple(sorted(out))
+    return tuple(sorted(lat for e in range(1, d) if d % e == 0 for lat in sublattices(e)))
 
 
 def move_graph_dot(tuples) -> str:
-    """DOT rendering of the move graph on an enumerated tuple set."""
-    index = {t: i for i, t in enumerate(tuples)}
-
-    def c(p):
-        return "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
-
+    """DOT rendering of the move graph on a move-closed set of tuples of one
+    degree d <= ``MAX_TABLE_D`` and one branch count.  Its edges are read off
+    :class:`_PackedMoves`: per tuple, the braid moves s1.., the relabelings
+    c1.. by adjacent transpositions, then the handle moves by name."""
+    tuples = list(tuples)
+    d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
+    moves = _PackedMoves(d, b)
+    names = [f"s{k + 1}" for k in range(b - 1)] + [f"c{k + 1}" for k in range(d - 1)]
+    names += [mv.name for mv in MOVES.handles] if b else []
+    pos: dict = {}  # packed tuple -> its input index
+    for i, t in enumerate(tuples):
+        if (t.d, t.b) != (d, b):
+            raise ValueError("move graphs need tuples of one degree and one branch count")
+        pos[sum(moves.index[p] * w for p, w in zip(t.generators(), moves.weights))] = i
+    c = lambda p: "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
     lines = ["graph moves {"]
-    for t, i in index.items():
+    for i in pos.values():
+        t = tuples[i]
         label = f"A={c(t.A)} B={c(t.B)} T={'|'.join(c(x) for x in t.T)}"
         lines.append(f'  n{i} [label="{label}"];')
     seen = set()
-    for t, i in index.items():
-        for name, t2 in move_images(t):
-            j = index[t2]
-            key = (min(i, j), max(i, j), name)
-            if i != j and key not in seen:
-                seen.add(key)
-                lines.append(f'  n{key[0]} -- n{key[1]} [label="{name}"];')
+    for key, i in pos.items():
+        images = moves.images(key)
+        images[max(b - 1, 0) : max(b - 1, 0)] = moves.relabelings(key)  # after the braids
+        for name, j in zip(names, map(pos.__getitem__, images)):
+            edge = (min(i, j), max(i, j), name)
+            if i != j and edge not in seen:
+                seen.add(edge)
+                lines.append(f'  n{edge[0]} -- n{edge[1]} [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -113,20 +113,16 @@ def remove_one_entry(p: Profile) -> tuple[Profile, ...]:
     return tuple(sorted({p.without(value) for value in set(p.entries)}))
 
 
+@functools.lru_cache(maxsize=None)
 def partitions(m: int) -> tuple[Profile, ...]:
-    """All integer partitions of ``m``, as profiles.
+    """All integer partitions of ``m``, as profiles; cached, since profiles
+    are frozen and every caller may share the tuple.
 
     >>> len(partitions(4))
     5
     """
     if m < 0:
         raise ValueError("partitions need m >= 0")
-    return _partitions(m)
-
-
-@functools.lru_cache(maxsize=None)
-def _partitions(m: int) -> tuple[Profile, ...]:
-    # memoised: profiles are frozen, so every caller may share the tuple
     out: list[Profile] = []
 
     def rec(rest: int, cap: int, acc: list[int]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from tests.test_hurwitz import DOT_SHA256
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -315,11 +318,14 @@ def test_mono_subcommands(tmp_path):
 
 
 def test_hurwitz_orbits_with_dot(tmp_path):
+    """The DOT file of (4, 2) is the one pinned in test_hurwitz's
+    DOT_SHA256, and writing it leaves stdout as it is without --dot."""
     out = tmp_path / "moves.dot"
-    proc = run_cli("hurwitz", "orbits", "--d", "2", "--g", "2", "--dot", str(out))
-    data = json.loads(proc.stdout)
-    assert data["orbit_count"] == 1
-    assert out.read_text().startswith("graph moves")
+    args = ("hurwitz", "orbits", "--d", "4", "--g", "2")
+    proc = run_cli(*args, "--dot", str(out))
+    assert proc.stdout == run_cli(*args).stdout
+    assert json.loads(proc.stdout)["orbit_count"] == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DOT_SHA256[4, 2]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from severi import words as wd
 from severi.hurwitz import (
     MAX_ENUM_TUPLES,
     MAX_SCAN_B,
+    MOVES,
     PUSH_A,
     PUSH_B,
     HandleMove,
@@ -28,7 +29,6 @@ from severi.hurwitz import (
     expected_lattices,
     iter_tuples,
     move_graph_dot,
-    move_images,
     orbits,
     scan_monodromy,
     tuple_count,
@@ -267,6 +267,18 @@ def test_orbit_counts_small():
     assert orbits(enumerate_tuples(3, 2)).orbit_count == 1
 
 
+def move_images(t):
+    """The reference list of (name, image) for every move on t, built from
+    the object-level moves: the braid moves s1.., the relabelings c1.. by
+    adjacent transpositions, then the handle moves of MOVES by name."""
+    out = [(f"s{k + 1}", braid_move(t, k)) for k in range(t.b - 1)]
+    for k in range(t.d - 1):
+        out.append((f"c{k + 1}", conjugate_tuple(t, transposition(t.d, k, k + 1))))
+    if t.b:
+        out += [(mv.name, mv.apply(t)) for mv in MOVES.handles]
+    return out
+
+
 def move_closure(t, keep=lambda name: True):
     """Every tuple that the moves of move_images whose names pass keep reach
     from t."""
@@ -317,8 +329,9 @@ def decode(key, d, width):
 @pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
 def test_packed_moves_match_move_images(d, g):
     """Each packed image, read back as the mixed-radix digits in base d! of
-    A, B, T_1..T_b, is the tuple move_images gives for a braid or handle
-    move, in the same order; the relabelings c1.. are not packed moves."""
+    A, B, T_1..T_b, is the tuple move_images gives for the same move: the
+    packed images are the braid and handle moves in its order, and the
+    packed relabelings are its relabelings c1.., in order."""
     perms, index, *_ = perm_table(d)
     n, width = len(perms), 2 * g
     moves = _PackedMoves(d, width - 2)
@@ -327,6 +340,8 @@ def test_packed_moves_match_move_images(d, g):
         key = sum(x * n**i for i, x in enumerate(entries))
         decoded = [decode(image, d, width) for image in moves.images(key)]
         assert decoded == [t2 for name, t2 in move_images(t) if name[0] != "c"]
+        decoded = [decode(image, d, width) for image in moves.relabelings(key)]
+        assert decoded == [t2 for name, t2 in move_images(t) if name[0] == "c"]
 
 
 @pytest.mark.parametrize("d,g", [(3, 2), (4, 2)])
@@ -451,6 +466,27 @@ def test_move_graph_dot():
     dot = move_graph_dot(ts)
     assert dot.startswith("graph moves")
     assert dot == move_graph_dot(ts)
+    assert move_graph_dot([]) == "graph moves {\n}\n"
+    with pytest.raises(ValueError, match="one degree and one branch count"):
+        move_graph_dot(ts + enumerate_tuples(3, 2))
+
+
+# sha256 of move_graph_dot(list(iter_tuples(d, b))), recorded when the edges
+# came from the object-level moves; b = 0 has no braids before the relabelings
+DOT_SHA256 = {
+    (3, 0): "9a6d0a2ae472d7ee7a2f5d1121208ef1375f1099ef4927e0b9acb635d6d72aa8",
+    (4, 0): "9fc2f4fd3232e6198c4ebc5df7777979ea8edfe6b0ea2db81a0afbc6e3d76711",
+    (3, 2): "3954f8cdf7a45bf8d5a24fdcab378a7e04aadf0bff14ad623514369ebabee1d3",
+    (4, 2): "e84227b413ce1b9f120212f9b56c57a8f049f356ed032e0cf31028b932f83bc1",
+    (3, 4): "af1e8bfd832e3bc1c42a651c146cb8fe154da96cd5b3fed603d4a65b073d1b48",
+    (5, 2): "55cfaba5424c9ba5f65c90939e6d126b8c96eb456d5daf15a4a10f8e523aa04e",
+}
+
+
+@pytest.mark.parametrize("d,b", sorted(DOT_SHA256))
+def test_move_graph_dot_bytes_are_pinned(d, b):
+    dot = move_graph_dot(list(iter_tuples(d, b)))
+    assert hashlib.sha256(dot.encode()).hexdigest() == DOT_SHA256[d, b]
 
 
 @pytest.mark.parametrize("d,g", [(4, 2), (3, 3)])
