@@ -239,11 +239,6 @@ def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]
     return tuple(term for _, term in _terms(s, rows))
 
 
-def _released(points) -> LineBundle:
-    """The class of released fixed points: the sum of order * point(label)."""
-    return LineBundle(tuple((PT, lbl, 1, order) for order, lbl in points))
-
-
 def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
     """The type I rows of ``s`` (see :func:`_dedup`): one moving point of
     group j, if it has another, becomes fixed at a new point."""
@@ -295,7 +290,9 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
                     continue
                 if partition_count(mass, MAX_TERMS + 1) > MAX_TERMS + 1:
                     raise BudgetExceeded(f"terms: p({mass}) - 1 type II rows > {MAX_TERMS}")
-                merged_bundle = groups_bundle + _released(alpha_dropped)
+                # each released fixed point adds order * point(label)
+                released = tuple((PT, lbl, 1, order) for order, lbl in alpha_dropped)
+                merged_bundle = groups_bundle + LineBundle(released)
                 for tau in partitions(mass):
                     if tau.size < 2 and not simple:
                         continue

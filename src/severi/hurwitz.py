@@ -37,6 +37,7 @@ lattice, which every admitted move must preserve.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,10 +61,10 @@ from .monodromy import (
 )
 from .profiles import partitions
 
-# Budgets: the largest branch count and tuple_count enumerated tuple by
-# tuple, and per degree the largest branch count the exhaustive scan
-# accepts, checked before any table is built; the degree bound of both is
-# ``MAX_TABLE_D``.  Each scan bound is the last b whose branch-word table
+# Budgets: the largest branch count and tuple_count that iter_tuples
+# streams, and per degree the largest branch count the exhaustive scan
+# accepts, both checked before any table is built; the degree bound of both
+# is ``MAX_TABLE_D``.  Each scan bound is the last b whose branch-word table
 # stays within 40,000 (product, letter set) keys: 32,018 at (d, b) = (5, 6)
 # and 15,405 at (6, 4), against 42,520 at (5, 7) and 111,420 at (6, 5); at
 # d <= 4 the table stops at 516 keys, and (4, 100) takes 0.3 s of CPU.
@@ -84,9 +85,11 @@ def branch_points(g: int) -> int:
 def iter_tuples(d: int, b: int):
     """All valid tuples of degree d with b branch letters, streamed.
 
-    For each (A, B), in lexicographic order, the branch words whose product
-    is [A, B] are read from a table built once per call, and the transitive
-    tuples among them are yielded.  The table holds all C(d, 2)^b words.
+    After the domain check, past ``MAX_ENUM_B`` or ``MAX_ENUM_TUPLES`` by
+    :func:`tuple_count` it raises :class:`BudgetExceeded` before any table
+    is built.  For each (A, B), in lexicographic order, the branch words of
+    product [A, B] are read from a table of all C(d, 2)^b words, built once
+    per call in the order of ``itertools.product`` (of table indices).
 
     Branch letters only add edges to the sheet graph, so a word gives a
     transitive tuple exactly when its transpositions join all the orbits of
@@ -97,8 +100,16 @@ def iter_tuples(d: int, b: int):
     """
     if d < 1 or b < 0:
         raise ValueError("need d >= 1, b >= 0")
+    if b > MAX_ENUM_B:
+        raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
+    if d <= MAX_TABLE_D and (count := tuple_count(d, b)) > MAX_ENUM_TUPLES:
+        raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
     perms, index, mul, inv, transps = perm_table(d)
-    words = _words_by_product(mul, index[identity(d)], transps, b)
+    id_i, step = index[identity(d)], lambda p, t: mul[p][t]
+    words: dict = {}  # product -> its words T_1..T_b, as permutations
+    letters = itertools.product([perms[t] for t in transps], repeat=b)
+    for w, word in zip(itertools.product(transps, repeat=b), letters):
+        words.setdefault(functools.reduce(step, w, id_i), []).append(word)
     cycles = [_orbits(d, [p]) for p in perms]
     orbits_of: dict = {}  # (cycles of A, cycles of B) -> orbits of <A, B>
     branches: dict = {}  # (orbits of <A, B>, [A, B]) -> branch tuples
@@ -110,9 +121,8 @@ def iter_tuples(d: int, b: int):
             key = cycles[a_i], cycles[b_i]
             orbs = orbits_of[key] = orbits_of.get(key) or _orbits(d, [a, bb])
             if (orbs, target) not in branches:
-                found = (tuple(perms[x] for x in w) for w in words[target])
                 branches[orbs, target] = [
-                    t for t in found if not any(orbs) or not any(_orbits(d, t, orbs))
+                    t for t in words[target] if not any(orbs) or not any(_orbits(d, t, orbs))
                 ]
             for branch in branches[orbs, target]:
                 yield HurwitzTuple(d, a, bb, branch)
@@ -131,25 +141,6 @@ def _orbits(d: int, gens, start=None) -> tuple[int, ...]:
     return tuple(root(parent, s) for s in range(d))
 
 
-def _words_by_product(mul, id_i: int, transps, b: int) -> dict:
-    """Map each product to the list of its transposition words T_1..T_b, in
-    lexicographic order of the table indices.
-
-    Grown one letter at a time at the front: the words that start with t
-    and have product q are t followed by the words of product t^-1 q, so
-    taking t in increasing order keeps every list sorted.
-    """
-    words = {id_i: [()]}
-    for _ in range(b):
-        grown: dict = {}
-        for t in transps:
-            row = mul[t]
-            for p, tails in words.items():
-                grown.setdefault(row[p], []).extend((t,) + w for w in tails)
-        words = grown
-    return words
-
-
 def tuple_count(d: int, b: int) -> int:
     """The tuples (A, B, T_1..T_b) of d sheets with [A, B] = T_1..T_b,
     transitive or not: d! * sum over partitions lam of d of c(lam)^b, by
@@ -159,17 +150,9 @@ def tuple_count(d: int, b: int) -> int:
 
 
 def enumerate_tuples(d: int, g: int) -> list[HurwitzTuple]:
-    """All valid tuples for degree d, source genus g (so b = 2g - 2).  Past
-    ``MAX_ENUM_B``, ``MAX_TABLE_D`` or ``MAX_ENUM_TUPLES`` tuples by
-    :func:`tuple_count` it raises :class:`BudgetExceeded` before enumerating."""
-    b = branch_points(g)
-    if b > MAX_ENUM_B:
-        raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
-    if 1 <= d <= MAX_TABLE_D:  # iter_tuples refuses any other d
-        count = tuple_count(d, b)
-        if count > MAX_ENUM_TUPLES:
-            raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
-    return list(iter_tuples(d, b))
+    """All valid tuples for degree d, source genus g (so b = 2g - 2), under
+    the domain checks and budgets of :func:`iter_tuples`."""
+    return list(iter_tuples(d, branch_points(g)))
 
 
 # -- moves ----------------------------------------------------------------------
@@ -479,7 +462,8 @@ def move_graph_dot(tuples) -> str:
     """DOT rendering of the move graph on a move-closed set of tuples of one
     degree d <= ``MAX_TABLE_D`` and one branch count.  Its edges are read off
     :class:`_PackedMoves`: per tuple, the braid moves s1.., the relabelings
-    c1.. by adjacent transpositions, then the handle moves by name."""
+    c1.. by adjacent transpositions, then the handle moves by name; its node
+    labels join one cycle string per ``perm_table`` entry."""
     tuples = list(tuples)
     d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
     moves = _PackedMoves(d, b)
@@ -491,11 +475,11 @@ def move_graph_dot(tuples) -> str:
             raise ValueError("move graphs need tuples of one degree and one branch count")
         pos[sum(moves.index[p] * w for p, w in zip(t.generators(), moves.weights))] = i
     c = lambda p: "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
+    cycles = list(map(c, perm_table(d)[0]))
     lines = ["graph moves {"]
-    for i in pos.values():
-        t = tuples[i]
-        label = f"A={c(t.A)} B={c(t.B)} T={'|'.join(c(x) for x in t.T)}"
-        lines.append(f'  n{i} [label="{label}"];')
+    for key, i in pos.items():
+        a, bb, *branch = map(cycles.__getitem__, moves.unpack(key))
+        lines.append(f'  n{i} [label="A={a} B={bb} T={"|".join(branch)}"];')
     seen = set()
     for key, i in pos.items():
         images = moves.images(key)

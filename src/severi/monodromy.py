@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .base import BudgetExceeded, InvalidState, expect, field_of, root
 from .lattices import IDENTITY, Lattice2, hnf
@@ -114,8 +115,7 @@ def perm_from_cycles(d: int, cycles) -> tuple[int, ...]:
 # -- Hurwitz tuples -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HurwitzTuple:
+class HurwitzTuple(NamedTuple):
     d: int
     A: tuple[int, ...]
     B: tuple[int, ...]

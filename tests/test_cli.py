@@ -88,6 +88,13 @@ def test_budget_exit_code():
     assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
 
 
+def test_hurwitz_orbits_checks_the_domain_before_the_budget():
+    # d = 0 is out of the domain (exit 1) before b = 8 is over the budget
+    proc = run_cli("hurwitz", "orbits", "--d", "0", "--g", "5", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: need d >= 1, b >= 0"]
+
+
 def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
     # refused before any permutation of a billion sheets is built
     big = tmp_path / "big.json"

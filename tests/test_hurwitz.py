@@ -134,6 +134,31 @@ def test_enumeration_guard():
     assert tuple_count(5, 4) <= MAX_ENUM_TUPLES < tuple_count(5, 6)
 
 
+def test_iter_tuples_checks_the_domain_then_the_budget():
+    # the stream refuses with the messages enumerate_tuples gives, before
+    # building any table
+    perm_table.cache_clear()
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(5, 6\) = 243765360 > 3000000$"):
+        list(iter_tuples(5, 6))
+    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: b=7 > 6$"):
+        list(iter_tuples(2, 7))
+    assert perm_table.cache_info().currsize == 0
+    # the domain comes first: tuple_count(3, -1) would divide by zero
+    for d, b in [(3, -1), (0, 8)]:
+        with pytest.raises(ValueError, match=r"^need d >= 1, b >= 0$"):
+            list(iter_tuples(d, b))
+
+
+def test_hurwitz_tuple_is_an_immutable_value():
+    t = HurwitzTuple(3, (1, 2, 0), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
+    with pytest.raises(AttributeError):
+        t.A = (0, 1, 2)
+    twin = HurwitzTuple(3, tuple([1, 2, 0]), tuple([0, 1, 2]), tuple(t.T))
+    assert twin == t and hash(twin) == hash(t) and len({t, twin}) == 1
+    assert HurwitzTuple.from_json(t.to_json()) == t
+    assert HurwitzTuple(2, ID2, ID2).T == () and HurwitzTuple(2, ID2, ID2).b == 0
+
+
 @pytest.mark.parametrize("d,b", [(2, 2), (3, 2), (4, 2), (3, 4), (2, 6)])
 def test_tuple_count_is_the_table_count(d, b):
     """Frobenius's count against every (A, B) and every branch word, counted
