@@ -18,9 +18,9 @@ indices (:class:`_PackedMoves`); the object-level moves are the reference
 that the tests check the packed moves against.  The orbit closure groups
 the tuples into classes under simultaneous conjugation, and applies only
 the braid and handle moves, to one tuple per class.  This is exact: the
-relabelings are conjugations, so each class is closed under them, and the
-braid and handle moves commute with conjugation, so the images of a class
-are the classes of the images of any one of its tuples.
+relabeling moves are conjugations, so each class is closed under them, and
+the braid and handle moves commute with conjugation, so the images of a
+class are the classes of the images of any one of its tuples.
 
 The exhaustive scan checks one (A, B) pair per orbit of S_d on pairs, and
 one letter set per orbit of the pair's stabilizer, each weighted by the
@@ -86,10 +86,12 @@ def iter_tuples(d: int, b: int):
     """All valid tuples of degree d with b branch letters, streamed.
 
     After the domain check, past ``MAX_ENUM_B`` or ``MAX_ENUM_TUPLES`` by
-    :func:`tuple_count` it raises :class:`BudgetExceeded` before any table
-    is built.  For each (A, B), in lexicographic order, the branch words of
-    product [A, B] are read from a table of all C(d, 2)^b words, built once
-    per call in the order of ``itertools.product`` (of table indices).
+    :func:`tuple_count` it raises :class:`BudgetExceeded`, and where that
+    count is 0 (b odd, or d = 1 and b > 0) it yields nothing, both before
+    any table is built.  For each (A, B), in lexicographic order, the branch
+    words of product [A, B] are read from a table of all C(d, 2)^b words,
+    built once per call in the order of ``itertools.product`` (of table
+    indices).
 
     Branch letters only add edges to the sheet graph, so a word gives a
     transitive tuple exactly when its transpositions join all the orbits of
@@ -104,12 +106,14 @@ def iter_tuples(d: int, b: int):
         raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
     if d <= MAX_TABLE_D and (count := tuple_count(d, b)) > MAX_ENUM_TUPLES:
         raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
+    if d <= MAX_TABLE_D and not count:
+        return
     perms, index, mul, inv, transps = perm_table(d)
-    id_i, step = index[identity(d)], lambda p, t: mul[p][t]
+    step = lambda p, t: mul[p][t]
     words: dict = {}  # product -> its words T_1..T_b, as permutations
     letters = itertools.product([perms[t] for t in transps], repeat=b)
     for w, word in zip(itertools.product(transps, repeat=b), letters):
-        words.setdefault(functools.reduce(step, w, id_i), []).append(word)
+        words.setdefault(functools.reduce(step, w, 0), []).append(word)
     cycles = [_orbits(d, [p]) for p in perms]
     orbits_of: dict = {}  # (cycles of A, cycles of B) -> orbits of <A, B>
     branches: dict = {}  # (orbits of <A, B>, [A, B]) -> branch tuples
@@ -262,37 +266,58 @@ class _PackedMoves:
     ``perm_table(d)`` indices of its entries are the digits of a mixed-radix
     number in base d!, A the lowest.  Every move is a few table lookups on
     those indices; the handle words go through :func:`.words.evaluate` over
-    the multiplication table.
+    the multiplication table, whose identity is index 0.
     """
 
     def __init__(self, d: int, b: int):
         perms, self.index, mul, inv, transps = perm_table(d)
-        self.transpositions = frozenset(transps)
+        self.d, self.transpositions = d, frozenset(transps)
         self.adjacent = [self.index[transposition(d, k, k + 1)] for k in range(d - 1)]
         self.radix = len(perms)
         self.width = b + 2
         self.weights = [self.radix**i for i in range(self.width)]
         self.mul, self.inv = mul, inv
-        self.id_i = self.index[identity(d)]
+
+    def pack(self, tuples: list) -> dict:
+        """{packed key: input index} of ``tuples``, checked by one table
+        lookup per entry: one degree and branch count, no repeat, every T a
+        transposition and T_1..T_b = [A, B], else a ValueError."""
+        d, b, index, mul, inv = self.d, self.width - 2, self.index, self.mul, self.inv
+        transps, radix, weights = self.transpositions, self.radix, self.weights[2:]
+        pos: dict = {}
+        for i, t in enumerate(tuples):
+            a, bb = index.get(t.A), index.get(t.B)
+            ok = t.d == d and len(t.T) == b and a is not None and bb is not None
+            if ok:
+                key, prod = a + bb * radix, 0
+                for x, w in zip(map(index.get, t.T), weights):
+                    ok = x in transps
+                    if not ok:
+                        break
+                    key, prod = key + x * w, mul[prod][x]
+                ok = ok and prod == mul[mul[mul[a][bb]][inv[a]]][inv[bb]]
+            if not ok:
+                check_valid(t)
+                raise ValueError("orbits need tuples of one degree and one branch count")
+            j = pos.setdefault(key, i)
+            if j != i:
+                raise ValueError(f"tuple {i} repeats tuple {j}")
+        return pos
 
     def unpack(self, key: int) -> list[int]:
         return [key // w % self.radix for w in self.weights]
 
-    def conjugates(self, key: int) -> list[int]:
-        """The packed conjugate of the tuple ``key`` by each g in S_d, in
-        table order: every entry x becomes g^-1 x g."""
+    def conjugates(self, key: int, gs) -> list[int]:
+        """The packed conjugate of the tuple ``key`` by each table index g
+        of ``gs``, in order: every entry x becomes g^-1 x g.  All of
+        ``range(radix)`` gives its relabeling class, and :attr:`adjacent`
+        the relabeling moves c1.., c{d-1} by (1 2), (2 3), ..."""
         mul = self.mul
-        rows = [mul[gi] for gi in self.inv]
-        out = [0] * self.radix
+        rows = [mul[self.inv[g]] for g in gs]
+        out = [0] * len(rows)
         for x, wk in zip(self.unpack(key), self.weights):
-            out = [o + mul[row[x]][g] * wk for g, (o, row) in enumerate(zip(out, rows))]
+            out = [o + mul[row[x]][g] * wk for g, o, row in zip(gs, out, rows)]
         return out
-
-    def relabelings(self, key: int) -> list[int]:
-        """The packed conjugate of the tuple ``key`` by each adjacent
-        transposition (1 2), (2 3), ..., the relabeling moves c1.., c{d-1}."""
-        mul, inv, e, w = self.mul, self.inv, self.unpack(key), self.weights
-        return [sum(mul[mul[inv[g]][x]][g] * wk for x, wk in zip(e, w)) for g in self.adjacent]
 
     def images(self, key: int) -> list[int]:
         """The packed image of the tuple ``key`` under each braid move
@@ -309,7 +334,7 @@ class _PackedMoves:
             values = {"a": a, "b": b, "t": t}
             for mv in MOVES.handles:
                 a2, b2, t2 = (
-                    wd.evaluate(word, values, compose, self.id_i, inv.__getitem__)
+                    wd.evaluate(word, values, compose, 0, inv.__getitem__)
                     for word in (mv.a_word, mv.b_word, mv.t_word)
                 )
                 out.append(key + (a2 - a) * w[0] + (b2 - b) * w[1] + (t2 - t) * w[-1])
@@ -362,41 +387,20 @@ def orbits(tuples) -> OrbitReport:
     the orbit count and, per orbit, the common invariant lattice.
 
     The tuples must share one degree d <= ``MAX_TABLE_D`` and one branch
-    count, and none may repeat.  One pass of ``perm_table`` lookups, one per
-    entry, checks each tuple (every T a transposition, T_1..T_b = [A, B])
-    and packs it as one int (:class:`_PackedMoves`).  In input order, the
-    first tuple not yet placed opens a class, which takes all its conjugates
-    by S_d, and the invariant lattice is computed once per class.  Only the
-    braid and handle moves are applied, to that first tuple, and the classes
-    of the images are joined; the module docstring says why this gives the
-    orbits of the whole move set.  Every conjugate and every image must be
-    in the set.
+    count, and none may repeat; :meth:`_PackedMoves.pack` checks each one
+    and packs it as one int.  In input order, the first tuple not yet placed
+    opens a class, which takes all its conjugates by S_d, and the invariant
+    lattice is computed once per class.  Only the braid and handle moves are
+    applied, to that first tuple, and the classes of the images are joined;
+    the module docstring says why this gives the orbits of the whole move
+    set.  Every conjugate and every image must be in the set.
     """
     tuples = list(tuples)
     if not tuples:
         raise ValueError("no tuples to partition")
     d, b = tuples[0].d, tuples[0].b
     moves = _PackedMoves(d, b)
-    index, mul, inv, transps = moves.index, moves.mul, moves.inv, moves.transpositions
-    radix, weights = moves.radix, moves.weights[2:]
-    pos: dict = {}
-    for i, t in enumerate(tuples):
-        a, bb = index.get(t.A), index.get(t.B)
-        ok = t.d == d and len(t.T) == b and a is not None and bb is not None
-        if ok:
-            key, prod = a + bb * radix, moves.id_i
-            for x, w in zip(map(index.get, t.T), weights):
-                ok = x in transps
-                if not ok:
-                    break
-                key, prod = key + x * w, mul[prod][x]
-            ok = ok and prod == mul[mul[mul[a][bb]][inv[a]]][inv[bb]]
-        if not ok:
-            check_valid(t)
-            raise ValueError("orbits need tuples of one degree and one branch count")
-        j = pos.setdefault(key, i)
-        if j != i:
-            raise ValueError(f"tuple {i} repeats tuple {j}")
+    pos = moves.pack(tuples)
 
     # class c has least member first[c] and packed key keys[c]; pos holds
     # the keys in input order, so classes are numbered in the order of
@@ -410,7 +414,7 @@ def orbits(tuples) -> OrbitReport:
         lat = sheet_lattice(d, tuples[i].generators())[2]
         if lat is None:
             check_valid(tuples[i])
-        members = {pos.get(image) for image in moves.conjugates(key)}
+        members = {pos.get(image) for image in moves.conjugates(key, range(moves.radix))}
         if None in members:
             raise AssertionError("a move left the enumerated tuple set")
         for j in members:
@@ -460,20 +464,17 @@ def expected_lattices(d: int) -> tuple[Lattice2, ...]:
 
 def move_graph_dot(tuples) -> str:
     """DOT rendering of the move graph on a move-closed set of tuples of one
-    degree d <= ``MAX_TABLE_D`` and one branch count.  Its edges are read off
-    :class:`_PackedMoves`: per tuple, the braid moves s1.., the relabelings
-    c1.. by adjacent transpositions, then the handle moves by name; its node
-    labels join one cycle string per ``perm_table`` entry."""
+    degree d <= ``MAX_TABLE_D`` and one branch count, checked as
+    :func:`orbits` checks it.  Its edges are read off :class:`_PackedMoves`:
+    per tuple, the braid moves s1.., the relabeling moves c1.. by adjacent
+    transpositions, then the handle moves by name; its node labels join one
+    cycle string per ``perm_table`` entry."""
     tuples = list(tuples)
     d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
     moves = _PackedMoves(d, b)
     names = [f"s{k + 1}" for k in range(b - 1)] + [f"c{k + 1}" for k in range(d - 1)]
     names += [mv.name for mv in MOVES.handles] if b else []
-    pos: dict = {}  # packed tuple -> its input index
-    for i, t in enumerate(tuples):
-        if (t.d, t.b) != (d, b):
-            raise ValueError("move graphs need tuples of one degree and one branch count")
-        pos[sum(moves.index[p] * w for p, w in zip(t.generators(), moves.weights))] = i
+    pos = moves.pack(tuples)
     c = lambda p: "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
     cycles = list(map(c, perm_table(d)[0]))
     lines = ["graph moves {"]
@@ -483,7 +484,9 @@ def move_graph_dot(tuples) -> str:
     seen = set()
     for key, i in pos.items():
         images = moves.images(key)
-        images[max(b - 1, 0) : max(b - 1, 0)] = moves.relabelings(key)  # after the braids
+        images[max(b - 1, 0) : max(b - 1, 0)] = moves.conjugates(key, moves.adjacent)
+        if not pos.keys() >= set(images):
+            raise AssertionError("a move left the enumerated tuple set")
         for name, j in zip(names, map(pos.__getitem__, images)):
             edge = (min(i, j), max(i, j), name)
             if i != j and edge not in seen:
@@ -574,16 +577,15 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
         raise BudgetExceeded(f"scan guard: d={d} > {MAX_TABLE_D}")
     if b > MAX_SCAN_B[d]:
         raise BudgetExceeded(f"scan guard: b={b} > {MAX_SCAN_B[d]}")
-    perms, index, mul, _, _ = perm_table(d)
-    id_i = index[identity(d)]
+    perms, _, mul, _, _ = perm_table(d)
     dfact = math.factorial(d)
     half = dfact // 2
 
     @functools.cache
     def closure_order(key) -> int:
         seen = bytearray(dfact)
-        seen[id_i] = 1
-        frontier = [id_i]
+        seen[0] = 1
+        frontier = [0]
         order = 1
         while frontier:
             nxt = []
@@ -684,9 +686,9 @@ def _pair_classes(d: int, b: int):
     (orbit-stabilizer: the stabilizer's order over that of the set's own
     stabilizer in it).
     """
-    perms, index, mul, inv, transps = perm_table(d)
+    perms, _, mul, inv, transps = perm_table(d)
     sets_of_product: dict = {}
-    for (p, used), n in _branch_words(mul, index[identity(d)], transps, b).items():
+    for (p, used), n in _branch_words(mul, transps, b).items():
         sets_of_product.setdefault(p, []).append((used, [perms[x] for x in used], n))
 
     classes: dict = {}
@@ -724,14 +726,14 @@ def _pair_classes(d: int, b: int):
                 yield a_i, b_i, used, branch, words * len(members) * len(orbit) * size
 
 
-def _branch_words(mul, id_i: int, transps, b: int) -> dict:
+def _branch_words(mul, transps, b: int) -> dict:
     """Count the ordered words T_1..T_b of transpositions by (product, sorted
     tuple of the distinct letters used).
 
     Grown one letter at a time, so the table never holds more than
     d! * (number of letter sets) keys, however many words there are.
     """
-    counts = {(id_i, ()): 1}
+    counts = {(0, ()): 1}
     for _ in range(b):
         grown: dict = {}
         for (p, used), n in counts.items():

@@ -425,7 +425,8 @@ def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def perm_table(d: int):
-    """Dense multiplication table for S_d, for the exhaustive scans."""
+    """Dense multiplication table for S_d, for the exhaustive scans; its
+    ``perms`` come in lexicographic order, so index 0 is the identity."""
     if d > MAX_TABLE_D:
         raise BudgetExceeded(f"dense tables are limited to d <= {MAX_TABLE_D}")
     perms = list(itertools.permutations(range(d)))

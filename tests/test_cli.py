@@ -95,6 +95,17 @@ def test_hurwitz_orbits_checks_the_domain_before_the_budget():
     assert proc.stderr.splitlines() == ["error: need d >= 1, b >= 0"]
 
 
+def test_empty_hurwitz_space_is_an_orbit_error_and_a_zero_scan():
+    # no cover of one sheet has branch points: the orbit count partitions a
+    # given tuple set and refuses the empty one, as hurwitz_component_count
+    # refuses d < 2, while the scan totals whatever its class walk yields
+    proc = run_cli("hurwitz", "orbits", "--d", "1", "--g", "2", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: no tuples to partition"]
+    proc = run_cli("mono", "scan", "--d", "1", "--b", "2")
+    assert '"tuples":0' in proc.stdout and json.loads(proc.stdout)["ok"]
+
+
 def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
     # refused before any permutation of a billion sheets is built
     big = tmp_path / "big.json"

@@ -147,6 +147,18 @@ def test_iter_tuples_checks_the_domain_then_the_budget():
     for d, b in [(3, -1), (0, 8)]:
         with pytest.raises(ValueError, match=r"^need d >= 1, b >= 0$"):
             list(iter_tuples(d, b))
+    # where no tuple exists (b odd, or one sheet and b > 0) the stream is
+    # empty, again before any table: (6, 5) would build 15^5 branch words
+    for d, b in [(6, 5), (1, 2)]:
+        assert tuple_count(d, b) == 0 and list(iter_tuples(d, b)) == []
+    assert perm_table.cache_info().currsize == 0
+
+
+def test_perm_table_starts_at_the_identity():
+    # the packed moves, the tuple stream and the scan start their products
+    # at index 0
+    for d in range(1, MAX_TABLE_D + 1):
+        assert perm_table(d)[0][0] == identity(d)
 
 
 def test_hurwitz_tuple_is_an_immutable_value():
@@ -356,7 +368,8 @@ def test_packed_moves_match_move_images(d, g):
     """Each packed image, read back as the mixed-radix digits in base d! of
     A, B, T_1..T_b, is the tuple move_images gives for the same move: the
     packed images are the braid and handle moves in its order, and the
-    packed relabelings are its relabelings c1.., in order."""
+    packed conjugates by the adjacent transpositions are its relabelings
+    c1.., in order."""
     perms, index, *_ = perm_table(d)
     n, width = len(perms), 2 * g
     moves = _PackedMoves(d, width - 2)
@@ -365,7 +378,7 @@ def test_packed_moves_match_move_images(d, g):
         key = sum(x * n**i for i, x in enumerate(entries))
         decoded = [decode(image, d, width) for image in moves.images(key)]
         assert decoded == [t2 for name, t2 in move_images(t) if name[0] != "c"]
-        decoded = [decode(image, d, width) for image in moves.relabelings(key)]
+        decoded = [decode(image, d, width) for image in moves.conjugates(key, moves.adjacent)]
         assert decoded == [t2 for name, t2 in move_images(t) if name[0] == "c"]
 
 
@@ -384,7 +397,7 @@ def test_conjugates_are_the_relabeling_closure(d, g):
         conjugates = [conjugate_tuple(t, p) for p in perms]
         assert set(conjugates) == closure_of[t]
         key = sum(index[p] * len(perms) ** i for i, p in enumerate(t.generators()))
-        assert [decode(c, d, 2 * g) for c in moves.conjugates(key)] == conjugates
+        assert [decode(c, d, 2 * g) for c in moves.conjugates(key, range(len(perms)))] == conjugates
 
 
 def test_orbits_rejects_a_set_the_moves_leave():
@@ -494,6 +507,16 @@ def test_move_graph_dot():
     assert move_graph_dot([]) == "graph moves {\n}\n"
     with pytest.raises(ValueError, match="one degree and one branch count"):
         move_graph_dot(ts + enumerate_tuples(3, 2))
+    # the input is checked as orbits() checks it: a repeated tuple would drop
+    # a node, and an invalid tuple or a set the moves leave has no packed
+    # image to draw an edge to
+    with pytest.raises(ValueError, match=r"^tuple 4 repeats tuple 0$"):
+        move_graph_dot(ts + ts[:1])
+    broken = HurwitzTuple(2, T12, ID2, (ID2, T12))
+    with pytest.raises(ValueError, match=r"^T1 is not a transposition; \[A,B\] != T1\.\.\.Tb$"):
+        move_graph_dot(ts + [broken])
+    with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
+        move_graph_dot(enumerate_tuples(3, 2)[:3])
 
 
 # sha256 of move_graph_dot(list(iter_tuples(d, b))), recorded when the edges
@@ -751,9 +774,9 @@ def test_scan_budget_on_branch_words():
     # those at b: once two key sets b apart by 2 are equal, they repeat
     pins = {4: {6: 516, 8: 516}, 5: {6: 32_018, 7: 42_520}, 6: {4: 15_405, 5: 111_420}}
     for d in range(1, MAX_TABLE_D + 1):
-        _, index, mul, _, transps = perm_table(d)
+        _, _, mul, _, transps = perm_table(d)
         last = 8 if d <= 4 else MAX_SCAN_B[d] + 1
-        keys = [set(_branch_words(mul, index[identity(d)], transps, b)) for b in range(last + 1)]
+        keys = [set(_branch_words(mul, transps, b)) for b in range(last + 1)]
         sizes = [len(k) for k in keys]
         assert all(keys[b] <= keys[b + 2] for b in range(1, last - 1))
         assert {b: sizes[b] for b in pins.get(d, ())} == pins.get(d, {})
