@@ -97,7 +97,13 @@ def cmd_forest(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dg.forest_to_dot(forest))
     _emit(forest.to_json())
-    return EXIT_BUDGET if forest.truncated else EXIT_OK
+    if forest.truncated:
+        print(
+            f"budget exceeded: forest: max_nodes={args.max_nodes} reached, partial forest printed",
+            file=sys.stderr,
+        )
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_dim(args) -> int:

@@ -44,6 +44,7 @@ from .states import (
     PT,
     LineBundle,
     SeveriState,
+    _at_numbers,
     _dimension,
     _key_string,
     _normalize,
@@ -119,8 +120,10 @@ def _term_json(t: Term, memo: dict) -> dict:
     }
 
 
-def _check_term(parent_dim: int, term: Term) -> Term:
-    if _dimension(term.child) != parent_dim - 1:
+def _check_term(parent_dim: int, child_dim: int, term: Term) -> Term:
+    """``term`` once it passes the term checks; ``child_dim`` is the
+    dimension of ``term.child``, which the caller reads once per row."""
+    if child_dim != parent_dim - 1:
         raise AssertionError(
             f"dimension drop != 1 for term {term.coefficient}"
         )
@@ -178,14 +181,19 @@ def _terms(s: SeveriState, rows):
     """
     parent_dim = _dimension(s)
     for kind, group in itertools.groupby(rows, key=lambda row: row[0]):
-        group = list(group)
+        # a row's child has genus g - |tau| at every m, and N does not enter
+        # the dimension, so each row's child dimension is read once
+        children = []
+        for row in group:
+            _, tau, kept, dropped, child = row[:5]
+            g = s.g - len(tau.entries)
+            children.append((row, tau, kept, dropped, child, g, _dimension(child) - child.g + g))
         for m in (0,) if kind == KIND_I else range(1, s.N + 1):
-            for row in group:
-                _, tau, kept, dropped, child = row[:5]
-                N, g = s.N - m, s.g - tau.size
-                if (child.N, child.g) != (N, g):
-                    child = SeveriState(s.d, N, g, child.alpha, child.betas)
-                yield row, _check_term(parent_dim, Term(kind, child, m, tau, kept, dropped))
+            N = s.N - m
+            for row, tau, kept, dropped, child, g, child_dim in children:
+                if child.N != N or child.g != g:
+                    child = _at_numbers(child, N, g)
+                yield row, _check_term(parent_dim, child_dim, Term(kind, child, m, tau, kept, dropped))
 
 
 # -- the two statements ------------------------------------------------------
@@ -267,6 +275,7 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
     each row gives at least one term.  So when p(mass) - 1 > ``MAX_TERMS``
     it raises :class:`BudgetExceeded` before listing the partitions."""
     ell = s.ell
+    no_points, no_class = Profile(), LineBundle()  # frozen, so every sum may start from them
     alpha_choices = _alpha_choices(s.alpha, every_subset=key_mode != DEGREE)
     rows = []
     for kept_mask in itertools.product((True, False), repeat=ell):
@@ -277,8 +286,7 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
         drop_choices = [sorted(set(s.betas[j][0].entries)) for j in loose]
         for drops in itertools.product(*drop_choices):
             dropped = tuple(zip(loose, drops))
-            moving = Profile()
-            groups_bundle = LineBundle()
+            moving, groups_bundle = no_points, no_class
             for j, n in dropped:
                 beta, bundle = s.betas[j]
                 moving = moving + beta.without(n)
@@ -291,8 +299,10 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
                 if partition_count(mass, MAX_TERMS + 1) > MAX_TERMS + 1:
                     raise BudgetExceeded(f"terms: p({mass}) - 1 type II rows > {MAX_TERMS}")
                 # each released fixed point adds order * point(label)
-                released = tuple((PT, lbl, 1, order) for order, lbl in alpha_dropped)
-                merged_bundle = groups_bundle + LineBundle(released)
+                merged_bundle = groups_bundle
+                if alpha_dropped:
+                    released = tuple((PT, lbl, 1, order) for order, lbl in alpha_dropped)
+                    merged_bundle = groups_bundle + LineBundle(released)
                 for tau in partitions(mass):
                     if tau.size < 2 and not simple:
                         continue
@@ -391,14 +401,17 @@ def build_forest(
     listers = {KIND_I: _type_one_rows, KIND_II: _type_two_rows}
     queue: deque = deque()
 
-    def insert(state: SeveriState, key: tuple):
-        """The key string of ``state``, added as a node if it is new; None
-        once the budget is spent."""
-        text = key_string(key)
+    def insert(state: SeveriState, N: int, g: int, part: tuple):
+        """The key string of ``state`` at ``(N, g)``, whose shape part is
+        ``part``; that state is built and added as a node only if the key is
+        new.  None once the budget is spent."""
+        text = key_string((state.d, N, g) + part)
         if text not in forest.nodes:
             if len(forest.nodes) >= max_nodes:
                 forest.truncated = True
                 return None
+            if state.N != N or state.g != g:
+                state = _at_numbers(state, N, g)
             forest.nodes[text] = state
             queue.append(text)
         return text
@@ -419,7 +432,7 @@ def build_forest(
     root_keys = []
     for root in roots:
         nstate, _ = normalize(root)
-        key = insert(nstate, (nstate.d, nstate.N, nstate.g) + _cached_key(shapes, nstate, key_mode))
+        key = insert(nstate, nstate.N, nstate.g, _cached_key(shapes, nstate, key_mode))
         if key is None:
             break
         root_keys.append(key)
@@ -437,11 +450,9 @@ def build_forest(
         for row, term in _terms(state, rows):
             nchild, factor, part = row[5:]
             child = term.child
-            if nchild is not row[4]:  # normalizing changed the child
-                if (nchild.N, nchild.g) != (child.N, child.g):
-                    nchild = SeveriState(child.d, child.N, child.g, nchild.alpha, nchild.betas)
-                child = nchild
-            ckey = insert(child, (child.d, child.N, child.g) + part)
+            if nchild is row[4]:  # normalizing left the child as it is
+                nchild = child
+            ckey = insert(nchild, child.N, child.g, part)
             if ckey is None:
                 break
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))

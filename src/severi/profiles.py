@@ -19,6 +19,9 @@ from dataclasses import dataclass
 class Profile:
     """A multiset of tangency orders, kept in non-increasing order.
 
+    A sum with an empty side returns the other operand itself; profiles
+    are frozen, so sharing it is safe.
+
     >>> Profile((1, 2)) == Profile((2, 1))
     True
     >>> Profile((2, 1)) + Profile((3,))
@@ -45,6 +48,10 @@ class Profile:
         return Profile((1,) * k)
 
     def __add__(self, other: "Profile") -> "Profile":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         return Profile(self.entries + other.entries)
 
     def __iter__(self):

@@ -34,8 +34,13 @@ class LineBundle:
     """A formal integer combination of named symbols and points.
 
     Terms are ``(kind, name, degree, coeff)`` with kind "pt" (a labeled
-    point, degree 1) or "sym" (a named class of the given degree).  The
-    degree of the bundle is the coefficient-weighted sum of term degrees.
+    point, degree 1) or "sym" (a named class of the given degree).  Equal
+    terms merge and zero coefficients drop, so ``terms`` is sorted and
+    canonical.  The attribute ``degree``, the coefficient-weighted sum of
+    term degrees, is computed once at construction; it is not a field, so
+    it takes no part in comparison, hashing or the repr.  A sum with an
+    empty side returns the other operand itself, which is safe because
+    bundles are frozen.
     """
 
     terms: tuple[tuple[str, str, int, int], ...] = ()
@@ -52,12 +57,13 @@ class LineBundle:
             (k, n, d, c) for (k, n, d), c in sorted(merged.items()) if c != 0
         )
         object.__setattr__(self, "terms", cleaned)
-
-    @property
-    def degree(self) -> int:
-        return sum(deg * coeff for _, _, deg, coeff in self.terms)
+        object.__setattr__(self, "degree", sum(deg * coeff for _, _, deg, coeff in cleaned))
 
     def __add__(self, other: "LineBundle") -> "LineBundle":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return LineBundle(self.terms + other.terms)
 
     def __sub__(self, other: "LineBundle") -> "LineBundle":
@@ -88,7 +94,12 @@ def point(name: str) -> LineBundle:
 
 @dataclass(frozen=True)
 class SeveriState:
-    """The tuple (d, N, g, alpha with point labels, [(beta^j, L_j)])."""
+    """The tuple (d, N, g, alpha with point labels, [(beta^j, L_j)]).
+
+    ``alpha`` is stored as a tuple sorted by decreasing order, then label.
+    It is sorted at construction when it has two or more entries or is not
+    a tuple; an empty or one-entry tuple is already in that form.
+    """
 
     d: int
     N: int
@@ -97,8 +108,9 @@ class SeveriState:
     betas: tuple[tuple[Profile, LineBundle], ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.alpha, key=lambda t: (-t[0], t[1])))
-        object.__setattr__(self, "alpha", ordered)
+        alpha = self.alpha
+        if len(alpha) >= 2 or not isinstance(alpha, tuple):
+            object.__setattr__(self, "alpha", tuple(sorted(alpha, key=lambda t: (-t[0], t[1]))))
 
     @property
     def ell(self) -> int:
@@ -160,7 +172,19 @@ def dimension(s: SeveriState) -> int:
 
 def _dimension(s: SeveriState) -> int:
     # the formula alone, for states the caller has already validated
-    return s.d + s.g + sum(beta.size for beta, _ in s.betas) - 1 - s.ell
+    dim = s.d + s.g - 1
+    for beta, _ in s.betas:
+        dim += len(beta.entries) - 1
+    return dim
+
+
+def _at_numbers(s: SeveriState, N: int, g: int) -> SeveriState:
+    """``dataclasses.replace(s, N=N, g=g)`` without ``__post_init__``, whose
+    sort would find ``s.alpha`` already sorted."""
+    new = object.__new__(SeveriState)
+    for name, value in (("d", s.d), ("N", N), ("g", g), ("alpha", s.alpha), ("betas", s.betas)):
+        object.__setattr__(new, name, value)
+    return new
 
 
 def is_normalized(s: SeveriState) -> bool:

@@ -48,11 +48,3 @@ def random_normalized_state(rng: random.Random) -> SeveriState:
 def rng():
     return random.Random(20240 + 817)
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-d6",
-        action="store_true",
-        default=False,
-        help="also run the optional degree-6 monodromy scan",
-    )

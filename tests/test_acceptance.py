@@ -260,18 +260,14 @@ def test_criterion_10_cli_determinism():
     _report(10, f"{len(invocations)} CLI invocations produce byte-identical JSON on repeat")
 
 
-@pytest.mark.skipif(
-    "not config.getoption('--run-d6', default=False)",
-    reason="d=6 scans and orbits are optional; enable with --run-d6",
-)
 def test_optional_kernel_order_d6():
     for case in [(6, 2), (6, 4)]:
         rep = hw.scan_monodromy(*case)
         assert rep.kernel_failures == 0 and rep.equivalence_failures == 0
-        _report(6, f"optional d=6 scan {case}: {rep.tuples} tuples, kernel order exact")
+        _report(6, f"d=6 scan {case}: {rep.tuples} tuples, kernel order exact")
     report = hw.orbits(list(hw.iter_tuples(6, 2)))
     assert len(report.tuples) == 259_200
     assert report.orbit_count == 8 == lt.hurwitz_component_count(6)
     assert all(n == 1 for n in report.lattice_of_orbit.values())
     assert {lat.index for lat in report.census} == {1, 2, 3}
-    _report(8, f"optional d=6 orbits (6, 2): {len(report.tuples)} tuples, 8 orbits")
+    _report(8, f"d=6 orbits (6, 2): {len(report.tuples)} tuples, 8 orbits")

@@ -219,6 +219,9 @@ def test_forest_budget_of_one_node_exits_3():
     )
     data = json.loads(proc.stdout)
     assert data["truncated"] and len(data["nodes"]) == 1 and data["edges"] == []
+    assert proc.stderr.splitlines() == [
+        "budget exceeded: forest: max_nodes=1 reached, partial forest printed"
+    ]
 
 
 def test_genusbound():

@@ -207,6 +207,27 @@ def test_dimension_drop_on_random_corpus(rng):
             assert dimension(t.child) == parent_dim - 1
 
 
+def test_dimension_check_fires_on_every_row():
+    # the expander reads each row's child dimension once; a first good row
+    # must not vouch for the next one.  The bad row's tau has one part more
+    # than its child's merged group gained, so at every m its child's genus
+    # g - |tau| is one too low and the dimension drops by two.
+    parent = SeveriState(
+        d=4, N=3, g=2, alpha=((1, "p1"),), betas=((Profile.ones(3), symbol("L", 3)),)
+    )
+    child = SeveriState(
+        d=4, N=2, g=0, betas=((Profile.ones(4), symbol("L", 3) + point("p1")),)
+    )
+    good = (dg.KIND_II, Profile.ones(2), (), ((0, 1),), child)
+    bad = (dg.KIND_II, Profile.ones(3), (), ((0, 1),), child)
+    terms = [term for _, term in dg._terms(parent, [good])]
+    assert [t.m for t in terms] == [1, 2, 3]
+    assert all(dimension(t.child) == dimension(parent) - 1 for t in terms)
+    for rows in ([good, bad], [bad, good], [bad]):
+        with pytest.raises(AssertionError, match="dimension drop != 1"):
+            list(dg._terms(parent, rows))
+
+
 def test_class_bookkeeping(rng):
     for _ in range(40):
         s = random_normalized_state(rng)
@@ -827,3 +848,65 @@ def test_symbolic_key_matches_reference(rng):
     _, (l_form, m_form) = key
     assert [name for _, name, _, _ in l_form[2]] == ["P1", "Q1", "Q2", "L"]
     assert m_form[2] == (("pt", "Q3", 1, -1), ("sym", "M", 3, 1))
+
+
+# -- structural oracles over the benchmark's forests -------------------------
+
+F1_ROOT = simple_state(6, 4, 6, 0, 6)
+F2_ROOT = simple_state(5, 3, 4, 0, 5)
+
+
+@pytest.fixture(scope="module")
+def bench_forests():
+    return {
+        ("F1", DEGREE): dg.build_forest([F1_ROOT], key_mode=DEGREE),
+        ("F2", DEGREE): dg.build_forest([F2_ROOT], key_mode=DEGREE),
+        ("F2", SYMBOLIC): dg.build_forest([F2_ROOT], key_mode=SYMBOLIC),
+    }
+
+
+def labelled_edges(forest, key_of):
+    """The edges as ``(parent, child, kind, m, tau, factor)``, their nodes
+    named by ``key_of`` of the node states."""
+    name = {k: key_of(s) for k, s in forest.nodes.items()}
+    return {
+        (name[e.parent], name[e.child], e.term.kind, e.term.m, e.term.tau.entries, e.factor)
+        for e in forest.edges
+    }
+
+
+def test_symbolic_forest_maps_onto_the_degree_forest(bench_forests):
+    # forgetting labels maps F2's symbolic forest onto its degree forest:
+    # node for node and labelled edge for labelled edge, both ways
+    degree, symbolic = bench_forests["F2", DEGREE], bench_forests["F2", SYMBOLIC]
+    assert not degree.truncated and not symbolic.truncated
+    assert (len(degree.nodes), len(symbolic.nodes)) == (465, 4177)
+    # canonical_key defaults to degree mode
+    assert {canonical_key(s) for s in symbolic.nodes.values()} == set(degree.nodes)
+    assert {canonical_key(symbolic.nodes[r]) for r in symbolic.roots} == set(degree.roots)
+    assert labelled_edges(symbolic, canonical_key) == labelled_edges(degree, canonical_key)
+
+
+def dead_end(s):
+    """No general term: no moving group for type I, and no type II row,
+    because N = 0 lists none and at d = 1 the one fixed point releases mass
+    one, while the general statement needs |tau| >= 2."""
+    return s.ell == 0 and (s.N == 0 or s.d == 1)
+
+
+@pytest.mark.parametrize(
+    "forest,mode,counts",
+    [("F1", DEGREE, (86, 1797)), ("F2", SYMBOLIC, (34, 3672))],
+    ids=["F1", "F2"],
+)
+def test_dead_end_census(bench_forests, forest, mode, counts):
+    # every node of positive dimension is expanded (floor 0), so it has an
+    # outgoing edge exactly when it has a term
+    forest = bench_forests[forest, mode]
+    assert not forest.truncated
+    parents = {e.parent for e in forest.edges}
+    positive = {k: s for k, s in forest.nodes.items() if dimension(s) > 0}
+    dead = {k for k in positive if k not in parents}
+    assert dead == {k for k, s in positive.items() if dead_end(s)}
+    assert (len(dead), len(positive)) == counts
+    assert all(dg.successors_general(positive[k], mode) == () for k in dead)

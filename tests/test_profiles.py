@@ -18,6 +18,17 @@ def test_sum_is_multiset_union():
     assert Profile.ones(2) + Profile.ones(3) == Profile.ones(5)
 
 
+def test_sum_with_an_empty_side_is_the_other_operand():
+    rng = random.Random(12)
+    for _ in range(50):
+        p = Profile(tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 6))))
+        assert Profile() + p == p == p + Profile()
+        if p.entries:
+            assert Profile() + p is p and p + Profile() is p
+        for total in (Profile() + p, p + Profile(), p + p):
+            assert list(total.entries) == sorted(total.entries, reverse=True)
+
+
 def test_equality_is_multiset_equality():
     assert Profile.of(1, 2, 1) == Profile.of(2, 1, 1)
     assert Profile.of(2) != Profile.of(1, 1)

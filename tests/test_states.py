@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -5,10 +6,13 @@ import pytest
 from severi.profiles import Profile
 from severi.states import (
     DEGREE,
+    PT,
+    SYM,
     SYMBOLIC,
     InvalidState,
     LineBundle,
     SeveriState,
+    _at_numbers,
     canonical_key,
     dimension,
     is_normalized,
@@ -20,6 +24,7 @@ from severi.states import (
     symbol,
     violations,
 )
+from tests.conftest import random_normalized_state
 
 
 def mk(d, N, g, alpha=(), betas=()):
@@ -34,6 +39,52 @@ def test_line_bundle_degree_and_arithmetic():
     assert (L + 2 * p).degree == 5
     assert (L - p) + p == L
     assert (p - p).terms == ()
+
+
+def weighted_degree(bundle):
+    return sum(deg * coeff for _, _, deg, coeff in bundle.terms)
+
+
+def test_line_bundle_degree_is_read_at_construction():
+    L, M, p, q = symbol("L", 3), symbol("M", 2), point("p"), point("q")
+    empty = LineBundle()
+    assert empty + L == L == L + empty
+    assert empty + L is L and L + empty is L
+    cancelled = L - L
+    assert cancelled.terms == () and cancelled.degree == 0
+    sums = (L + p, L - p, 3 * (L - 2 * q) + M, -2 * (M + p), 0 * L, cancelled, (L + p) - (p + L))
+    for bundle in sums:
+        assert bundle.degree == weighted_degree(bundle)
+    # replace runs the constructor again: the terms merge and the degree follows
+    merged = dataclasses.replace(L, terms=L.terms + ((PT, "p", 1, 1), (PT, "p", 1, -3)))
+    assert merged.terms == ((PT, "p", 1, -2), (SYM, "L", 3, 1))
+    assert merged.degree == 1 == weighted_degree(merged)
+    # the degree is no field, so equality, hashing and the repr read the terms alone
+    assert [f.name for f in dataclasses.fields(LineBundle)] == ["terms"]
+    assert "degree" not in repr(L) and hash(L) == hash(LineBundle(L.terms))
+
+
+def test_alpha_is_stored_as_a_sorted_tuple():
+    ordered = ((3, "p2"), (1, "p1"), (1, "p3"))
+    for alpha in (((1, "p3"), (3, "p2"), (1, "p1")), [(1, "p1"), (1, "p3"), (3, "p2")], ordered):
+        s = SeveriState(d=5, N=0, g=0, alpha=alpha)
+        assert type(s.alpha) is tuple and s.alpha == ordered
+    one = SeveriState(d=3, N=0, g=0, alpha=[(3, "p1")])
+    assert type(one.alpha) is tuple and one.alpha == ((3, "p1"),)
+    # replace runs the constructor again, so a new alpha is sorted too
+    moved = dataclasses.replace(one, d=4, alpha=[(1, "p2"), (3, "p1")])
+    assert moved.alpha == ((3, "p1"), (1, "p2"))
+
+
+def test_state_at_other_numbers_is_the_replaced_state(rng):
+    for _ in range(40):
+        s = random_normalized_state(rng)
+        N, g = rng.randint(-3, 6), rng.randint(-6, 6)
+        shifted = _at_numbers(s, N, g)
+        assert shifted == dataclasses.replace(s, N=N, g=g)
+        assert hash(shifted) == hash(dataclasses.replace(s, N=N, g=g))
+        assert repr(shifted) == repr(dataclasses.replace(s, N=N, g=g))
+        assert shifted.alpha is s.alpha and shifted.betas is s.betas
 
 
 def test_line_bundle_json_degree_consistency():
@@ -212,8 +263,6 @@ def test_canonical_key_point_relabeling():
 
 
 def test_json_roundtrip(rng):
-    from tests.conftest import random_normalized_state
-
     for _ in range(50):
         s = random_normalized_state(rng)
         assert state_from_json(state_to_json(s)) == s
