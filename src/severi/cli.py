@@ -10,7 +10,11 @@ imports its own, and at module level only the leaf :mod:`.base` is loaded,
 for the budget exception and the key-mode names.  Every invocation is a cold
 process, whose cost is mostly interpreter start-up and imports, so ``dim``
 loads :mod:`.surfaces` alone and ``mono factor`` does not load
-:mod:`.hurwitz`.
+:mod:`.hurwitz`.  The records of ``dim``, ``gamma``, ``genusbound``,
+``lattice`` and ``mono check|lattice|factor`` are named tuples, so those
+subcommands never import :mod:`dataclasses` (and, through it,
+:mod:`inspect`); ``terms``, ``forest``, ``mono scan`` and ``hurwitz`` do,
+for the dataclass records of the forest walk and of :mod:`.hurwitz`.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .base import BudgetExceeded, InvalidState
 from .profiles import Profile, partition_count, partitions
@@ -333,8 +334,7 @@ def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
 # -- iterated sections: the degeneration forest ------------------------------
 
 
-@dataclass(frozen=True)
-class ForestEdge:
+class ForestEdge(NamedTuple):
     parent: str
     child: str
     term: Term
@@ -347,9 +347,11 @@ class Forest:
     edges: list = field(default_factory=list)
     roots: tuple = ()
     truncated: bool = False
-    # what the build did, kept out of to_json: nodes expanded, the distinct
-    # shapes (d, alpha, betas) among them, and all distinct shapes keyed
+    # what the build did, kept out of to_json: nodes expanded, those of them
+    # with no row, the distinct shapes (d, alpha, betas) among them, and all
+    # distinct shapes keyed
     expanded: int = 0
+    dead_ends: int = 0
     enumerated: int = 0
     keyed: int = 0
 
@@ -447,6 +449,8 @@ def build_forest(
         rows = rows_of(state, KIND_I)
         if state.N > 0:
             rows = rows + rows_of(state, KIND_II)
+        if not rows:
+            forest.dead_ends += 1
         for row, term in _terms(state, rows):
             nchild, factor, part = row[5:]
             child = term.child

@@ -16,15 +16,14 @@ joining X to it once each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import InvalidState, expect, field_of, root
 
 X = "X"
 
 
-@dataclass(frozen=True)
-class CentralFiber:
+class CentralFiber(NamedTuple):
     x_genus: int
     e_parts: tuple[tuple[int, int], ...] = ()  # (genus, degree over the fiber)
     z_parts: tuple[int, ...] = ()              # genus per contracted component
@@ -166,8 +165,7 @@ def arithmetic_genus(gr: CentralFiber) -> int:
     return gr.x_genus + parts + len(gr.edges)
 
 
-@dataclass(frozen=True)
-class GenusBoundReport:
+class GenusBoundReport(NamedTuple):
     p_a_x: int
     T: int
     g: int

@@ -11,7 +11,7 @@ the largest m with the given lattice inside m*Z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import BudgetExceeded
 
@@ -21,19 +21,25 @@ from .base import BudgetExceeded
 MAX_LATTICE_INDEX = 100_000
 
 
-@dataclass(frozen=True, order=True)
-class Lattice2:
-    """Sublattice of Z^2 with basis rows (a, b), (0, c); a, c >= 1, 0 <= b < c."""
-
+class _Lattice2(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.c < 1:
+
+class Lattice2(_Lattice2):
+    """Sublattice of Z^2 with basis rows (a, b), (0, c); a, c >= 1, 0 <= b < c.
+
+    A named tuple: it equals, orders and hashes as the plain ``(a, b, c)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> "Lattice2":
+        if a < 1 or c < 1:
             raise ValueError("Hermite form needs a, c >= 1")
-        if not (0 <= self.b < self.c):
+        if not (0 <= b < c):
             raise ValueError("Hermite form needs 0 <= b < c")
+        return super().__new__(cls, a, b, c)
 
     @property
     def index(self) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .base import BudgetExceeded, InvalidState, expect, field_of, root
@@ -286,8 +285,7 @@ def is_full_monodromy(t: HurwitzTuple) -> bool:
 # -- canonical factorization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     lattice: Lattice2
     block_of: tuple[int, ...]
     blocks: tuple[tuple[int, ...], ...]
@@ -345,8 +343,7 @@ def factorize(t: HurwitzTuple) -> Factorization:
     )
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     applicable: bool
     e: int = 0
     dtilde: int = 0
@@ -356,7 +353,7 @@ class KernelReport:
     ok: bool = False
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def kernel_order_check(t: HurwitzTuple) -> KernelReport:

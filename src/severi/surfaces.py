@@ -3,31 +3,36 @@
 The built-in models are the ones the dimension arguments run on: the
 product of a genus-one curve with the projective line (basis f, e with
 f.e = 1 and squares zero, canonical class -2e), the smooth quadric, the
-projective plane, and one-point blow-ups of any model.
+projective plane, and one-point blow-ups of any model.  Models, classes
+and dimensions are named tuples, each equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _SurfaceModel(NamedTuple):
     name: str
     basis: tuple[str, ...]
     pairing: tuple[tuple[int, ...], ...]
     canonical: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.basis)
-        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
+
+class SurfaceModel(_SurfaceModel):
+    __slots__ = ()
+
+    def __new__(cls, name, basis, pairing, canonical) -> "SurfaceModel":
+        n = len(basis)
+        if len(pairing) != n or any(len(row) != n for row in pairing):
             raise ValueError("pairing matrix shape must match the basis")
         for i in range(n):
             for j in range(n):
-                if self.pairing[i][j] != self.pairing[j][i]:
+                if pairing[i][j] != pairing[j][i]:
                     raise ValueError("pairing matrix must be symmetric")
-        if len(self.canonical) != n:
+        if len(canonical) != n:
             raise ValueError("canonical class length must match the basis")
+        return super().__new__(cls, name, basis, pairing, canonical)
 
     def divisor(self, **coeffs: int) -> "DivisorClass":
         unknown = set(coeffs) - set(self.basis)
@@ -42,14 +47,18 @@ class SurfaceModel:
         return DivisorClass(self, self.canonical)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorClass(NamedTuple):
     model: SurfaceModel
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.model.basis):
+
+class DivisorClass(_DivisorClass):
+    __slots__ = ()
+
+    def __new__(cls, model: SurfaceModel, coeffs: tuple[int, ...]) -> "DivisorClass":
+        if len(coeffs) != len(model.basis):
             raise ValueError("coefficient vector length must match the basis")
+        return super().__new__(cls, model, coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         _same_model(self, other)
@@ -138,8 +147,7 @@ def adjunction_genus(d: int, N: int) -> int:
     return N * d - d + 1
 
 
-@dataclass(frozen=True)
-class ExpectedDim:
+class ExpectedDim(NamedTuple):
     expected: int
     actual: int
     exceptional: bool

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import deque
 
 import pytest
@@ -547,7 +548,7 @@ def test_forest_enumerates_each_shape_once(mode, size, N, g, counts):
     assert len(kept) < forest.keyed
     # the counters stay out of the output
     assert set(forest.to_json()) == {"nodes", "edges", "roots", "truncated"}
-    blank = dataclasses.replace(forest, expanded=0, enumerated=0, keyed=0)
+    blank = dataclasses.replace(forest, expanded=0, dead_ends=0, enumerated=0, keyed=0)
     assert blank.to_json() == forest.to_json()
     assert dg.forest_to_dot(blank) == dg.forest_to_dot(forest)
 
@@ -887,6 +888,25 @@ def test_symbolic_forest_maps_onto_the_degree_forest(bench_forests):
     assert labelled_edges(symbolic, canonical_key) == labelled_edges(degree, canonical_key)
 
 
+def test_symbolic_forests_map_onto_degree_forests_on_a_corpus():
+    # the same map on seeded roots; a root whose forest passes the cap in
+    # either mode is skipped, and the skip count is pinned
+    rng = random.Random(7)
+    skipped, finer = 0, 0
+    for _ in range(24):
+        root = random_normalized_state(rng)
+        degree = dg.build_forest([root], max_nodes=3000, key_mode=DEGREE)
+        symbolic = dg.build_forest([root], max_nodes=3000, key_mode=SYMBOLIC)
+        if degree.truncated or symbolic.truncated:
+            skipped += 1
+            continue
+        finer += len(symbolic.nodes) > len(degree.nodes)
+        assert {canonical_key(s) for s in symbolic.nodes.values()} == set(degree.nodes)
+        assert {canonical_key(symbolic.nodes[r]) for r in symbolic.roots} == set(degree.roots)
+        assert labelled_edges(symbolic, canonical_key) == labelled_edges(degree, canonical_key)
+    assert (skipped, finer) == (3, 9)
+
+
 def dead_end(s):
     """No general term: no moving group for type I, and no type II row,
     because N = 0 lists none and at d = 1 the one fixed point releases mass
@@ -909,4 +929,5 @@ def test_dead_end_census(bench_forests, forest, mode, counts):
     dead = {k for k in positive if k not in parents}
     assert dead == {k for k, s in positive.items() if dead_end(s)}
     assert (len(dead), len(positive)) == counts
+    assert forest.dead_ends == len(dead)
     assert all(dg.successors_general(positive[k], mode) == () for k in dead)

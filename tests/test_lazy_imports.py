@@ -17,17 +17,18 @@ from severi import surfaces as sf
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# Runs cli.main in a fresh interpreter and prints the severi modules loaded.
+# Runs cli.main in a fresh interpreter and prints the modules loaded.
 PROBE = """
 import contextlib, io, json, sys
 from severi import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("severi."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def loaded_modules(code: str, *args: str) -> tuple[int, set[str]]:
+def run_probe(code: str, *args: str) -> tuple[int, set[str]]:
+    """The probe's exit code and every module it reports."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
@@ -37,54 +38,70 @@ def loaded_modules(code: str, *args: str) -> tuple[int, set[str]]:
     )
     assert proc.returncode == 0, proc.stderr
     exit_code, modules = json.loads(proc.stdout)
-    return exit_code, {m.removeprefix("severi.") for m in modules}
+    return exit_code, set(modules)
 
 
-# Every subcommand loads the leaf module base; the genus bound and the
-# monodromy factorization load nothing of the other half of the package.
-@pytest.mark.parametrize(
-    "args,expected",
-    [
-        (
-            ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-            {"cli", "base", "degeneration", "states", "profiles"},
-        ),
-        (
-            ("terms", "--state", str(FIXTURES / "state_simple.json")),
-            {"cli", "base", "degeneration", "states", "profiles"},
-        ),
-        (
-            ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-            {"cli", "base", "degeneration", "states", "profiles"},
-        ),
-        (("dim", "--d", "3", "--g", "2", "--b", "3"), {"cli", "base", "surfaces"}),
-        (
-            ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2",
-             "--b", "0", "--g", "3"),
-            {"cli", "base", "surfaces"},
-        ),
-        (
-            ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
-            {"cli", "base", "dual_graph"},
-        ),
-        (("lattice", "counts", "--d", "6"), {"cli", "base", "lattices"}),
-        (("lattice", "snf", "--rows", "2,0;0,4"), {"cli", "base", "lattices"}),
-        (
-            ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
-            {"cli", "base", "lattices", "monodromy"},
-        ),
-        (
-            ("hurwitz", "orbits", "--d", "4", "--g", "2"),
-            {"cli", "base", "hurwitz", "lattices", "monodromy", "profiles", "words"},
-        ),
-    ],
-    ids=[
-        "terms", "terms-simple", "forest", "dim", "gamma", "genusbound",
-        "lattice-counts", "lattice-snf", "mono-factor", "hurwitz-orbits",
-    ],
-)
-def test_subcommand_loads_only_its_modules(args, expected):
+def loaded_modules(code: str, *args: str) -> tuple[int, set[str]]:
+    """The probe's exit code and the severi modules it reports, unprefixed."""
+    exit_code, modules = run_probe(code, *args)
+    return exit_code, {m.removeprefix("severi.") for m in modules if m.startswith("severi.")}
+
+
+# Each subcommand's arguments and the severi modules it loads.  Every
+# subcommand loads the leaf module base; the genus bound and the monodromy
+# factorization load nothing of the other half of the package.
+SUBCOMMANDS = {
+    "terms": (
+        ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
+        {"cli", "base", "degeneration", "states", "profiles"},
+    ),
+    "terms-simple": (
+        ("terms", "--state", str(FIXTURES / "state_simple.json")),
+        {"cli", "base", "degeneration", "states", "profiles"},
+    ),
+    "forest": (
+        ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
+        {"cli", "base", "degeneration", "states", "profiles"},
+    ),
+    "dim": (("dim", "--d", "3", "--g", "2", "--b", "3"), {"cli", "base", "surfaces"}),
+    "gamma": (
+        ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2",
+         "--b", "0", "--g", "3"),
+        {"cli", "base", "surfaces"},
+    ),
+    "genusbound": (
+        ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
+        {"cli", "base", "dual_graph"},
+    ),
+    "lattice-counts": (("lattice", "counts", "--d", "6"), {"cli", "base", "lattices"}),
+    "lattice-snf": (("lattice", "snf", "--rows", "2,0;0,4"), {"cli", "base", "lattices"}),
+    "mono-factor": (
+        ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
+        {"cli", "base", "lattices", "monodromy"},
+    ),
+    "hurwitz-orbits": (
+        ("hurwitz", "orbits", "--d", "4", "--g", "2"),
+        {"cli", "base", "hurwitz", "lattices", "monodromy", "profiles", "words"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_loads_only_its_modules(name):
+    args, expected = SUBCOMMANDS[name]
     assert loaded_modules(PROBE, *args) == (0, expected)
+
+
+# The records these subcommands build are named tuples, so none of them
+# loads dataclasses, which imports inspect and through it ast, dis and
+# tokenize.
+@pytest.mark.parametrize(
+    "name", ["dim", "gamma", "genusbound", "lattice-counts", "lattice-snf", "mono-factor"]
+)
+def test_light_subcommand_loads_no_dataclasses(name):
+    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0])
+    assert exit_code == 0
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_base_imports_no_other_module():
