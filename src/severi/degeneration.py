@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -121,50 +121,65 @@ def _term_json(t: Term, memo: dict) -> dict:
     }
 
 
-def _check_term(parent_dim: int, child_dim: int, term: Term) -> Term:
-    """``term`` once it passes the term checks; ``child_dim`` is the
-    dimension of ``term.child``, which the caller reads once per row."""
-    if child_dim != parent_dim - 1:
-        raise AssertionError(
-            f"dimension drop != 1 for term {term.coefficient}"
-        )
-    if term.kind != KIND_I and term.tau.entries == (1,):
-        raise AssertionError("tau = (1) must never be emitted")
-    return term
+class _Row(NamedTuple):
+    """A term of a shape without its m: the first term, at m = 0 for type I
+    and m = 1 otherwise, its normalized child, the splitting factor and
+    that child's shape part."""
+
+    term: Term
+    child: SeveriState
+    factor: int
+    part: tuple
 
 
-def _cached_key(shapes: dict, s: SeveriState, key_mode: str) -> tuple:
-    """The shape part of ``key_tuple(s, key_mode)``, looked up in ``shapes``
-    by ``(d, alpha, betas)``.  A shape not yet there is checked with
-    ``check_valid``, which reads only those fields, and added."""
-    shape = (s.d, s.alpha, s.betas)
-    part = shapes.get(shape)
-    if part is None:
-        check_valid(s)
-        part = shapes[shape] = shape_key(s.alpha, s.betas, key_mode)
-    return part
+class _Walk:
+    """The term walk of one enumerator call or one forest build.
 
-
-def _dedup(rows, key_mode: str, shapes: dict) -> list[tuple]:
-    """The first row per (kind, tau, child shape part), in that order.
-
-    A row ``(kind, tau, kept, dropped, child)`` is a term of one parent
-    without its m; ``child`` is the child of its first term, at m = 0 for
-    type I and m = 1 otherwise.  Once per child shape ``(d, alpha, betas)`` in
-    ``shapes``, which the caller keeps for one call or one build:
-    ``check_valid`` and the shape part of the key.
+    ``shapes`` maps each parent or child shape ``(d, alpha, betas)`` met to
+    one dict: under "part" the shape part of its key, once the shape has
+    been checked with ``check_valid`` (which reads only those fields), and
+    under ``KIND_I`` and ``KIND_II`` its rows of that type, once listed.
     """
-    seen = {}
-    for row in rows:
-        part = _cached_key(shapes, row[4], key_mode)
-        key = (row[0], row[1].entries, part)
-        if key not in seen:
-            seen[key] = row
-    return [seen[k] for k in sorted(seen)]
+
+    def __init__(self, key_mode: str, simple: bool = False):
+        self.key_mode = key_mode
+        self.simple = simple
+        self.shapes: defaultdict = defaultdict(dict)
+
+    def part(self, s: SeveriState) -> tuple:
+        """The shape part of ``key_tuple(s, key_mode)``."""
+        entry = self.shapes[(s.d, s.alpha, s.betas)]
+        if "part" not in entry:
+            check_valid(s)
+            entry["part"] = shape_key(s.alpha, s.betas, self.key_mode)
+        return entry["part"]
+
+    def rows(self, s: SeveriState) -> list[_Row]:
+        """The type I rows of the valid state ``s`` and, if N > 0, its type
+        II rows.  Each type is listed once per shape: of its candidate
+        terms, the first per (kind, tau, child shape part), sorted by that
+        key."""
+        entry = self.shapes[(s.d, s.alpha, s.betas)]
+        rows = []
+        for kind in (KIND_I, KIND_II) if s.N > 0 else (KIND_I,):
+            if kind not in entry:
+                if kind == KIND_I:
+                    terms = _type_one_terms(s)
+                else:
+                    terms = _type_two_terms(s, self.key_mode != DEGREE, self.simple)
+                first: dict = {}
+                for term in terms:
+                    first.setdefault((term.kind, term.tau.entries, self.part(term.child)), term)
+                listed = entry[kind] = []
+                for _, term in sorted(first.items()):
+                    child, factor = _normalize(term.child)
+                    listed.append(_Row(term, child, factor, self.part(child)))
+            rows += entry[kind]
+        return rows
 
 
 def _terms(s: SeveriState, rows):
-    """The terms of ``s`` from its rows (see :func:`_dedup`), each paired
+    """The terms of ``s`` from its rows (see :class:`_Row`), each paired
     with its row: a type I row once with m = 0, any other row once for each
     m = 1..N.
 
@@ -178,23 +193,28 @@ def _terms(s: SeveriState, rows):
     ``(kind, tau, shape part)`` on the rows, the same at every ``(N, g)``;
     ``fresh_labels`` and normalization read only alpha and betas.  So one
     row list serves every state of a shape, and the terms run by kind, then
-    m, then row.  Every term passes the term checks.
+    m, then row.
     """
     parent_dim = _dimension(s)
-    for kind, group in itertools.groupby(rows, key=lambda row: row[0]):
-        # a row's child has genus g - |tau| at every m, and N does not enter
-        # the dimension, so each row's child dimension is read once
-        children = []
-        for row in group:
-            _, tau, kept, dropped, child = row[:5]
-            g = s.g - len(tau.entries)
-            children.append((row, tau, kept, dropped, child, g, _dimension(child) - child.g + g))
+    for kind, group in itertools.groupby(rows, key=lambda row: row.term.kind):
+        # N does not enter the dimension, and a child has genus g - |tau| at
+        # every m, so the term checks hold at every m once they hold at one
+        checked = [(row.term, row, s.g - row.term.tau.size) for row in group]
+        for first, _, g in checked:
+            if _dimension(first.child) - first.child.g + g != parent_dim - 1:
+                raise AssertionError(f"dimension drop != 1 for term {first.coefficient}")
+            if kind != KIND_I and first.tau.entries == (1,):
+                raise AssertionError("tau = (1) must never be emitted")
         for m in (0,) if kind == KIND_I else range(1, s.N + 1):
             N = s.N - m
-            for row, tau, kept, dropped, child, g, child_dim in children:
+            for first, row, g in checked:
+                child = first.child
                 if child.N != N or child.g != g:
                     child = _at_numbers(child, N, g)
-                yield row, _check_term(parent_dim, child_dim, Term(kind, child, m, tau, kept, dropped))
+                elif first.m == m:
+                    yield row, first
+                    continue
+                yield row, Term(kind, child, m, first.tau, first.kept, first.dropped)
 
 
 # -- the two statements ------------------------------------------------------
@@ -235,24 +255,20 @@ def successors_general(s: SeveriState, key_mode: str = DEGREE) -> tuple[Term, ..
 
 
 def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]:
-    """The terms of ``s`` from its type I rows and, if N > 0, its type II
-    rows.  Past ``MAX_TERMS`` terms (one per type I row, N per type II row)
-    it raises :class:`BudgetExceeded` before building any."""
-    shapes: dict = {}
-    rows = _type_one_rows(s, key_mode, shapes)
-    if s.N > 0:
-        rows += _type_two_rows(s, key_mode, shapes, simple)
-    count = sum(1 if row[0] == KIND_I else s.N for row in rows)
+    """The terms of ``s`` from one walk's rows.  Past ``MAX_TERMS`` terms (one
+    per type I row, N per type II row) it raises :class:`BudgetExceeded` before building any."""
+    rows = _Walk(key_mode, simple).rows(s)
+    count = sum(1 if row.term.kind == KIND_I else s.N for row in rows)
     if count > MAX_TERMS:
         raise BudgetExceeded(f"terms: {count} > {MAX_TERMS}")
     return tuple(term for _, term in _terms(s, rows))
 
 
-def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
-    """The type I rows of ``s`` (see :func:`_dedup`): one moving point of
+def _type_one_terms(s: SeveriState) -> list[Term]:
+    """The candidate type I terms of ``s``, at m = 0: one moving point of
     group j, if it has another, becomes fixed at a new point."""
     (p_new,) = fresh_labels(s, 1, stem="p")
-    tau, rows = Profile(), []
+    terms = []
     for j, (beta, bundle) in enumerate(s.betas):
         if beta.size < 2:
             continue
@@ -260,25 +276,25 @@ def _type_one_rows(s: SeveriState, key_mode: str, shapes: dict) -> list[tuple]:
             new_groups = list(s.betas)
             new_groups[j] = (beta.without(n), LineBundle(bundle.terms + ((PT, p_new, 1, -n),)))
             child = SeveriState(s.d, s.N, s.g, s.alpha + ((n, p_new),), tuple(new_groups))
-            rows.append((KIND_I, tau, (), ((j, n),), child))
-    return _dedup(rows, key_mode, shapes)
+            terms.append(Term(KIND_I, child, dropped=((j, n),)))
+    return terms
 
 
-def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) -> list[tuple]:
-    """The type II rows of ``s`` (see :func:`_dedup`): E0 splits off, which
-    sets only the child's N, so the rows serve every m.  With ``simple``,
-    those of the simple statement: |tau| = 1 is admitted, and a row is
-    labeled IIb when the one group is kept and IIa when it loses a point.
+def _type_two_terms(s: SeveriState, every_subset: bool, simple: bool) -> list[Term]:
+    """The candidate type II terms of ``s``, at m = 1: E0 splits off, which
+    sets only the child's N, so they serve every m.  ``every_subset`` is the
+    :func:`_alpha_choices` policy.  With ``simple``, those of the simple
+    statement: |tau| = 1 is admitted, and a term is labeled IIb when the one
+    group is kept and IIa when it loses a point.
 
     One choice of kept groups, drops and kept fixed points, of mass
     ``mass``, gives at least p(mass) - 1 rows, one per partition tau of size
-    two or more.  Their taus differ, so deduplication keeps them all, and
-    each row gives at least one term.  So when p(mass) - 1 > ``MAX_TERMS``
+    two or more, since their taus differ.  So when p(mass) - 1 > ``MAX_TERMS``
     it raises :class:`BudgetExceeded` before listing the partitions."""
     ell = s.ell
     no_points, no_class = Profile(), LineBundle()  # frozen, so every sum may start from them
-    alpha_choices = _alpha_choices(s.alpha, every_subset=key_mode != DEGREE)
-    rows = []
+    alpha_choices = _alpha_choices(s.alpha, every_subset)
+    terms = []
     for kept_mask in itertools.product((True, False), repeat=ell):
         kept = tuple(j for j in range(ell) if kept_mask[j])
         kind = (KIND_IIB if kept else KIND_IIA) if simple else KIND_II
@@ -309,8 +325,8 @@ def _type_two_rows(s: SeveriState, key_mode: str, shapes: dict, simple=False) ->
                         continue
                     betas = intact + ((moving + tau, merged_bundle),)
                     child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha_kept, betas)
-                    rows.append((kind, tau, kept, dropped, child))
-    return _dedup(rows, key_mode, shapes)
+                    terms.append(Term(kind, child, 1, tau, kept, dropped))
+    return terms
 
 
 def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
@@ -386,21 +402,17 @@ def build_forest(
     ``max_nodes`` (at least 1); if the budget trips, the partial forest is
     returned with ``truncated`` set.
 
-    A memo keyed by shape ``(d, alpha, betas)`` and kind lists each shape's
-    rows once per build (see :func:`_terms`), each with its normalized
-    child, factor and child shape key part; the type II rows are listed
-    only for a node with N > 0.  One shape cache (see :func:`_dedup`)
-    serves the whole build, so each shape is validated and keyed once, and
-    each key tuple is turned into its string once, shared by the node and
-    every edge naming it.
+    One walk (see :class:`_Walk`) serves the whole build, so each shape is
+    validated and keyed once, and its rows of each type, with their
+    children normalized and keyed, are listed once; the type II rows only
+    for a node with N > 0.  Each key tuple is turned into its string once,
+    shared by the node and every edge naming it.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     forest = Forest()
-    shapes: dict = {}
+    walk = _Walk(key_mode)
     key_string = functools.cache(_key_string)
-    memo: dict = {}  # ((d, alpha, betas), kind) -> rows
-    listers = {KIND_I: _type_one_rows, KIND_II: _type_two_rows}
     queue: deque = deque()
 
     def insert(state: SeveriState, N: int, g: int, part: tuple):
@@ -418,23 +430,10 @@ def build_forest(
             queue.append(text)
         return text
 
-    def rows_of(state: SeveriState, kind: str) -> list[tuple]:
-        """The memo's rows of one kind for the shape of ``state``, each
-        extended with its normalized child (the row's own child when
-        normalizing leaves it as it is), factor and that child's shape part."""
-        mkey = ((state.d, state.alpha, state.betas), kind)
-        entry = memo.get(mkey)
-        if entry is None:
-            entry = memo[mkey] = []
-            for row in listers[kind](state, key_mode, shapes):
-                nchild, factor = _normalize(row[4])
-                entry.append(row + (nchild, factor, _cached_key(shapes, nchild, key_mode)))
-        return entry
-
     root_keys = []
     for root in roots:
         nstate, _ = normalize(root)
-        key = insert(nstate, nstate.N, nstate.g, _cached_key(shapes, nstate, key_mode))
+        key = insert(nstate, nstate.N, nstate.g, walk.part(nstate))
         if key is None:
             break
         root_keys.append(key)
@@ -446,22 +445,19 @@ def build_forest(
         if _dimension(state) <= floor:
             continue
         forest.expanded += 1
-        rows = rows_of(state, KIND_I)
-        if state.N > 0:
-            rows = rows + rows_of(state, KIND_II)
+        rows = walk.rows(state)
         if not rows:
             forest.dead_ends += 1
         for row, term in _terms(state, rows):
-            nchild, factor, part = row[5:]
             child = term.child
-            if nchild is row[4]:  # normalizing left the child as it is
-                nchild = child
-            ckey = insert(nchild, child.N, child.g, part)
+            # where normalizing left the child as it is, the node is the term's
+            nchild = child if row.child is row.term.child else row.child
+            ckey = insert(nchild, child.N, child.g, row.part)
             if ckey is None:
                 break
-            forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=factor))
-    forest.enumerated = sum(kind == KIND_I for _, kind in memo)
-    forest.keyed = len(shapes)
+            forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=row.factor))
+    forest.enumerated = sum(KIND_I in entry for entry in walk.shapes.values())
+    forest.keyed = sum("part" in entry for entry in walk.shapes.values())
     return forest
 
 

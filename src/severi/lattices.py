@@ -33,6 +33,7 @@ class Lattice2(_Lattice2):
     A named tuple: it equals, orders and hashes as the plain ``(a, b, c)``."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run the checks
 
     def __new__(cls, a: int, b: int, c: int) -> "Lattice2":
         if a < 1 or c < 1:

@@ -21,6 +21,7 @@ class _SurfaceModel(NamedTuple):
 
 class SurfaceModel(_SurfaceModel):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run the checks
 
     def __new__(cls, name, basis, pairing, canonical) -> "SurfaceModel":
         n = len(basis)
@@ -54,6 +55,7 @@ class _DivisorClass(NamedTuple):
 
 class DivisorClass(_DivisorClass):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _make and _replace run the checks
 
     def __new__(cls, model: SurfaceModel, coeffs: tuple[int, ...]) -> "DivisorClass":
         if len(coeffs) != len(model.basis):

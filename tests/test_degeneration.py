@@ -219,8 +219,10 @@ def test_dimension_check_fires_on_every_row():
     child = SeveriState(
         d=4, N=2, g=0, betas=((Profile.ones(4), symbol("L", 3) + point("p1")),)
     )
-    good = (dg.KIND_II, Profile.ones(2), (), ((0, 1),), child)
-    bad = (dg.KIND_II, Profile.ones(3), (), ((0, 1),), child)
+    good, bad = (
+        dg._Row(dg.Term(dg.KIND_II, child, 1, tau, (), ((0, 1),)), child, 1, ())
+        for tau in (Profile.ones(2), Profile.ones(3))
+    )
     terms = [term for _, term in dg._terms(parent, [good])]
     assert [t.m for t in terms] == [1, 2, 3]
     assert all(dimension(t.child) == dimension(parent) - 1 for t in terms)
@@ -571,7 +573,7 @@ def test_key_is_state_numbers_plus_shape_key(mode, rng):
 
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
-def test_dedup_validates_every_child_shape(mode):
+def test_dedup_validates_every_child_shape(mode, monkeypatch):
     parent = simple_state(3, 2, 2, 1, 2)
     # the parent's shape one genus lower drops dimension by one and is valid;
     # the same alpha and betas with d = 4 break the class equation and, at
@@ -579,13 +581,20 @@ def test_dedup_validates_every_child_shape(mode):
     good = dataclasses.replace(parent, g=1)
     bad = dataclasses.replace(parent, d=4, g=0)
     assert dimension(good) == dimension(parent) - 1
-    rows = [(dg.KIND_I, Profile(), (), (), child) for child in (good, bad)]
+    terms = [dg.Term(dg.KIND_I, child) for child in (good, bad)]
+
+    def rows(candidates):
+        # the walk's rows of the parent at N = 0, its type I rows only,
+        # listed from ``candidates``
+        monkeypatch.setattr(dg, "_type_one_terms", lambda s: candidates)
+        return dg._Walk(mode).rows(dataclasses.replace(parent, N=0))
+
     with pytest.raises(InvalidState, match="class equation fails"):
-        dg._dedup(rows[1:], mode, {})
+        rows(terms[1:])
     # a cache keyed without d would pass the bad child as the good one
     with pytest.raises(InvalidState, match="class equation fails"):
-        dg._dedup(rows, mode, {})
-    assert len(dg._dedup(rows[:1], mode, {})) == 1
+        rows(terms)
+    assert len(rows(terms[:1])) == 1
 
 
 # -- byte-for-byte pins ------------------------------------------------------

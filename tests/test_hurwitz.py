@@ -401,8 +401,15 @@ def test_conjugates_are_the_relabeling_closure(d, g):
 
 
 def test_orbits_rejects_a_set_the_moves_leave():
-    with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
-        orbits(enumerate_tuples(3, 2)[:10])
+    ts = enumerate_tuples(3, 2)
+    # one relabeling class is closed under conjugation, so only the braid
+    # and handle images in the union loop leave it
+    relabelings = itertools.permutations(range(3))
+    one_class = list(dict.fromkeys(conjugate_tuple(ts[0], g) for g in relabelings))
+    assert len(one_class) == 6
+    for tuples in (ts[:10], one_class):
+        with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
+            orbits(tuples)
 
 
 def test_orbits_reject_any_set_missing_one_tuple():
@@ -431,11 +438,17 @@ def malformed_orbit_inputs(name):
             ts[1:] + [HurwitzTuple(4, ts[0].A, ts[0].B, ts[0].T)],
             r"^A is not a permutation of 4 sheets$",
         ),
+        # no branch points and trivial A and B: the sheets stay apart
+        "intransitive": (
+            [HurwitzTuple(3, identity(3), identity(3), ())],
+            r"^sheets are not transitively permuted$",
+        ),
     }[name]
 
 
 @pytest.mark.parametrize(
-    "name", ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field"]
+    "name",
+    ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field", "intransitive"],
 )
 def test_orbits_rejects_malformed_input(name):
     tuples, message = malformed_orbit_inputs(name)

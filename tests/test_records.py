@@ -66,6 +66,8 @@ def test_record_is_an_immutable_value(name):
     assert twin == record and twin is not record
     assert hash(twin) == hash(record) and len({record, twin}) == 1
     assert type(record)(**record._asdict()) == record
+    for copy in (type(record)._make(record), record._replace()):
+        assert type(copy) is type(record) and copy == record
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], 0)
     with pytest.raises(AttributeError):
@@ -136,10 +138,31 @@ def test_report_json_keeps_its_key_order():
             lambda: sf.quadric().from_vector([1]),
             "coefficient vector length must match the basis",
         ),
+        # namedtuple's own _make, which _replace calls, would skip __new__
+        (lambda: lt.Lattice2(1, 0, 1)._replace(b=5), "Hermite form needs 0 <= b < c"),
+        (lambda: lt.Lattice2._make((0, 0, 0)), "Hermite form needs a, c >= 1"),
+        (
+            lambda: sf.quadric()._replace(canonical=(1, 2, 3)),
+            "canonical class length must match the basis",
+        ),
+        (
+            lambda: sf.SurfaceModel._make(("x", ("a", "b"), ((0, 1), (2, 0)), (0, 0))),
+            "pairing matrix must be symmetric",
+        ),
+        (
+            lambda: sf.quadric().divisor(f1=1)._replace(coeffs=(1,)),
+            "coefficient vector length must match the basis",
+        ),
+        (
+            lambda: sf.DivisorClass._make((sf.quadric(), (1, 2, 3))),
+            "coefficient vector length must match the basis",
+        ),
     ],
     ids=[
         "a-zero", "c-zero", "b-too-large", "b-negative", "asymmetric",
         "pairing-shape", "canonical-length", "coefficient-length", "from-vector",
+        "lattice-replace", "lattice-make", "model-replace", "model-make",
+        "class-replace", "class-make",
     ],
 )
 def test_validation_keeps_its_message(build, message):
