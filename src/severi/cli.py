@@ -98,8 +98,9 @@ def cmd_forest(args) -> int:
         [root], floor=args.floor, max_nodes=args.max_nodes, key_mode=args.key_mode
     )
     if args.dot:
+        text = dg.forest_to_dot(forest)  # built first: opening truncates the file
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dg.forest_to_dot(forest))
+            fh.write(text)
     _emit(forest.to_json())
     if forest.truncated:
         print(
@@ -218,8 +219,9 @@ def cmd_hurwitz(args) -> int:
     tuples = hw.enumerate_tuples(args.d, args.g)
     report = hw.orbits(tuples)
     if args.dot:
+        text = hw.move_graph_dot(tuples)  # built first: opening truncates the file
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(hw.move_graph_dot(tuples))
+            fh.write(text)
     _emit(report.to_json())
     return EXIT_OK
 

@@ -64,11 +64,12 @@ KIND_IIA = "IIa"
 KIND_IIB = "IIb"
 KIND_II = "II"
 
-# The most kept-fixed-point choices one type II walk may visit: 2^|alpha|
-# in symbolic mode, the product of (run length + 1) over the runs of equal
-# orders in degree mode.  The benchmark's ten-point state W walks 1,024
-# subsets in symbolic mode.
-MAX_ALPHA_CHOICES = 1_024
+# The most choices of kept groups, drops and kept fixed points one type II
+# walk may visit: the product over the groups j of (1 + the distinct orders
+# of beta_j), times 2^|alpha| in symbolic mode or the product of (run
+# length + 1) over the runs of equal orders in degree mode.  The
+# benchmark's ten-point state W walks 2 x 1,024 in symbolic mode.
+MAX_TYPE_TWO_CHOICES = 2_048
 
 # The most terms one call of either enumerator may emit.  A type II row
 # gives one term for each m = 1..N, so the count grows with N; the largest
@@ -156,22 +157,29 @@ class _Walk:
 
     def rows(self, s: SeveriState) -> list[_Row]:
         """The type I rows of the valid state ``s`` and, if N > 0, its type
-        II rows.  Each type is listed once per shape: of its candidate
-        terms, the first per (kind, tau, child shape part), sorted by that
-        key."""
+        II rows.  Each type is listed once per shape: of its candidates, the
+        first per (kind, tau, child shape part), sorted by that key, checked
+        and made a :class:`Term`.  N does not enter the dimension and a
+        child's genus is g - |tau|, so the checks hold at every ``(N, g)``."""
         entry = self.shapes[(s.d, s.alpha, s.betas)]
         rows = []
         for kind in (KIND_I, KIND_II) if s.N > 0 else (KIND_I,):
             if kind not in entry:
                 if kind == KIND_I:
-                    terms = _type_one_terms(s)
+                    candidates = _type_one_terms(s)
                 else:
-                    terms = _type_two_terms(s, self.key_mode != DEGREE, self.simple)
+                    candidates = _type_two_terms(s, self.key_mode != DEGREE, self.simple)
                 first: dict = {}
-                for term in terms:
-                    first.setdefault((term.kind, term.tau.entries, self.part(term.child)), term)
+                for fields in candidates:  # (kind, child, m, tau, kept, dropped)
+                    first.setdefault((fields[0], fields[3].entries, self.part(fields[1])), fields)
                 listed = entry[kind] = []
-                for _, term in sorted(first.items()):
+                drop = _dimension(s) - s.g - 1
+                for _, fields in sorted(first.items()):
+                    term = Term(*fields)
+                    if _dimension(term.child) - term.child.g - term.tau.size != drop:
+                        raise AssertionError(f"dimension drop != 1 for term {term.coefficient}")
+                    if kind != KIND_I and term.tau.entries == (1,):
+                        raise AssertionError("tau = (1) must never be emitted")
                     child, factor = _normalize(term.child)
                     listed.append(_Row(term, child, factor, self.part(child)))
             rows += entry[kind]
@@ -195,19 +203,11 @@ def _terms(s: SeveriState, rows):
     row list serves every state of a shape, and the terms run by kind, then
     m, then row.
     """
-    parent_dim = _dimension(s)
     for kind, group in itertools.groupby(rows, key=lambda row: row.term.kind):
-        # N does not enter the dimension, and a child has genus g - |tau| at
-        # every m, so the term checks hold at every m once they hold at one
-        checked = [(row.term, row, s.g - row.term.tau.size) for row in group]
-        for first, _, g in checked:
-            if _dimension(first.child) - first.child.g + g != parent_dim - 1:
-                raise AssertionError(f"dimension drop != 1 for term {first.coefficient}")
-            if kind != KIND_I and first.tau.entries == (1,):
-                raise AssertionError("tau = (1) must never be emitted")
+        shifted = [(row, row.term, s.g - row.term.tau.size) for row in group]
         for m in (0,) if kind == KIND_I else range(1, s.N + 1):
             N = s.N - m
-            for first, row, g in checked:
+            for row, first, g in shifted:
                 child = first.child
                 if child.N != N or child.g != g:
                     child = _at_numbers(child, N, g)
@@ -264,10 +264,11 @@ def _successors(s: SeveriState, key_mode: str, simple=False) -> tuple[Term, ...]
     return tuple(term for _, term in _terms(s, rows))
 
 
-def _type_one_terms(s: SeveriState) -> list[Term]:
+def _type_one_terms(s: SeveriState) -> list[tuple]:
     """The candidate type I terms of ``s``, at m = 0: one moving point of
     group j, if it has another, becomes fixed at a new point."""
     (p_new,) = fresh_labels(s, 1, stem="p")
+    no_tau = Profile()  # one empty tau for every candidate, as Term's default is
     terms = []
     for j, (beta, bundle) in enumerate(s.betas):
         if beta.size < 2:
@@ -276,11 +277,11 @@ def _type_one_terms(s: SeveriState) -> list[Term]:
             new_groups = list(s.betas)
             new_groups[j] = (beta.without(n), LineBundle(bundle.terms + ((PT, p_new, 1, -n),)))
             child = SeveriState(s.d, s.N, s.g, s.alpha + ((n, p_new),), tuple(new_groups))
-            terms.append(Term(KIND_I, child, dropped=((j, n),)))
+            terms.append((KIND_I, child, 0, no_tau, (), ((j, n),)))
     return terms
 
 
-def _type_two_terms(s: SeveriState, every_subset: bool, simple: bool) -> list[Term]:
+def _type_two_terms(s: SeveriState, every_subset: bool, simple: bool) -> list[tuple]:
     """The candidate type II terms of ``s``, at m = 1: E0 splits off, which
     sets only the child's N, so they serve every m.  ``every_subset`` is the
     :func:`_alpha_choices` policy.  With ``simple``, those of the simple
@@ -293,7 +294,8 @@ def _type_two_terms(s: SeveriState, every_subset: bool, simple: bool) -> list[Te
     it raises :class:`BudgetExceeded` before listing the partitions."""
     ell = s.ell
     no_points, no_class = Profile(), LineBundle()  # frozen, so every sum may start from them
-    alpha_choices = _alpha_choices(s.alpha, every_subset)
+    groups = math.prod(1 + len(set(beta.entries)) for beta, _ in s.betas)
+    alpha_choices = _alpha_choices(s.alpha, every_subset, groups)
     terms = []
     for kept_mask in itertools.product((True, False), repeat=ell):
         kept = tuple(j for j in range(ell) if kept_mask[j])
@@ -325,20 +327,20 @@ def _type_two_terms(s: SeveriState, every_subset: bool, simple: bool) -> list[Te
                         continue
                     betas = intact + ((moving + tau, merged_bundle),)
                     child = SeveriState(s.d, s.N - 1, s.g - tau.size, alpha_kept, betas)
-                    terms.append(Term(kind, child, 1, tau, kept, dropped))
+                    terms.append((kind, child, 1, tau, kept, dropped))
     return terms
 
 
-def _alpha_choices(alpha, every_subset: bool) -> list[tuple]:
+def _alpha_choices(alpha, every_subset: bool, groups: int) -> list[tuple]:
     """The kept parts of ``alpha`` a type II walk visits: every subset, or
     one subset per multiset of orders, the first k points of each run of
-    equal orders for every k from 0 to the run's length.  Past
-    ``MAX_ALPHA_CHOICES`` choices it raises :class:`BudgetExceeded` before
-    listing any."""
+    equal orders for every k from 0 to the run's length.  With ``groups``
+    choices of kept groups and drops, past ``MAX_TYPE_TWO_CHOICES`` choices
+    in all it raises :class:`BudgetExceeded` before listing any."""
     runs = [(ent,) for ent in alpha] if every_subset else _order_runs(alpha)
-    choices = math.prod(len(run) + 1 for run in runs)
-    if choices > MAX_ALPHA_CHOICES:
-        raise BudgetExceeded(f"fixed-point walk: {choices} kept-alpha choices > {MAX_ALPHA_CHOICES}")
+    choices = groups * math.prod(len(run) + 1 for run in runs)
+    if choices > MAX_TYPE_TWO_CHOICES:
+        raise BudgetExceeded(f"type II walk: {choices} choices > {MAX_TYPE_TWO_CHOICES}")
     if every_subset:
         return [c for r in range(len(alpha) + 1) for c in itertools.combinations(alpha, r)]
     return [
@@ -449,10 +451,7 @@ def build_forest(
         if not rows:
             forest.dead_ends += 1
         for row, term in _terms(state, rows):
-            child = term.child
-            # where normalizing left the child as it is, the node is the term's
-            nchild = child if row.child is row.term.child else row.child
-            ckey = insert(nchild, child.N, child.g, row.part)
+            ckey = insert(row.child, term.child.N, term.child.g, row.part)
             if ckey is None:
                 break
             forest.edges.append(ForestEdge(parent=key, child=ckey, term=term, factor=row.factor))
@@ -480,13 +479,14 @@ def limit_stable_map(term: Term) -> StableMapShape:
     Each component of the cover of E0 must absorb at least one of the |tau|
     nodes, so its component degrees form a partition of m into at most |tau|
     parts.  The partition list is advisory; the theorems do not constrain
-    the pair (m, tau) further.
+    the pair (m, tau) further.  Past ``MAX_TERMS`` partitions of m it raises
+    :class:`BudgetExceeded` before listing any.
     """
     if term.kind == KIND_I:
         raise ValueError("type I terms do not split off the fiber")
-    parts = tuple(
-        p.entries for p in partitions(term.m) if p.size <= term.tau.size
-    )
+    if partition_count(term.m, MAX_TERMS) > MAX_TERMS:
+        raise BudgetExceeded(f"limit stable map: p({term.m}) > {MAX_TERMS} partitions")
+    parts = tuple(p.entries for p in partitions(term.m) if p.size <= term.tau.size)
     return StableMapShape(
         child=term.child,
         m=term.m,

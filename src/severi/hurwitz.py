@@ -402,11 +402,9 @@ def orbits(tuples) -> OrbitReport:
     moves = _PackedMoves(d, b)
     pos = moves.pack(tuples)
 
-    # class c has least member first[c] and packed key keys[c]; pos holds
-    # the keys in input order, so classes are numbered in the order of
-    # their least members
+    # a class is named by its least member's input index, the first met
     class_of = [None] * len(tuples)
-    first, keys, lattices = [], [], []
+    reps = []  # (index, packed key, invariant lattice) per class
     census: Counter = Counter()
     for i, key in enumerate(pos):
         if class_of[i] is not None:
@@ -418,39 +416,38 @@ def orbits(tuples) -> OrbitReport:
         if None in members:
             raise AssertionError("a move left the enumerated tuple set")
         for j in members:
-            class_of[j] = len(first)
+            class_of[j] = i
         census[lat] += len(members)
-        first.append(i)
-        keys.append(key)
-        lattices.append(lat)
+        reps.append((i, key, lat))
 
-    # the root of each union-find tree is its least class
-    parent = list(range(len(first)))
+    # union-find on the names: each root is its tree's least index
+    parent = {i: i for i, _, _ in reps}
     images = unions = 0
-    for c, key in enumerate(keys):
+    for i, key, _ in reps:
         for image in moves.images(key):
             j = pos.get(image)
             if j is None:
                 raise AssertionError("a move left the enumerated tuple set")
-            r, s = sorted((root(parent, c), root(parent, class_of[j])))
+            r, s = sorted((root(parent, i), root(parent, class_of[j])))
             parent[s] = r
             images += 1
             unions += r != s
 
     lattice_of_root: dict = {}
-    for c, lat in enumerate(lattices):
-        if lattice_of_root.setdefault(root(parent, c), lat) != lat:
+    for i, _, lat in reps:
+        # pointed at its root, a name maps to its orbit's least input index
+        parent[i] = r = root(parent, i)
+        if lattice_of_root.setdefault(r, lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
-    least = [first[root(parent, c)] for c in range(len(first))]
     return OrbitReport(
         d=d,
         b=b,
         tuples=tuple(tuples),
-        orbit_of=tuple(map(least.__getitem__, class_of)),
+        orbit_of=tuple(map(parent.__getitem__, class_of)),
         orbit_count=len(lattice_of_root),
         lattice_of_orbit=Counter(lattice_of_root.values()),
         census=census,
-        classes=len(first),
+        classes=len(reps),
         images=images,
         unions=unions,
     )

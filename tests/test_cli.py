@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from severi.base import BudgetExceeded
 from tests.test_hurwitz import DOT_SHA256
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -188,6 +189,49 @@ def test_type_two_partitions_over_budget_exit_code(tmp_path, mass):
         )
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == f"budget exceeded: terms: p({mass}) - 1 type II rows > 100000\n"
+
+
+def test_type_two_walk_over_budget_exit_code(tmp_path):
+    # sixteen groups 1^2: 2^16 choices of kept groups and drops, refused
+    # before the walk lists one
+    groups = [
+        {"profile": [1, 1], "L": {"degree": 2, "expr": [
+            {"kind": "sym", "name": f"L{j}", "deg": 2, "coeff": 1}]}}
+        for j in range(1, 17)
+    ]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": 32, "N": 1, "g": 0, "betas": groups}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "severi.cli", "terms", "--state", str(path)],
+        capture_output=True, text=True, timeout=2,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "budget exceeded: type II walk: 65536 choices > 2048\n"
+
+
+@pytest.mark.parametrize(
+    "builder,args",
+    [
+        ("severi.degeneration.forest_to_dot",
+         ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0")),
+        ("severi.hurwitz.move_graph_dot", ("hurwitz", "orbits", "--d", "3", "--g", "2")),
+    ],
+    ids=["forest", "hurwitz"],
+)
+def test_dot_file_kept_when_its_text_fails(tmp_path, monkeypatch, capsys, builder, args):
+    # the text is built before the file is opened, so a refusal leaves an
+    # existing file as it was
+    from severi import cli
+
+    def refuse(_):
+        raise BudgetExceeded("dot: refused")
+
+    monkeypatch.setattr(builder, refuse)
+    out = tmp_path / "graph.dot"
+    out.write_bytes(b"digraph old {}\n")
+    assert cli.main([*args, "--dot", str(out)]) == 3
+    assert out.read_bytes() == b"digraph old {}\n"
+    assert capsys.readouterr() == ("", "budget exceeded: dot: refused\n")
 
 
 def test_forest_with_dot(tmp_path):

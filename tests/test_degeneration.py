@@ -208,8 +208,8 @@ def test_dimension_drop_on_random_corpus(rng):
             assert dimension(t.child) == parent_dim - 1
 
 
-def test_dimension_check_fires_on_every_row():
-    # the expander reads each row's child dimension once; a first good row
+def test_dimension_check_fires_on_every_row(monkeypatch):
+    # the walk reads each listed row's child dimension once; a first good row
     # must not vouch for the next one.  The bad row's tau has one part more
     # than its child's merged group gained, so at every m its child's genus
     # g - |tau| is one too low and the dimension drops by two.
@@ -220,15 +220,20 @@ def test_dimension_check_fires_on_every_row():
         d=4, N=2, g=0, betas=((Profile.ones(4), symbol("L", 3) + point("p1")),)
     )
     good, bad = (
-        dg._Row(dg.Term(dg.KIND_II, child, 1, tau, (), ((0, 1),)), child, 1, ())
-        for tau in (Profile.ones(2), Profile.ones(3))
+        (dg.KIND_II, child, 1, tau, (), ((0, 1),)) for tau in (Profile.ones(2), Profile.ones(3))
     )
-    terms = [term for _, term in dg._terms(parent, [good])]
-    assert [t.m for t in terms] == [1, 2, 3]
-    assert all(dimension(t.child) == dimension(parent) - 1 for t in terms)
-    for rows in ([good, bad], [bad, good], [bad]):
+
+    def terms(candidates):
+        # the parent's terms, its type II rows listed from ``candidates``
+        monkeypatch.setattr(dg, "_type_one_terms", lambda s: [])
+        monkeypatch.setattr(dg, "_type_two_terms", lambda s, every_subset, simple: candidates)
+        return [term for _, term in dg._terms(parent, dg._Walk(DEGREE).rows(parent))]
+
+    assert [t.m for t in terms([good])] == [1, 2, 3]
+    assert all(dimension(t.child) == dimension(parent) - 1 for t in terms([good]))
+    for candidates in ([good, bad], [bad, good], [bad]):
         with pytest.raises(AssertionError, match="dimension drop != 1"):
-            list(dg._terms(parent, rows))
+            terms(candidates)
 
 
 def test_class_bookkeeping(rng):
@@ -387,6 +392,22 @@ def test_limit_stable_map():
     type_one = next(t for t in dg.successors_simple(root) if t.kind == "I")
     with pytest.raises(ValueError):
         dg.limit_stable_map(type_one)
+
+
+def test_limit_stable_map_over_budget(monkeypatch):
+    # three order-one points and a group 1^2 at N = 200 give a type II term
+    # at m = 100, whose p(100) = 190,569,292 partitions are refused before
+    # the first is listed
+    s = SeveriState(
+        d=5, N=200, g=3, alpha=((1, "p1"), (1, "p2"), (1, "p3")),
+        betas=((Profile.ones(2), symbol("L", 2)),),
+    )
+    terms = dg.successors_general(s)
+    assert len(terms) == 2001
+    term = next(t for t in terms if t.m == 100)
+    monkeypatch.setattr(dg, "partitions", lambda m: pytest.fail(f"listed p({m})"))
+    with pytest.raises(BudgetExceeded, match=r"p\(100\) > 100000"):
+        dg.limit_stable_map(term)
 
 
 def test_dot_output_is_deterministic():
@@ -575,13 +596,14 @@ def test_key_is_state_numbers_plus_shape_key(mode, rng):
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
 def test_dedup_validates_every_child_shape(mode, monkeypatch):
     parent = simple_state(3, 2, 2, 1, 2)
-    # the parent's shape one genus lower drops dimension by one and is valid;
-    # the same alpha and betas with d = 4 break the class equation and, at
-    # g - 2, still drop dimension by one
-    good = dataclasses.replace(parent, g=1)
-    bad = dataclasses.replace(parent, d=4, g=0)
+    # the parent's one type I candidate has a valid child, which drops
+    # dimension by one; the same alpha and betas with d = 4 break the class
+    # equation
+    (candidate,) = dg._type_one_terms(parent)
+    good = candidate[1]
+    bad = dataclasses.replace(good, d=4)
     assert dimension(good) == dimension(parent) - 1
-    terms = [dg.Term(dg.KIND_I, child) for child in (good, bad)]
+    terms = [candidate[:1] + (child,) + candidate[2:] for child in (good, bad)]
 
     def rows(candidates):
         # the walk's rows of the parent at N = 0, its type I rows only,
@@ -864,6 +886,26 @@ def test_symbolic_key_matches_reference(rng):
 
 F1_ROOT = simple_state(6, 4, 6, 0, 6)
 F2_ROOT = simple_state(5, 3, 4, 0, 5)
+
+
+def test_one_term_per_emitted_term(monkeypatch):
+    # the walk lists candidates as plain tuples and builds a Term for a
+    # row's first candidate only, which its listing parent emits
+    built = 0
+    init = dg.Term.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dg.Term, "__init__", counting)
+    terms = dg.successors_general(TEN_POINTS, SYMBOLIC)
+    assert built == len(terms) == 934
+    built = 0
+    forest = dg.build_forest([F1_ROOT], key_mode=DEGREE)
+    assert not forest.truncated
+    assert built == len(forest.edges) == 22_782
 
 
 @pytest.fixture(scope="module")

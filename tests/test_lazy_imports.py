@@ -27,11 +27,12 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def run_probe(code: str, *args: str) -> tuple[int, set[str]]:
-    """The probe's exit code and every module it reports."""
+def run_probe(code: str, *args: str, flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
+    """The probe's exit code and every module it reports; ``flags`` go to
+    the interpreter."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -90,6 +91,19 @@ SUBCOMMANDS = {
 def test_subcommand_loads_only_its_modules(name):
     args, expected = SUBCOMMANDS[name]
     assert loaded_modules(PROBE, *args) == (0, expected)
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_loads_only_the_standard_library(name):
+    # -S skips the site module, whose .pth files may load third-party code;
+    # what is left is the probe, the package and the standard library
+    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0], flags=("-S",))
+    assert exit_code == 0
+    others = {
+        m for m in modules
+        if m != "__main__" and m.split(".")[0] not in ("severi", *sys.stdlib_module_names)
+    }
+    assert others == set()
 
 
 # The records these subcommands build are named tuples, so none of them
