@@ -77,7 +77,7 @@ MAX_TYPE_TWO_CHOICES = 2_048
 MAX_TERMS = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One candidate component of the hyperplane section."""
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Profile:
     """A multiset of tangency orders, kept in non-increasing order.
 

@@ -17,6 +17,7 @@ parametrize curves that contain vertical fibers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -29,8 +30,12 @@ PT = "pt"
 SYM = "sym"
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class _DegreeSlot:
+    __slots__ = ("degree",)  # LineBundle's degree, which is no field
+
+
+@dataclass(frozen=True, slots=True)
+class LineBundle(_DegreeSlot):
     """A formal integer combination of named symbols and points.
 
     Terms are ``(kind, name, degree, coeff)`` with kind "pt" (a labeled
@@ -58,6 +63,11 @@ class LineBundle:
         )
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "degree", sum(deg * coeff for _, _, deg, coeff in cleaned))
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the terms, which sets the degree; the
+        # state a slotted dataclass pickles holds the fields alone
+        return LineBundle, (self.terms,)
 
     def __add__(self, other: "LineBundle") -> "LineBundle":
         if not other.terms:
@@ -92,7 +102,7 @@ def point(name: str) -> LineBundle:
     return LineBundle(((PT, name, 1, 1),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeveriState:
     """The tuple (d, N, g, alpha with point labels, [(beta^j, L_j)]).
 
@@ -193,7 +203,9 @@ def is_normalized(s: SeveriState) -> bool:
 
 
 def fresh_labels(s: SeveriState, count: int, stem: str) -> tuple[str, ...]:
-    used = set(s.point_labels())
+    used = {lbl for _, lbl in s.alpha}
+    for _, bundle in s.betas:
+        used.update(n for k, n, _, _ in bundle.terms if k == PT)
     out: list[str] = []
     i = 1
     while len(out) < count:
@@ -236,6 +248,7 @@ def _normalize(s: SeveriState) -> tuple[SeveriState, int]:
 # -- canonical keys ----------------------------------------------------------
 
 _TIE_CAP = 720  # refuse to branch over more relabelings than this
+_P_NAMES = tuple(f"P{i}" for i in range(1, 33))  # the first alpha positions' names
 
 
 def key_tuple(s: SeveriState, mode: str = DEGREE):
@@ -246,8 +259,9 @@ def key_tuple(s: SeveriState, mode: str = DEGREE):
     differ; point labels are canonicalized by minimizing over relabelings
     that respect the alpha ordering (ties capped at a small bound, beyond
     which the tie order falls back to the stored labels).  Points outside
-    ``alpha`` are named by their stored labels, even below the cap, so two
-    relabelings of one state can get different symbolic keys.
+    ``alpha`` are named Q1, Q2, ... in an order that reads their stored
+    labels, even below the cap, so two relabelings of one state can get
+    different symbolic keys.
 
     The key is ``(d, N, g)`` followed by :func:`shape_key`, which reads only
     ``alpha`` and ``betas``; a caller keying many states of one shape may
@@ -260,7 +274,11 @@ def shape_key(alpha, betas, mode: str = DEGREE) -> tuple:
     """The part of :func:`key_tuple` read from a stored ``alpha`` and
     ``betas``: in degree mode the alpha orders and the sorted pairs of group
     profile and bundle degree, in symbolic mode the P-named alpha orders and
-    the least group forms over the relabelings."""
+    the least sorted group forms over the relabelings.  A group's form is
+    its profile, its bundle degree and its bundle terms with every point
+    renamed: a point of ``alpha`` by the P-name a relabeling gives it, any
+    other by a Q-name in the order of the groups' forms under the P-names
+    alone, then of the group's points."""
     if mode == DEGREE:
         groups = tuple(sorted((beta.entries, bundle.degree) for beta, bundle in betas))
         return (tuple(order for order, _ in alpha), groups)
@@ -287,52 +305,66 @@ def _symbolic_part(alpha, betas):
     # P-names go by position and a run shares one order, so the alpha part
     # is the same under every relabeling; only the group forms are minimised.
     # Within a run the names sort as strings, which puts "P10" before "P9".
-    names = [f"P{i + 1}" for i in range(len(alpha))]
-    alpha_part = tuple(zip((order for order, _ in alpha), names))
+    names = _P_NAMES[: len(alpha)]
+    if len(alpha) > len(_P_NAMES):
+        names = tuple(f"P{i + 1}" for i in range(len(alpha)))
+    alpha_part = tuple([(order, name) for (order, _), name in zip(alpha, names)])
     if len(alpha) >= 10:
         alpha_part = tuple(sorted(alpha_part, key=lambda t: (-t[0], t[1])))
-    # per group: (profile, degree), its points (name, coeff) in bundle order,
-    # and its symbol terms, which sort after "pt" and so end every form
+    # per group: profile, degree, point terms and symbol terms; "pt" sorts
+    # before "sym", so the points lead the terms and the symbols end a form
     groups = []
     for beta, bundle in betas:
-        points = [(n, c) for k, n, _, c in bundle.terms if k == PT]
-        groups.append(((beta.entries, bundle.degree), points, bundle.terms[len(points) :]))
+        cut = bisect.bisect_left(bundle.terms, (SYM,))
+        groups.append((beta.entries, bundle.degree, bundle.terms[:cut], bundle.terms[cut:]))
     # only the points named in a bundle appear in the forms, each by its
     # positional name unless a placement of its run's names moves it; a
     # named point alone in its run has one placement, the positional one
-    named = {n for _, points, _ in groups for n, _ in points}
-    positional = {lbl: n for (_, lbl), n in zip(alpha, names) if lbl in named}
-    runs = _order_runs(alpha)
-    if math.prod(math.factorial(len(run)) for run in runs) > _TIE_CAP:
-        return alpha_part, _group_forms(groups, positional)
+    named = {term[1] for group in groups for term in group[2]}
+    mapping = {lbl: name for (_, lbl), name in zip(alpha, names) if lbl in named}
     placements, start = [], 0
-    for run in runs:
-        labels = [lbl for _, lbl in run if lbl in named]
-        run_names, start = names[start : start + len(run)], start + len(run)
-        if len(run) > 1 and labels:
-            perms = itertools.permutations(run_names, len(labels))
-            placements.append([tuple(zip(labels, p)) for p in perms])
-    mappings = (positional | dict(itertools.chain(*c)) for c in itertools.product(*placements))
-    return alpha_part, min(_group_forms(groups, mapping) for mapping in mappings)
+    runs = _order_runs(alpha) if mapping else ()
+    if math.prod(math.factorial(len(run)) for run in runs) <= _TIE_CAP:
+        for run in runs:
+            labels = [lbl for _, lbl in run if lbl in named]
+            run_names, start = names[start : start + len(run)], start + len(run)
+            if len(run) > 1 and labels:
+                perms = itertools.permutations(run_names, len(labels))
+                placements.append([tuple(zip(labels, p)) for p in perms])
+    # every placement sets the same labels, so one dict serves them all
+    forms = []
+    for combo in itertools.product(*placements):
+        for pairs in combo:
+            mapping.update(pairs)
+        forms.append(_group_forms(groups, mapping))
+    return alpha_part, min(forms)
 
 
 def _group_forms(groups, mapping):
     # the sorted forms; the points ``mapping`` leaves out are named Q1, Q2, ...
     # in the order of the forms under ``mapping`` alone, then of the points
+    if len(groups) == 1:  # nothing to order: one pass names the points as they come
+        ((entries, degree, points, tail),) = groups
+        q, renamed = 0, []
+        for _, n, _, c in points:
+            q += n not in mapping  # the points left out so far
+            renamed.append((PT, mapping.get(n) or f"Q{q}", 1, c))
+        return ((entries, degree, tuple(sorted(renamed)) + tail),)
+
     def forms(names):
         return [
-            head + (tuple(sorted([(PT, names.get(n, n), 1, c) for n, c in points])) + tail,)
-            for head, points, tail in groups
+            (e, d, tuple(sorted([(PT, names.get(n, n), 1, c) for _, n, _, c in points])) + tail)
+            for e, d, points, tail in groups
         ]
 
-    if len(groups) > 1:
-        groups = [groups[i] for _, i in sorted(zip(forms(mapping), range(len(groups))))]
-    names, q = dict(mapping), 0
-    for _, points, _ in groups:
-        for n, _ in points:
+    rough = sorted(zip(forms(mapping), range(len(groups))))
+    names = dict(mapping)
+    for _, i in rough:
+        for _, n, _, _ in groups[i][2]:
             if n not in names:
-                q += 1
-                names[n] = f"Q{q}"
+                names[n] = f"Q{len(names) - len(mapping) + 1}"
+    if len(names) == len(mapping):
+        return tuple(form for form, _ in rough)
     return tuple(sorted(forms(names)))
 
 

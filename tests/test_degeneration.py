@@ -909,12 +909,35 @@ def test_one_term_per_emitted_term(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def bench_forests():
+def f2_symbolic():
+    """F2's symbolic forest and the ``(alpha, betas)`` of every shape its
+    build keyed, recorded by wrapping the walk's ``shape_key``."""
+    keyed = []
+
+    def recording(alpha, betas, mode=DEGREE):
+        keyed.append((alpha, betas))
+        return shape_key(alpha, betas, mode)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dg, "shape_key", recording)
+        forest = dg.build_forest([F2_ROOT], key_mode=SYMBOLIC)
+    return forest, keyed
+
+
+@pytest.fixture(scope="module")
+def bench_forests(f2_symbolic):
     return {
         ("F1", DEGREE): dg.build_forest([F1_ROOT], key_mode=DEGREE),
         ("F2", DEGREE): dg.build_forest([F2_ROOT], key_mode=DEGREE),
-        ("F2", SYMBOLIC): dg.build_forest([F2_ROOT], key_mode=SYMBOLIC),
+        ("F2", SYMBOLIC): f2_symbolic[0],
     }
+
+
+def test_symbolic_key_matches_reference_on_every_f2_shape(f2_symbolic):
+    forest, keyed = f2_symbolic
+    assert len(keyed) == forest.keyed == 7_494
+    for alpha, betas in keyed:
+        assert shape_key(alpha, betas, SYMBOLIC) == reference_symbolic_part(alpha, betas)
 
 
 def labelled_edges(forest, key_of):

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
 
+from severi.degeneration import Term, successors_general
 from severi.profiles import Profile
 from severi.states import (
     DEGREE,
@@ -62,6 +65,25 @@ def test_line_bundle_degree_is_read_at_construction():
     # the degree is no field, so equality, hashing and the repr read the terms alone
     assert [f.name for f in dataclasses.fields(LineBundle)] == ["terms"]
     assert "degree" not in repr(L) and hash(L) == hash(LineBundle(L.terms))
+
+
+def test_value_records_have_slots_and_round_trip():
+    bundle = symbol("L", 4) - point("p1") - point("q")
+    s = mk(4, 2, 2, alpha=[(2, "p1")], betas=[(Profile.ones(2), bundle)])
+    term = successors_general(s)[0]
+    records = (Profile.of(2, 1, 1), bundle, s, term)
+    assert [type(r) for r in records] == [Profile, LineBundle, SeveriState, Term]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies + [copy.deepcopy(record), copy.copy(record)]:
+            assert type(twin) is type(record) and twin == record
+            assert hash(twin) == hash(record) and repr(twin) == repr(record)
+    # the degree is no field, so the pickled fields alone would lose it
+    child_bundle = term.child.betas[0][1]
+    for remake in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy):
+        assert remake(bundle).degree == bundle.degree == 2
+        assert remake(term).child.betas[0][1].degree == child_bundle.degree == 1
 
 
 def test_alpha_is_stored_as_a_sorted_tuple():
