@@ -1,10 +1,11 @@
 """What every layer shares: the two exception classes, the shape checks of
-the JSON readers, a union-find root and the names of the two canonical-key
-modes.  It imports no other part of the library, so that the
-hyperplane-section half (:mod:`.states`, :mod:`.dual_graph`) and the
-Hurwitz half (:mod:`.lattices`, :mod:`.monodromy`) and the CLI can each
-name an exception or read a field without loading the other half, and the
-CLI's parser can offer the key modes without loading :mod:`.states`."""
+the JSON readers and their one reader of arrays of objects, a union-find
+root and the names of the two canonical-key modes.  It imports no other
+part of the library, so that the hyperplane-section half (:mod:`.states`,
+:mod:`.dual_graph`) and the Hurwitz half (:mod:`.lattices`,
+:mod:`.monodromy`) and the CLI can each name an exception or read a field
+without loading the other half, and the CLI's parser can offer the key
+modes without loading :mod:`.states`."""
 
 DEGREE = "degree"
 SYMBOLIC = "symbolic"
@@ -46,6 +47,28 @@ def field_of(obj: dict, name: str, kind: str, where: str, default=_REQUIRED):
         return default
     expect(obj[name], kind, f"{where}.{name}")
     return obj[name]
+
+
+def expect_members(obj: dict, where: str, *names: str) -> None:
+    """Raise :class:`InvalidState` if ``obj`` has a member outside ``names``,
+    which its schema forbids (``additionalProperties: false``)."""
+    for name in obj:
+        if name not in names:
+            raise InvalidState(f"{where} has an unknown member {name!r}")
+
+
+def rows_of(obj: dict, name: str, where: str, *fields: tuple[str, str]):
+    """Yield the items of the optional array ``name`` of ``obj`` (a missing
+    one reads as empty) as rows: each item must be an object, and its row is
+    the tuple of its ``(member, kind)`` fields read by :func:`field_of` at
+    the path ``{where}.{name}[i]``, which may have no other member.  Items
+    are read as they are asked for, so a caller that checks each row before
+    the next meets the faults of the items in their order."""
+    for i, item in enumerate(field_of(obj, name, "array", where, default=[])):
+        at = f"{where}.{name}[{i}]"
+        expect(item, "object", at)
+        expect_members(item, at, *(member for member, _ in fields))
+        yield tuple(field_of(item, member, kind, at) for member, kind in fields)
 
 
 def root(parent, x):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .base import InvalidState, expect, field_of, root
+from .base import InvalidState, expect, expect_members, field_of, root, rows_of
 
 X = "X"
 
@@ -56,15 +56,10 @@ class CentralFiber(NamedTuple):
         A document of the wrong shape raises :class:`~.base.InvalidState`
         naming the field; omitted component or edge lists mean none."""
         expect(data, "object", "graph")
-        e_parts, z_parts = [], []
-        for i, c in enumerate(field_of(data, "e_components", "array", "graph", default=[])):
-            at = f"graph.e_components[{i}]"
-            expect(c, "object", at)
-            e_parts.append((field_of(c, "genus", "integer", at), field_of(c, "degree", "integer", at)))
-        for i, c in enumerate(field_of(data, "z_components", "array", "graph", default=[])):
-            at = f"graph.z_components[{i}]"
-            expect(c, "object", at)
-            z_parts.append(field_of(c, "genus", "integer", at))
+        expect_members(data, "graph", "x_genus", "e_components", "z_components", "edges")
+        genus, degree = ("genus", "integer"), ("degree", "integer")
+        e_parts = tuple(rows_of(data, "e_components", "graph", genus, degree))
+        z_parts = tuple(g for (g,) in rows_of(data, "z_components", "graph", genus))
         edges = field_of(data, "edges", "array", "graph", default=[])
         for i, e in enumerate(edges):
             at = f"graph.edges[{i}]"
@@ -75,8 +70,8 @@ class CentralFiber(NamedTuple):
                 raise InvalidState(f"{at} must join two vertex ids, got {len(e)}")
         return CentralFiber(
             x_genus=field_of(data, "x_genus", "integer", "graph"),
-            e_parts=tuple(e_parts),
-            z_parts=tuple(z_parts),
+            e_parts=e_parts,
+            z_parts=z_parts,
             edges=tuple((a, b) for a, b in edges),
         )
 

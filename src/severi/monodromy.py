@@ -26,7 +26,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .base import BudgetExceeded, InvalidState, expect, field_of, root
+from .base import BudgetExceeded, InvalidState, expect, expect_members, field_of, root
 from .lattices import IDENTITY, Lattice2, hnf
 
 # The largest group order a closure may reach: |S_8|.
@@ -145,6 +145,7 @@ class HurwitzTuple(NamedTuple):
         permutation is built.  An omitted A, B or T means the identity or
         no branch letters."""
         expect(data, "object", "tuple")
+        expect_members(data, "tuple", "d", "A", "B", "T")
         d = field_of(data, "d", "integer", "tuple")
         if d < 1:
             raise InvalidState(f"tuple.d must be at least 1, got {d}")

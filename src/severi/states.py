@@ -21,34 +21,31 @@ import bisect
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .base import DEGREE, SYMBOLIC, InvalidState, expect, field_of
+from .base import DEGREE, SYMBOLIC, InvalidState, expect, expect_members, field_of, rows_of
 from .profiles import Profile
 
 PT = "pt"
 SYM = "sym"
 
 
-class _DegreeSlot:
-    __slots__ = ("degree",)  # LineBundle's degree, which is no field
-
-
 @dataclass(frozen=True, slots=True)
-class LineBundle(_DegreeSlot):
+class LineBundle:
     """A formal integer combination of named symbols and points.
 
     Terms are ``(kind, name, degree, coeff)`` with kind "pt" (a labeled
     point, degree 1) or "sym" (a named class of the given degree).  Equal
     terms merge and zero coefficients drop, so ``terms`` is sorted and
-    canonical.  The attribute ``degree``, the coefficient-weighted sum of
-    term degrees, is computed once at construction; it is not a field, so
-    it takes no part in comparison, hashing or the repr.  A sum with an
-    empty side returns the other operand itself, which is safe because
-    bundles are frozen.
+    canonical.  The field ``degree``, the coefficient-weighted sum of term
+    degrees, is computed once at construction; it is no constructor
+    argument and takes no part in comparison, hashing or the repr.  A sum
+    with an empty side returns the other operand itself, which is safe
+    because bundles are frozen.
     """
 
     terms: tuple[tuple[str, str, int, int], ...] = ()
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         merged: dict[tuple[str, str, int], int] = {}
@@ -63,11 +60,6 @@ class LineBundle(_DegreeSlot):
         )
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "degree", sum(deg * coeff for _, _, deg, coeff in cleaned))
-
-    def __reduce__(self):
-        # pickle and copy rebuild from the terms, which sets the degree; the
-        # state a slotted dataclass pickles holds the fields alone
-        return LineBundle, (self.terms,)
 
     def __add__(self, other: "LineBundle") -> "LineBundle":
         if not other.terms:
@@ -390,47 +382,32 @@ def state_from_json(data) -> SeveriState:
     """Parse a state in the shape of ``docs/state.schema.json``.
 
     A document of the wrong shape (not an object, a missing field, a field
-    of the wrong JSON type) raises :class:`InvalidState` naming the field.
+    of the wrong JSON type, a member the schema does not list) raises
+    :class:`InvalidState` naming the field.
     """
     expect(data, "object", "state")
-    alpha = []
-    for i, a in enumerate(field_of(data, "alpha", "array", "state", default=[])):
-        at = f"state.alpha[{i}]"
-        expect(a, "object", at)
-        alpha.append((field_of(a, "mult", "integer", at), field_of(a, "point", "string", at)))
+    expect_members(data, "state", "d", "N", "g", "alpha", "betas")
+    alpha = tuple(rows_of(data, "alpha", "state", ("mult", "integer"), ("point", "string")))
     betas = []
-    for j, b in enumerate(field_of(data, "betas", "array", "state", default=[])):
-        at = f"state.betas[{j}]"
-        expect(b, "object", at)
-        profile = field_of(b, "profile", "array", at)
+    for j, (profile, bundle) in enumerate(
+        rows_of(data, "betas", "state", ("profile", "array"), ("L", "object"))
+    ):
         for x in profile:
-            expect(x, "integer", f"{at}.profile")
-        bundle = _bundle_from_json(field_of(b, "L", "object", at), f"{at}.L")
-        betas.append((Profile(tuple(profile)), bundle))
+            expect(x, "integer", f"state.betas[{j}].profile")
+        betas.append((Profile(tuple(profile)), _bundle_from_json(bundle, f"state.betas[{j}].L")))
     return SeveriState(
         d=field_of(data, "d", "integer", "state"),
         N=field_of(data, "N", "integer", "state"),
         g=field_of(data, "g", "integer", "state"),
-        alpha=tuple(alpha),
+        alpha=alpha,
         betas=tuple(betas),
     )
 
 
 def _bundle_from_json(data, where: str) -> LineBundle:
-    expect(data, "object", where)
-    terms = []
-    for i, t in enumerate(field_of(data, "expr", "array", where, default=[])):
-        at = f"{where}.expr[{i}]"
-        expect(t, "object", at)
-        terms.append(
-            (
-                field_of(t, "kind", "string", at),
-                field_of(t, "name", "string", at),
-                field_of(t, "deg", "integer", at),
-                field_of(t, "coeff", "integer", at),
-            )
-        )
-    lb = LineBundle(tuple(terms))
+    expect_members(data, where, "degree", "expr")
+    fields = ("kind", "string"), ("name", "string"), ("deg", "integer"), ("coeff", "integer")
+    lb = LineBundle(tuple(rows_of(data, "expr", where, *fields)))
     if field_of(data, "degree", "integer", where, default=lb.degree) != lb.degree:
         raise ValueError(f"stated degree {data['degree']} != expression degree {lb.degree}")
     return lb

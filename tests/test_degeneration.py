@@ -77,6 +77,26 @@ def test_simple_requires_genus_at_least_two():
         dg.successors_simple(simple_state(2, 2, 1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "state,message",
+    [
+        (
+            SeveriState(d=4, N=2, g=2, betas=((Profile.ones(2), symbol("L", 2)),) * 2),
+            "simple enumerator needs exactly one moving group",
+        ),
+        (
+            SeveriState(d=4, N=2, g=2, alpha=((2, "p1"),), betas=((Profile.ones(2), symbol("L", 2)),)),
+            "simple enumerator needs transverse contact only",
+        ),
+    ],
+    ids=["two-groups", "tangency"],
+)
+def test_simple_refuses_states_outside_its_statement(state, message):
+    with pytest.raises(InvalidState) as refused:
+        dg.successors_simple(state)
+    assert str(refused.value) == message
+
+
 def test_simple_type_one_updates_bundle():
     terms = dg.successors_simple(simple_state(2, 2, 2, 0, 2))
     (term,) = terms
@@ -847,6 +867,14 @@ MIXED_TWELVE = SeveriState(
     alpha=((3, "a"), (2, "b"), (2, "c")) + tuple((1, f"p{i}") for i in range(1, 10)),
     betas=((Profile.ones(2), symbol("L", 1) + point("p9") + point("c") - point("b")),),
 )
+# past the 32 P-names kept as a constant the key names the points per call
+THIRTY_THREE = SeveriState(
+    d=35,
+    N=1,
+    g=3,
+    alpha=tuple((1, f"p{i}") for i in range(1, 34)),
+    betas=((Profile.ones(2), symbol("L", 1) + point("p33") + point("q") - point("p2")),),
+)
 # two groups stored in the reverse of their order under the alpha names
 # alone; the Q-names follow that order, so x1 is Q1, y1 Q2 and z1 Q3
 Q_ORDER = SeveriState(
@@ -866,7 +894,7 @@ def test_symbolic_key_matches_reference(rng):
     states = corpus + [t.child for s in corpus for t in dg.successors_general(s, SYMBOLIC)]
     states += symbolic_key_states()
     swapped = dataclasses.replace(Q_ORDER, betas=Q_ORDER.betas[::-1])
-    states += [TEN_POINTS, MIXED_TWELVE, Q_ORDER, swapped]
+    states += [TEN_POINTS, MIXED_TWELVE, Q_ORDER, swapped, THIRTY_THREE]
     # past ten points the symbolic walk is over budget, so these children
     # come from the degree-mode walk
     states += [t.child for s in (TEN_POINTS, MIXED_TWELVE) for t in dg.successors_general(s)]
@@ -875,6 +903,8 @@ def test_symbolic_key_matches_reference(rng):
         assert shape_key(s.alpha, s.betas, SYMBOLIC) == reference_symbolic_part(s.alpha, s.betas)
     alpha_part, _ = shape_key(TEN_POINTS.alpha, TEN_POINTS.betas, SYMBOLIC)
     assert [name for _, name in alpha_part] == ["P1", "P10"] + [f"P{i}" for i in range(2, 10)]
+    alpha_part, _ = shape_key(THIRTY_THREE.alpha, THIRTY_THREE.betas, SYMBOLIC)
+    assert sorted(name for _, name in alpha_part) == sorted(f"P{i}" for i in range(1, 34))
     key = shape_key(Q_ORDER.alpha, Q_ORDER.betas, SYMBOLIC)
     assert key == shape_key(swapped.alpha, swapped.betas, SYMBOLIC)
     _, (l_form, m_form) = key

@@ -66,6 +66,28 @@ def test_validation():
     assert any("connected" in v for v in violations(disconnected))
 
 
+@pytest.mark.parametrize(
+    "graph,message",
+    [
+        (
+            CentralFiber(x_genus=-1, e_parts=((1, 1),), edges=(("X", "E0"),)),
+            "p_a(X) = -1 must be >= 0",
+        ),
+        (
+            CentralFiber(x_genus=0, e_parts=((1, 0),), edges=(("X", "E0"),)),
+            "E0: degree 0 over the fiber must be >= 1",
+        ),
+        (
+            CentralFiber(x_genus=0, e_parts=((1, 1),), z_parts=(-1,), edges=(("X", "Z0"), ("Z0", "E0"))),
+            "Z0: genus -1 must be >= 0",
+        ),
+    ],
+    ids=["x-genus", "e-degree", "z-genus"],
+)
+def test_violations_name_each_number_out_of_range(graph, message):
+    assert violations(graph) == (message,)
+
+
 def test_genus_bound_equality_case():
     gr = chain_fiber()
     rep = genus_bound_check(gr, 3)

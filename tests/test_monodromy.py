@@ -96,6 +96,21 @@ def test_group_closure():
         group_closure([identity(9)])
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: transposition(3, 1, 1), "transposition needs two distinct sheets"),
+        (lambda: group_closure([]), "need at least one generator"),
+        (lambda: group_closure([(0, 1), (0, 1, 2)]), "generators must share a degree"),
+    ],
+    ids=["transposition", "no-generators", "mixed-degrees"],
+)
+def test_malformed_permutations_are_refused(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_invariant_lattice_examples():
     assert invariant_lattice(HurwitzTuple(1, (0,), (0,), ())) == IDENTITY
     assert invariant_lattice(HurwitzTuple(2, ID2, ID2, (T12, T12))) == IDENTITY
@@ -255,3 +270,21 @@ def test_invariant_lattice_matches_word_search_oracle():
     cases += sample_tuples(6, 25, ds=(3, 4), bs=(2,))
     for t in cases:
         assert lattice_by_word_search(t) == invariant_lattice(t)
+
+
+@pytest.mark.parametrize("d,b", [(4, 4), (5, 2)])
+def test_group_answers_match_sympy(d, b):
+    """An independent oracle: sympy's permutation groups give the order,
+    transitivity and primitivity of a seeded sample of enumerated tuples.
+    A simply branched cover is primitive exactly when it factors through
+    no isogeny, so the group's primitivity is the library's."""
+    sympy = pytest.importorskip("sympy.combinatorics")
+    from severi.hurwitz import iter_tuples
+
+    for t in random.Random(f"sympy {d} {b}").sample(list(iter_tuples(d, b)), 150):
+        group = sympy.PermutationGroup([sympy.Permutation(list(p)) for p in t.generators()])
+        order = group.order()
+        assert order == len(group_closure(t.generators())) == kernel_order_check(t).actual, t
+        assert group.is_transitive() == is_valid(t), t
+        assert (order == math.factorial(d)) == is_full_monodromy(t), t
+        assert group.is_primitive() == is_primitive(t), t

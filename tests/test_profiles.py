@@ -41,6 +41,17 @@ def test_positive_entries_enforced():
         Profile.of(2, -1)
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [(lambda: Profile.ones(-1), "1^k needs k >= 0"), (lambda: partitions(-1), "partitions need m >= 0")],
+    ids=["ones", "partitions"],
+)
+def test_negative_sizes_are_refused(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def test_size_and_multiplicity():
     p = Profile.of(2, 1, 1)
     assert p.size == 3

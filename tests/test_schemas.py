@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from severi.base import InvalidState
 from severi.dual_graph import CentralFiber
 from severi.monodromy import HurwitzTuple
 from severi.states import state_from_json
@@ -17,17 +18,53 @@ def load(name):
     return json.loads((DOCS / name).read_text())
 
 
-@pytest.mark.parametrize(
-    "schema,fixture",
-    [
-        ("state.schema.json", "state_simple.json"),
-        ("state.schema.json", "state_two_groups.json"),
-        ("central_fiber.schema.json", "graph_chain.json"),
-        ("tuple.schema.json", "tuple_d3.json"),
-    ],
-)
+FIXTURE_SCHEMAS = [
+    ("state.schema.json", "state_simple.json"),
+    ("state.schema.json", "state_two_groups.json"),
+    ("state.schema.json", "state_many_points.json"),
+    ("central_fiber.schema.json", "graph_chain.json"),
+    ("tuple.schema.json", "tuple_d3.json"),
+]
+# each schema's parser and the path its messages give the document itself
+PARSERS = {
+    "state.schema.json": (state_from_json, "state"),
+    "central_fiber.schema.json": (CentralFiber.from_json, "graph"),
+    "tuple.schema.json": (HurwitzTuple.from_json, "tuple"),
+}
+
+
+@pytest.mark.parametrize("schema,fixture", FIXTURE_SCHEMAS)
 def test_fixtures_validate(schema, fixture):
     jsonschema.validate(json.loads((FIXTURES / fixture).read_text()), load(schema))
+
+
+def objects(node, where):
+    """Every object of a JSON document, with the path a parser's message
+    gives it."""
+    if isinstance(node, dict):
+        yield node, where
+        for name, value in node.items():
+            yield from objects(value, f"{where}.{name}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from objects(value, f"{where}[{i}]")
+
+
+@pytest.mark.parametrize("schema,fixture", FIXTURE_SCHEMAS)
+def test_unknown_members_are_refused(schema, fixture):
+    """A member no schema lists, such as a misspelt optional one, is refused
+    by the schema and by the parser, wherever it sits."""
+    document = json.loads((FIXTURES / fixture).read_text())
+    validator = jsonschema.Draft202012Validator(load(schema))
+    parse, root = PARSERS[schema]
+    parse(document)
+    for obj, where in list(objects(document, root)):
+        obj["t"] = 1
+        assert not validator.is_valid(document), where
+        with pytest.raises(InvalidState) as refused:
+            parse(document)
+        assert str(refused.value) == f"{where} has an unknown member 't'"
+        del obj["t"]
 
 
 def test_generated_states_validate(rng):

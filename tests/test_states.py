@@ -17,6 +17,7 @@ from severi.states import (
     SeveriState,
     _at_numbers,
     canonical_key,
+    check_valid,
     dimension,
     is_normalized,
     is_valid,
@@ -62,8 +63,10 @@ def test_line_bundle_degree_is_read_at_construction():
     merged = dataclasses.replace(L, terms=L.terms + ((PT, "p", 1, 1), (PT, "p", 1, -3)))
     assert merged.terms == ((PT, "p", 1, -2), (SYM, "L", 3, 1))
     assert merged.degree == 1 == weighted_degree(merged)
-    # the degree is no field, so equality, hashing and the repr read the terms alone
-    assert [f.name for f in dataclasses.fields(LineBundle)] == ["terms"]
+    # the degree is no constructor argument, and equality, hashing and the
+    # repr read the terms alone
+    degree = {f.name: f for f in dataclasses.fields(LineBundle)}["degree"]
+    assert (degree.init, degree.compare, degree.repr) == (False, False, False)
     assert "degree" not in repr(L) and hash(L) == hash(LineBundle(L.terms))
 
 
@@ -79,7 +82,7 @@ def test_value_records_have_slots_and_round_trip():
         for twin in copies + [copy.deepcopy(record), copy.copy(record)]:
             assert type(twin) is type(record) and twin == record
             assert hash(twin) == hash(record) and repr(twin) == repr(record)
-    # the degree is no field, so the pickled fields alone would lose it
+    # pickling and copying keep the degree, which no constructor call sets
     child_bundle = term.child.betas[0][1]
     for remake in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy):
         assert remake(bundle).degree == bundle.degree == 2
@@ -141,6 +144,21 @@ def test_validate_degree_violation():
 def test_validate_duplicate_labels():
     s = mk(2, 1, 0, alpha=[(1, "p"), (1, "p")])
     assert any("distinct" in v for v in violations(s))
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: check_valid(mk(0, 1, 0)), InvalidState, "fiber degree d=0 must be >= 1"),
+        (lambda: LineBundle(((PT, "p", 2, 1),)), ValueError, "points have degree 1"),
+        (lambda: canonical_key(mk(1, 0, 0), "exact"), ValueError, "unknown key mode 'exact'"),
+    ],
+    ids=["fiber-degree", "point-degree", "key-mode"],
+)
+def test_refusals_name_their_reason(make, error, message):
+    with pytest.raises(error) as refused:
+        make()
+    assert str(refused.value) == message
 
 
 def test_dimension_formula():

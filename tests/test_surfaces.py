@@ -32,6 +32,12 @@ def test_model_mismatch_rejected(exp1):
         sf.intersect(exp1.divisor(f=1), other.divisor(f1=1))
 
 
+def test_divisor_refuses_unknown_labels(exp1):
+    with pytest.raises(ValueError) as refused:
+        exp1.divisor(f=1, x=2, a=1)
+    assert str(refused.value) == "unknown basis labels ['a', 'x']"
+
+
 def test_gamma_on_product(exp1):
     for d in range(1, 11):
         for N in range(1, 11):

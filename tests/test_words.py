@@ -1,3 +1,5 @@
+import pytest
+
 from severi.words import (
     commutator,
     conjugate_of,
@@ -13,6 +15,12 @@ from severi.words import (
 def test_reduce():
     assert reduce([("a", 1), ("a", -1)]) == ()
     assert reduce([("a", 1), ("b", 1), ("b", -1), ("a", 1)]) == (("a", 1), ("a", 1))
+
+
+def test_letters_carry_unit_exponents():
+    with pytest.raises(ValueError) as refused:
+        w(("a", 2))
+    assert str(refused.value) == "letters carry exponent +1 or -1"
 
 
 def test_mul_inv():
