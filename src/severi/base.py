@@ -1,11 +1,11 @@
 """What every layer shares: the two exception classes, the shape checks of
-the JSON readers and their one reader of arrays of objects, a union-find
-root and the names of the two canonical-key modes.  It imports no other
-part of the library, so that the hyperplane-section half (:mod:`.states`,
-:mod:`.dual_graph`) and the Hurwitz half (:mod:`.lattices`,
-:mod:`.monodromy`) and the CLI can each name an exception or read a field
-without loading the other half, and the CLI's parser can offer the key
-modes without loading :mod:`.states`."""
+the JSON readers, their one reader of arrays of objects and their one
+wrapper of value faults, a union-find root and the names of the two
+canonical-key modes.  It imports no other part of the library, so that the
+hyperplane-section half (:mod:`.states`, :mod:`.dual_graph`) and the
+Hurwitz half (:mod:`.lattices`, :mod:`.monodromy`) and the CLI can each
+name an exception or read a field without loading the other half, and the
+CLI's parser can offer the key modes without loading :mod:`.states`."""
 
 DEGREE = "degree"
 SYMBOLIC = "symbolic"
@@ -69,6 +69,14 @@ def rows_of(obj: dict, name: str, where: str, *fields: tuple[str, str]):
         expect(item, "object", at)
         expect_members(item, at, *(member for member, _ in fields))
         yield tuple(field_of(item, member, kind, at) for member, kind in fields)
+
+
+def parsed(where: str, make, *args):
+    """``make(*args)``, a ValueError raised as InvalidState at ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InvalidState(f"{where}: {exc}") from None
 
 
 def root(parent, x):

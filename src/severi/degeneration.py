@@ -66,9 +66,9 @@ KIND_II = "II"
 
 # The most choices of kept groups, drops and kept fixed points one type II
 # walk may visit: the product over the groups j of (1 + the distinct orders
-# of beta_j), times 2^|alpha| in symbolic mode or the product of (run
-# length + 1) over the runs of equal orders in degree mode.  The
-# benchmark's ten-point state W walks 2 x 1,024 in symbolic mode.
+# of beta_j), times 2^|alpha| in symbolic mode or the product of (run length
+# + 1) over the runs of equal orders in degree mode.  It admits one group
+# 1^2 with ten order-one points in symbolic mode (2 x 2^10), not eleven.
 MAX_TYPE_TWO_CHOICES = 2_048
 
 # The most terms one call of either enumerator may emit.  A type II row

@@ -12,15 +12,15 @@ covers.  The move set used here:
 * two handle moves pushing the last branch point around the two handle
   loops of the target.
 
-:data:`MOVES` is the one admitted move set.  The orbit closure and the
-DOT rendering of the move graph apply it to tuples packed as ``perm_table``
-indices (:class:`_PackedMoves`); the object-level moves are the reference
-that the tests check the packed moves against.  The orbit closure groups
-the tuples into classes under simultaneous conjugation, and applies only
-the braid and handle moves, to one tuple per class.  This is exact: the
-relabeling moves are conjugations, so each class is closed under them, and
-the braid and handle moves commute with conjugation, so the images of a
-class are the classes of the images of any one of its tuples.
+:data:`MOVES` is the one admitted move set.  The orbit closure and the DOT
+rendering of the move graph apply it to one checked tuple set, packed as
+``perm_table`` indices (:class:`_PackedMoves`); the object-level moves are
+the reference that the tests check the packed moves against.  The orbit
+closure groups the tuples into classes under simultaneous conjugation, and
+applies only the braid and handle moves, to one tuple per class.  This is
+exact: the relabeling moves are conjugations, so each class is closed under
+them, and the braid and handle moves commute with conjugation, so the
+images of a class are the classes of the images of any one of its tuples.
 
 The exhaustive scan checks one (A, B) pair per orbit of S_d on pairs, and
 one letter set per orbit of the pair's stabilizer, each weighted by the
@@ -260,31 +260,35 @@ def default_moves() -> MoveSet:
 
 
 class _PackedMoves:
-    """The moves of :data:`MOVES` and the relabeling classes on packed tuples.
+    """One checked tuple set, packed, split into relabeling classes, and the
+    moves of :data:`MOVES` on its packed tuples.
 
     A tuple (A, B, T_1..T_b) of degree d is packed as one int: the
     ``perm_table(d)`` indices of its entries are the digits of a mixed-radix
     number in base d!, A the lowest.  Every move is a few table lookups on
     those indices; the handle words go through :func:`.words.evaluate` over
     the multiplication table, whose identity is index 0.
+
+    The constructor is the one gate of :func:`orbits` and
+    :func:`move_graph_dot`.  It checks each tuple by one table lookup per
+    entry: the first tuple's degree d <= ``MAX_TABLE_D`` and branch count,
+    no repeat, every T a transposition and T_1..T_b = [A, B], else a
+    ValueError.  In input order, the first tuple not yet placed opens a
+    relabeling class of all its conjugates by S_d, named by its input index
+    (``class_of``); its invariant lattice, computed once per class, must
+    exist, that is, the sheets must be transitively permuted.  ``reps``
+    holds (name, packed key, lattice) per class, ``census`` the tuples per
+    lattice and ``pos`` {packed key: input index}, which :meth:`find` reads.
     """
 
-    def __init__(self, d: int, b: int):
-        perms, self.index, mul, inv, transps = perm_table(d)
-        self.d, self.transpositions = d, frozenset(transps)
-        self.adjacent = [self.index[transposition(d, k, k + 1)] for k in range(d - 1)]
-        self.radix = len(perms)
-        self.width = b + 2
-        self.weights = [self.radix**i for i in range(self.width)]
-        self.mul, self.inv = mul, inv
-
-    def pack(self, tuples: list) -> dict:
-        """{packed key: input index} of ``tuples``, checked by one table
-        lookup per entry: one degree and branch count, no repeat, every T a
-        transposition and T_1..T_b = [A, B], else a ValueError."""
-        d, b, index, mul, inv = self.d, self.width - 2, self.index, self.mul, self.inv
-        transps, radix, weights = self.transpositions, self.radix, self.weights[2:]
-        pos: dict = {}
+    def __init__(self, tuples: list):
+        d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
+        perms, index, mul, inv, transps = perm_table(d)
+        self.d, self.perms, self.mul, self.inv, self.radix = d, perms, mul, inv, len(perms)
+        self.adjacent = [index[transposition(d, k, k + 1)] for k in range(d - 1)]
+        self.width, self.weights = b + 2, [self.radix**i for i in range(b + 2)]
+        transps, radix, weights = frozenset(transps), self.radix, self.weights[2:]
+        self.pos = pos = {}
         for i, t in enumerate(tuples):
             a, bb = index.get(t.A), index.get(t.B)
             ok = t.d == d and len(t.T) == b and a is not None and bb is not None
@@ -302,7 +306,27 @@ class _PackedMoves:
             j = pos.setdefault(key, i)
             if j != i:
                 raise ValueError(f"tuple {i} repeats tuple {j}")
-        return pos
+        self.class_of = class_of = [None] * len(tuples)
+        self.reps, self.census = [], Counter()
+        for i, key in enumerate(pos):
+            if class_of[i] is not None:
+                continue
+            lat = sheet_lattice(d, tuples[i].generators())[2]
+            if lat is None:
+                check_valid(tuples[i])
+            members = set(self.find(self.conjugates(key, range(radix))))
+            for j in members:
+                class_of[j] = i
+            self.census[lat] += len(members)
+            self.reps.append((i, key, lat))
+
+    def find(self, keys) -> list[int]:
+        """The input index of each packed tuple of ``keys``, in order; a key
+        outside the set raises AssertionError, since no move may leave it."""
+        try:
+            return list(map(self.pos.__getitem__, keys))
+        except KeyError:
+            raise AssertionError("a move left the enumerated tuple set") from None
 
     def unpack(self, key: int) -> list[int]:
         return [key // w % self.radix for w in self.weights]
@@ -386,48 +410,26 @@ def orbits(tuples) -> OrbitReport:
     """Union-find closure of the move action on relabeling classes; reports
     the orbit count and, per orbit, the common invariant lattice.
 
-    The tuples must share one degree d <= ``MAX_TABLE_D`` and one branch
-    count, and none may repeat; :meth:`_PackedMoves.pack` checks each one
-    and packs it as one int.  In input order, the first tuple not yet placed
-    opens a class, which takes all its conjugates by S_d, and the invariant
-    lattice is computed once per class.  Only the braid and handle moves are
-    applied, to that first tuple, and the classes of the images are joined;
-    the module docstring says why this gives the orbits of the whole move
-    set.  Every conjugate and every image must be in the set.
+    The tuples pass the one gate of :class:`_PackedMoves`, which checks
+    them (one degree d <= ``MAX_TABLE_D`` and one branch count, no repeat,
+    each tuple valid, its sheets transitively permuted), packs each as one
+    int and splits them into relabeling classes with one invariant lattice
+    each.  Only the braid and handle moves are applied, to each class's
+    first tuple, and the classes of the images are joined; the module
+    docstring says why this gives the orbits of the whole move set.  Every
+    image must be in the set, and every orbit must have one lattice.
     """
     tuples = list(tuples)
     if not tuples:
         raise ValueError("no tuples to partition")
-    d, b = tuples[0].d, tuples[0].b
-    moves = _PackedMoves(d, b)
-    pos = moves.pack(tuples)
+    moves = _PackedMoves(tuples)
+    reps, class_of = moves.reps, moves.class_of
 
-    # a class is named by its least member's input index, the first met
-    class_of = [None] * len(tuples)
-    reps = []  # (index, packed key, invariant lattice) per class
-    census: Counter = Counter()
-    for i, key in enumerate(pos):
-        if class_of[i] is not None:
-            continue
-        lat = sheet_lattice(d, tuples[i].generators())[2]
-        if lat is None:
-            check_valid(tuples[i])
-        members = {pos.get(image) for image in moves.conjugates(key, range(moves.radix))}
-        if None in members:
-            raise AssertionError("a move left the enumerated tuple set")
-        for j in members:
-            class_of[j] = i
-        census[lat] += len(members)
-        reps.append((i, key, lat))
-
-    # union-find on the names: each root is its tree's least index
+    # union-find on the class names: each root is its tree's least index
     parent = {i: i for i, _, _ in reps}
     images = unions = 0
     for i, key, _ in reps:
-        for image in moves.images(key):
-            j = pos.get(image)
-            if j is None:
-                raise AssertionError("a move left the enumerated tuple set")
+        for j in moves.find(moves.images(key)):
             r, s = sorted((root(parent, i), root(parent, class_of[j])))
             parent[s] = r
             images += 1
@@ -440,13 +442,13 @@ def orbits(tuples) -> OrbitReport:
         if lattice_of_root.setdefault(r, lat) != lat:
             raise AssertionError("an orbit mixes two invariant lattices")
     return OrbitReport(
-        d=d,
-        b=b,
+        d=moves.d,
+        b=moves.width - 2,
         tuples=tuple(tuples),
         orbit_of=tuple(map(parent.__getitem__, class_of)),
         orbit_count=len(lattice_of_root),
         lattice_of_orbit=Counter(lattice_of_root.values()),
-        census=census,
+        census=moves.census,
         classes=len(reps),
         images=images,
         unions=unions,
@@ -460,31 +462,27 @@ def expected_lattices(d: int) -> tuple[Lattice2, ...]:
 
 
 def move_graph_dot(tuples) -> str:
-    """DOT rendering of the move graph on a move-closed set of tuples of one
-    degree d <= ``MAX_TABLE_D`` and one branch count, checked as
-    :func:`orbits` checks it.  Its edges are read off :class:`_PackedMoves`:
-    per tuple, the braid moves s1.., the relabeling moves c1.. by adjacent
-    transpositions, then the handle moves by name; its node labels join one
-    cycle string per ``perm_table`` entry."""
-    tuples = list(tuples)
-    d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
-    moves = _PackedMoves(d, b)
+    """DOT rendering of the move graph on a move-closed set of tuples, which
+    passes the gate of :class:`_PackedMoves` and so is refused exactly when
+    :func:`orbits` refuses it, but for the empty set, an empty graph.  Per
+    tuple, the edges are the packed braid moves s1.., the relabeling moves
+    c1.. by adjacent transpositions, then the handle moves by name; the node
+    labels join one cycle string per ``perm_table`` entry."""
+    moves = _PackedMoves(list(tuples))
+    d, b = moves.d, moves.width - 2
     names = [f"s{k + 1}" for k in range(b - 1)] + [f"c{k + 1}" for k in range(d - 1)]
     names += [mv.name for mv in MOVES.handles] if b else []
-    pos = moves.pack(tuples)
     c = lambda p: "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"
-    cycles = list(map(c, perm_table(d)[0]))
+    cycles = list(map(c, moves.perms))
     lines = ["graph moves {"]
-    for key, i in pos.items():
+    for key, i in moves.pos.items():
         a, bb, *branch = map(cycles.__getitem__, moves.unpack(key))
         lines.append(f'  n{i} [label="A={a} B={bb} T={"|".join(branch)}"];')
     seen = set()
-    for key, i in pos.items():
+    for key, i in moves.pos.items():
         images = moves.images(key)
         images[max(b - 1, 0) : max(b - 1, 0)] = moves.conjugates(key, moves.adjacent)
-        if not pos.keys() >= set(images):
-            raise AssertionError("a move left the enumerated tuple set")
-        for name, j in zip(names, map(pos.__getitem__, images)):
+        for name, j in zip(names, moves.find(images)):
             edge = (min(i, j), max(i, j), name)
             if i != j and edge not in seen:
                 seen.add(edge)

@@ -26,7 +26,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .base import BudgetExceeded, InvalidState, expect, expect_members, field_of, root
+from .base import BudgetExceeded, InvalidState, expect, expect_members, field_of, parsed, root
 from .lattices import IDENTITY, Lattice2, hnf
 
 # The largest group order a closure may reach: |S_8|.
@@ -105,7 +105,7 @@ def perm_from_cycles(d: int, cycles) -> tuple[int, ...]:
     for cyc in cycles:
         cyc = [int(x) - 1 for x in cyc]
         if any(not 0 <= x < d for x in cyc) or len(set(cyc)) != len(cyc):
-            raise ValueError(f"bad cycle {cyc} for degree {d}")
+            raise ValueError(f"bad cycle {[x + 1 for x in cyc]} for degree {d}")
         for k in range(len(cyc)):
             out[cyc[k]] = cyc[(k + 1) % len(cyc)]
     return tuple(out)
@@ -139,7 +139,8 @@ class HurwitzTuple(NamedTuple):
     def from_json(data) -> "HurwitzTuple":
         """Parse a tuple in the shape of ``docs/tuple.schema.json``.
 
-        A document of the wrong shape, or with ``d`` below 1, raises
+        A document of the wrong shape, with ``d`` below 1 or with a cycle
+        that repeats a sheet or names one outside 1..d, raises
         :class:`~.base.InvalidState` naming the field; ``d`` above
         ``MAX_TUPLE_D`` raises :class:`BudgetExceeded` before any
         permutation is built.  An omitted A, B or T means the identity or
@@ -165,7 +166,7 @@ def _perm_from_json(d: int, cycles, where: str) -> tuple[int, ...]:
         expect(cyc, "array", f"{where}[{i}]")
         for x in cyc:
             expect(x, "integer", f"{where}[{i}]")
-    return perm_from_cycles(d, cycles)
+    return parsed(where, perm_from_cycles, d, cycles)
 
 
 def violations(t: HurwitzTuple) -> tuple[str, ...]:
@@ -174,15 +175,11 @@ def violations(t: HurwitzTuple) -> tuple[str, ...]:
         (f"T{i+1}", ti) for i, ti in enumerate(t.T)
     ):
         if len(p) != t.d or sorted(p) != list(range(t.d)):
-            out.append(f"{name} is not a permutation of {t.d} sheets")
-            return tuple(out)
+            return (f"{name} is not a permutation of {t.d} sheets",)
     for i, ti in enumerate(t.T):
         if not is_transposition(ti):
             out.append(f"T{i+1} is not a transposition")
-    prod = identity(t.d)
-    for ti in t.T:
-        prod = compose(prod, ti)
-    if commutator(t.A, t.B) != prod:
+    if commutator(t.A, t.B) != then(identity(t.d), *t.T):
         out.append("[A,B] != T1...Tb")
     if t.d < 1 or sheet_lattice(t.d, t.generators())[2] is None:
         out.append("sheets are not transitively permuted")
@@ -339,9 +336,7 @@ def factorize(t: HurwitzTuple) -> Factorization:
     for s in range(t.d):
         if block_of[t.A[s]] != a_bar[block_of[s]] or block_of[t.B[s]] != b_bar[block_of[s]]:
             raise AssertionError("handle letters must act on blocks as translations")
-    return Factorization(
-        lattice=lat, block_of=block_of, blocks=blocks, a_bar=a_bar, b_bar=b_bar
-    )
+    return Factorization(lat, block_of, blocks, a_bar, b_bar)
 
 
 class KernelReport(NamedTuple):

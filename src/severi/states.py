@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .base import DEGREE, SYMBOLIC, InvalidState, expect, expect_members, field_of, rows_of
+from .base import DEGREE, SYMBOLIC, InvalidState, expect, expect_members, field_of, parsed, rows_of
 from .profiles import Profile
 
 PT = "pt"
@@ -198,15 +198,8 @@ def fresh_labels(s: SeveriState, count: int, stem: str) -> tuple[str, ...]:
     used = {lbl for _, lbl in s.alpha}
     for _, bundle in s.betas:
         used.update(n for k, n, _, _ in bundle.terms if k == PT)
-    out: list[str] = []
-    i = 1
-    while len(out) < count:
-        cand = f"{stem}{i}"
-        if cand not in used:
-            used.add(cand)
-            out.append(cand)
-        i += 1
-    return tuple(out)
+    names = (f"{stem}{i}" for i in itertools.count(1))
+    return tuple(itertools.islice((name for name in names if name not in used), count))
 
 
 def normalize(s: SeveriState) -> tuple[SeveriState, int]:
@@ -382,8 +375,10 @@ def state_from_json(data) -> SeveriState:
     """Parse a state in the shape of ``docs/state.schema.json``.
 
     A document of the wrong shape (not an object, a missing field, a field
-    of the wrong JSON type, a member the schema does not list) raises
-    :class:`InvalidState` naming the field.
+    of the wrong JSON type, a member the schema does not list) or a bad
+    value (an order below 1, a term kind or point degree :class:`LineBundle`
+    refuses, a wrong stated degree) raises :class:`InvalidState` naming the
+    field.
     """
     expect(data, "object", "state")
     expect_members(data, "state", "d", "N", "g", "alpha", "betas")
@@ -394,7 +389,8 @@ def state_from_json(data) -> SeveriState:
     ):
         for x in profile:
             expect(x, "integer", f"state.betas[{j}].profile")
-        betas.append((Profile(tuple(profile)), _bundle_from_json(bundle, f"state.betas[{j}].L")))
+        profile = parsed(f"state.betas[{j}].profile", Profile, tuple(profile))
+        betas.append((profile, _bundle_from_json(bundle, f"state.betas[{j}].L")))
     return SeveriState(
         d=field_of(data, "d", "integer", "state"),
         N=field_of(data, "N", "integer", "state"),
@@ -407,7 +403,8 @@ def state_from_json(data) -> SeveriState:
 def _bundle_from_json(data, where: str) -> LineBundle:
     expect_members(data, where, "degree", "expr")
     fields = ("kind", "string"), ("name", "string"), ("deg", "integer"), ("coeff", "integer")
-    lb = LineBundle(tuple(rows_of(data, "expr", where, *fields)))
+    lb = parsed(f"{where}.expr", LineBundle, tuple(rows_of(data, "expr", where, *fields)))
     if field_of(data, "degree", "integer", where, default=lb.degree) != lb.degree:
-        raise ValueError(f"stated degree {data['degree']} != expression degree {lb.degree}")
+        stated = f"stated degree {data['degree']} != expression degree {lb.degree}"
+        raise InvalidState(f"{where}.degree: {stated}")
     return lb

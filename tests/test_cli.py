@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -232,6 +233,31 @@ def test_dot_file_kept_when_its_text_fails(tmp_path, monkeypatch, capsys, builde
     assert cli.main([*args, "--dot", str(out)]) == 3
     assert out.read_bytes() == b"digraph old {}\n"
     assert capsys.readouterr() == ("", "budget exceeded: dot: refused\n")
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Symbolic terms, a symbolic forest and the move graph, DOT file
+    included, are the same bytes under two hash seeds: no output follows
+    the iteration order of a set of strings."""
+    state = str(FIXTURES / "state_two_groups.json")
+    runs = []
+    for seed in ("0", "1"):
+        dot = tmp_path / f"moves{seed}.dot"
+        outputs = []
+        for args in (
+            ("terms", "--state", state, "--key-mode", "symbolic"),
+            ("forest", "--root", state, "--key-mode", "symbolic", "--max-nodes", "300"),
+            ("hurwitz", "orbits", "--d", "4", "--g", "2", "--dot", str(dot)),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "severi.cli", *args],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            outputs.append((proc.returncode, proc.stdout))
+        runs.append((outputs, dot.read_bytes()))
+    assert [code for code, _ in runs[0][0]] == [0, 3, 0]
+    assert runs[0] == runs[1]
 
 
 def test_forest_with_dot(tmp_path):

@@ -388,6 +388,23 @@ def test_negative_N_walks_no_type_two_choice():
         assert {e.term.kind for e in forest.edges} == {dg.KIND_I}
 
 
+def points_and_one_pair(n):
+    """n fixed points of order one and one moving group 1^2."""
+    alpha = tuple((1, f"p{i}") for i in range(1, n + 1))
+    return SeveriState(n + 2, 3, 3, alpha, ((Profile.ones(2), symbol("L", 2)),))
+
+
+def test_type_two_choice_budget_boundary():
+    """Ten points give 2 x 2^10 choices in symbolic mode, the most
+    MAX_TYPE_TWO_CHOICES admits, so they are walked; eleven are refused
+    before any choice is listed.  Degree mode visits 2 x 11 and 2 x 12."""
+    assert dg.MAX_TYPE_TWO_CHOICES == 2 * 2**10
+    assert len(dg.successors_general(points_and_one_pair(10), key_mode=SYMBOLIC)) == 934
+    with pytest.raises(BudgetExceeded, match=r"^type II walk: 4096 choices > 2048$"):
+        dg.successors_general(points_and_one_pair(11), key_mode=SYMBOLIC)
+    assert len(dg.successors_general(points_and_one_pair(11), key_mode=DEGREE)) == 1327
+
+
 def test_normalization_factor_lands_on_edge():
     # a IIb child with singleton tau group gets normalized on insertion
     root = simple_state(4, 2, 3, 2, 2)

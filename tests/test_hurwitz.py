@@ -372,10 +372,12 @@ def test_packed_moves_match_move_images(d, g):
     c1.., in order."""
     perms, index, *_ = perm_table(d)
     n, width = len(perms), 2 * g
-    moves = _PackedMoves(d, width - 2)
-    for t in enumerate_tuples(d, g):
+    ts = enumerate_tuples(d, g)
+    moves = _PackedMoves(ts)
+    for j, t in enumerate(ts):
         entries = [index[p] for p in t.generators()]
         key = sum(x * n**i for i, x in enumerate(entries))
+        assert moves.find([key]) == [j]
         decoded = [decode(image, d, width) for image in moves.images(key)]
         assert decoded == [t2 for name, t2 in move_images(t) if name[0] != "c"]
         decoded = [decode(image, d, width) for image in moves.conjugates(key, moves.adjacent)]
@@ -385,12 +387,14 @@ def test_packed_moves_match_move_images(d, g):
 @pytest.mark.parametrize("d,g", [(3, 2), (4, 2)])
 def test_conjugates_are_the_relabeling_closure(d, g):
     """The conjugates of a tuple by all of S_d are its closure under the
-    relabeling moves c1.. of move_images, and the packed conjugates are
-    those conjugates in perm_table order."""
+    relabeling moves c1.. of move_images, the packed conjugates are those
+    conjugates in perm_table order, and the classes of _PackedMoves are
+    those closures."""
     perms, index, *_ = perm_table(d)
-    moves = _PackedMoves(d, 2 * g - 2)
+    ts = enumerate_tuples(d, g)
+    moves = _PackedMoves(ts)
     closure_of: dict = {}
-    for t in enumerate_tuples(d, g):
+    for t in ts:
         if t not in closure_of:
             closure = set(move_closure(t, lambda name: name[0] == "c"))
             closure_of.update(dict.fromkeys(closure, closure))
@@ -398,6 +402,13 @@ def test_conjugates_are_the_relabeling_closure(d, g):
         assert set(conjugates) == closure_of[t]
         key = sum(index[p] * len(perms) ** i for i, p in enumerate(t.generators()))
         assert [decode(c, d, 2 * g) for c in moves.conjugates(key, range(len(perms)))] == conjugates
+    # the constructor's classes are these closures, each named by its least
+    # input index
+    classes: dict = {}
+    for j, c in enumerate(moves.class_of):
+        classes.setdefault(c, []).append(j)
+    for c, members in classes.items():
+        assert c == members[0] and {ts[j] for j in members} == closure_of[ts[c]]
 
 
 def test_orbits_rejects_a_set_the_moves_leave():
@@ -446,14 +457,20 @@ def malformed_orbit_inputs(name):
     }[name]
 
 
+MALFORMED = ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field", "intransitive"]
+
+
 @pytest.mark.parametrize(
-    "name",
-    ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field", "intransitive"],
+    "name,refuse",
+    [pytest.param(name, orbits, id=name) for name in MALFORMED]
+    + [pytest.param(name, move_graph_dot, id=f"{name}-dot") for name in MALFORMED[1:]],
 )
-def test_orbits_rejects_malformed_input(name):
+def test_orbits_rejects_malformed_input(name, refuse):
+    """move_graph_dot refuses what orbits() refuses, with the same
+    ValueError, but for the empty set, which it draws as an empty graph."""
     tuples, message = malformed_orbit_inputs(name)
     with pytest.raises(ValueError, match=message):
-        orbits(tuples)
+        refuse(tuples)
 
 
 @pytest.mark.parametrize(

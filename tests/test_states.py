@@ -6,6 +6,7 @@ import re
 import pytest
 
 from severi.degeneration import Term, successors_general
+from severi.monodromy import HurwitzTuple
 from severi.profiles import Profile
 from severi.states import (
     DEGREE,
@@ -332,3 +333,44 @@ GOOD_GROUP = {"profile": [1, 1], "L": {"expr": [{"kind": "sym", "name": "L", "de
 def test_state_from_json_rejects_malformed_documents(document, field):
     with pytest.raises(InvalidState, match=re.escape(field)):
         state_from_json(document)
+
+
+def one_group_with(profile=(1, 1), **L):
+    """A one-group state document whose group has ``profile`` and the bundle
+    of GOOD_GROUP with the members ``L`` replaced."""
+    group = {"profile": list(profile), "L": dict(GOOD_GROUP["L"], **L)}
+    return {"d": 2, "N": 1, "g": 0, "betas": [group]}
+
+
+@pytest.mark.parametrize(
+    "parse,document,message",
+    [
+        (
+            state_from_json,
+            one_group_with(profile=(0, 2)),
+            "state.betas[0].profile: tangency orders must be positive: (0, 2)",
+        ),
+        (
+            state_from_json,
+            one_group_with(expr=[{"kind": "x", "name": "L", "deg": 2, "coeff": 1}]),
+            "state.betas[0].L.expr: unknown term kind 'x'",
+        ),
+        (
+            state_from_json,
+            one_group_with(expr=[{"kind": "pt", "name": "p", "deg": 2, "coeff": 1}]),
+            "state.betas[0].L.expr: points have degree 1",
+        ),
+        (
+            state_from_json,
+            one_group_with(degree=5),
+            "state.betas[0].L.degree: stated degree 5 != expression degree 2",
+        ),
+        (HurwitzTuple.from_json, {"d": 3, "A": [[1, 5]]}, "tuple.A: bad cycle [1, 5] for degree 3"),
+    ],
+    ids=["profile", "term-kind", "point-degree", "stated-degree", "cycle"],
+)
+def test_document_value_faults_name_their_path(parse, document, message):
+    # each message leads with the field's path; a cycle keeps the document's
+    # 1-based sheets
+    with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+        parse(document)
