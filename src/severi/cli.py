@@ -216,10 +216,9 @@ def cmd_mono(args) -> int:
 def cmd_hurwitz(args) -> int:
     from . import hurwitz as hw
 
-    tuples = hw.enumerate_tuples(args.d, args.g)
-    report = hw.orbits(tuples)
+    report = hw.orbits(hw.enumerate_tuples(args.d, args.g))
     if args.dot:
-        text = hw.move_graph_dot(tuples)  # built first: opening truncates the file
+        text = hw.move_graph_dot(report)  # built first: opening truncates the file
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text)
     _emit(report.to_json())

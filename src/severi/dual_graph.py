@@ -113,7 +113,7 @@ def violations(gr: CentralFiber) -> tuple[str, ...]:
 def check_valid(gr: CentralFiber) -> None:
     bad = violations(gr)
     if bad:
-        raise ValueError("; ".join(bad))
+        raise InvalidState("; ".join(bad))
 
 
 def _components(nodes, edges) -> list[set[str]]:

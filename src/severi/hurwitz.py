@@ -12,15 +12,15 @@ covers.  The move set used here:
 * two handle moves pushing the last branch point around the two handle
   loops of the target.
 
-:data:`MOVES` is the one admitted move set.  The orbit closure and the DOT
-rendering of the move graph apply it to one checked tuple set, packed as
-``perm_table`` indices (:class:`_PackedMoves`); the object-level moves are
-the reference that the tests check the packed moves against.  The orbit
-closure groups the tuples into classes under simultaneous conjugation, and
+:data:`MOVES` is the one admitted move set.  The orbit closure applies it to
+one checked tuple set, packed as ``perm_table`` indices
+(:class:`_PackedMoves`), which its report keeps for :func:`move_graph_dot`;
+the tests check the packed moves against the object-level ones.  The orbit
+closure groups the tuples into classes under simultaneous conjugation and
 applies only the braid and handle moves, to one tuple per class.  This is
 exact: the relabeling moves are conjugations, so each class is closed under
-them, and the braid and handle moves commute with conjugation, so the
-images of a class are the classes of the images of any one of its tuples.
+them, and the braid and handle moves commute with conjugation, so the images
+of a class are the classes of the images of any one of its tuples.
 
 The exhaustive scan checks one (A, B) pair per orbit of S_d on pairs, and
 one letter set per orbit of the pair's stabilizer, each weighted by the
@@ -269,10 +269,10 @@ class _PackedMoves:
     those indices; the handle words go through :func:`.words.evaluate` over
     the multiplication table, whose identity is index 0.
 
-    The constructor is the one gate of :func:`orbits` and
-    :func:`move_graph_dot`.  It checks each tuple by one table lookup per
-    entry: the first tuple's degree d <= ``MAX_TABLE_D`` and branch count,
-    no repeat, every T a transposition and T_1..T_b = [A, B], else a
+    The constructor, run once per :func:`orbits` call on a nonempty set, is
+    the one gate of a tuple set.  It checks each tuple by one table lookup
+    per entry: the first tuple's degree d <= ``MAX_TABLE_D`` and branch
+    count, no repeat, every T a transposition and T_1..T_b = [A, B], else a
     ValueError.  In input order, the first tuple not yet placed opens a
     relabeling class of all its conjugates by S_d, named by its input index
     (``class_of``); its invariant lattice, computed once per class, must
@@ -282,7 +282,7 @@ class _PackedMoves:
     """
 
     def __init__(self, tuples: list):
-        d, b = (tuples[0].d, tuples[0].b) if tuples else (1, 0)
+        d, b = tuples[0].d, tuples[0].b
         perms, index, mul, inv, transps = perm_table(d)
         self.d, self.perms, self.mul, self.inv, self.radix = d, perms, mul, inv, len(perms)
         self.adjacent = [index[transposition(d, k, k + 1)] for k in range(d - 1)]
@@ -381,7 +381,8 @@ class OrbitReport:
     it does not depend on the order in which the moves are applied.
     ``classes`` counts the relabeling classes the orbits are made of,
     ``images`` the packed move images looked up, and ``unions`` the images
-    that joined two union-find trees; none is in :meth:`to_json`.
+    that joined two union-find trees; none is in :meth:`to_json`, nor is
+    ``_moves``, the set :func:`move_graph_dot` draws, in ``repr`` or ``==``.
     """
 
     d: int
@@ -394,6 +395,7 @@ class OrbitReport:
     classes: int = 0
     images: int = 0
     unions: int = 0
+    _moves: _PackedMoves | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -410,14 +412,13 @@ def orbits(tuples) -> OrbitReport:
     """Union-find closure of the move action on relabeling classes; reports
     the orbit count and, per orbit, the common invariant lattice.
 
-    The tuples pass the one gate of :class:`_PackedMoves`, which checks
-    them (one degree d <= ``MAX_TABLE_D`` and one branch count, no repeat,
-    each tuple valid, its sheets transitively permuted), packs each as one
-    int and splits them into relabeling classes with one invariant lattice
-    each.  Only the braid and handle moves are applied, to each class's
-    first tuple, and the classes of the images are joined; the module
-    docstring says why this gives the orbits of the whole move set.  Every
-    image must be in the set, and every orbit must have one lattice.
+    The tuples pass the one gate, :class:`_PackedMoves`, which the report
+    keeps: it refuses a mixed, repeated, invalid or intransitive set, packs the
+    tuples and splits them into relabeling classes with one invariant lattice
+    each.  Only the braid and handle moves are applied, to each class's first
+    tuple, and the classes of the images are joined; the module docstring says
+    why this gives the orbits of the whole move set.  Every image must be in
+    the set, and every orbit must have one lattice.
     """
     tuples = list(tuples)
     if not tuples:
@@ -452,6 +453,7 @@ def orbits(tuples) -> OrbitReport:
         classes=len(reps),
         images=images,
         unions=unions,
+        _moves=moves,
     )
 
 
@@ -461,15 +463,13 @@ def expected_lattices(d: int) -> tuple[Lattice2, ...]:
     return tuple(sorted(lat for e in range(1, d) if d % e == 0 for lat in sublattices(e)))
 
 
-def move_graph_dot(tuples) -> str:
-    """DOT rendering of the move graph on a move-closed set of tuples, which
-    passes the gate of :class:`_PackedMoves` and so is refused exactly when
-    :func:`orbits` refuses it, but for the empty set, an empty graph.  Per
-    tuple, the edges are the packed braid moves s1.., the relabeling moves
-    c1.. by adjacent transpositions, then the handle moves by name; the node
-    labels join one cycle string per ``perm_table`` entry."""
-    moves = _PackedMoves(list(tuples))
-    d, b = moves.d, moves.width - 2
+def move_graph_dot(report: OrbitReport) -> str:
+    """DOT rendering of the move graph on the tuples of ``report``, read off
+    the set that :func:`orbits` checked and kept, so it refuses nothing.
+    Per tuple, the edges are the packed braid moves s1.., the relabeling
+    moves c1.. by adjacent transpositions, then the handle moves by name;
+    the node labels join one cycle string per ``perm_table`` entry."""
+    moves, d, b = report._moves, report.d, report.b
     names = [f"s{k + 1}" for k in range(b - 1)] + [f"c{k + 1}" for k in range(d - 1)]
     names += [mv.name for mv in MOVES.handles] if b else []
     c = lambda p: "".join("(" + " ".join(map(str, x)) + ")" for x in cycles_of(p)) or "id"

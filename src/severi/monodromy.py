@@ -193,7 +193,7 @@ def is_valid(t: HurwitzTuple) -> bool:
 def check_valid(t: HurwitzTuple) -> None:
     bad = violations(t)
     if bad:
-        raise ValueError("; ".join(bad))
+        raise InvalidState("; ".join(bad))
 
 
 # -- group closure ------------------------------------------------------------

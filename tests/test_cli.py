@@ -419,6 +419,28 @@ def test_hurwitz_orbits_with_dot(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DOT_SHA256[4, 2]
 
 
+def test_hurwitz_orbits_with_dot_gates_the_tuples_once(tmp_path, monkeypatch, capsys):
+    """The drawing reads the checked set that the orbit count built: one
+    hurwitz orbits call builds one _PackedMoves, --dot included."""
+    from severi import cli
+    from severi import hurwitz as hw
+
+    built = []
+
+    class Counted(hw._PackedMoves):
+        def __init__(self, tuples):
+            built.append(len(tuples))
+            super().__init__(tuples)
+
+    monkeypatch.setattr(hw, "_PackedMoves", Counted)
+    out = tmp_path / "moves.dot"
+    assert cli.main(["hurwitz", "orbits", "--d", "4", "--g", "2", "--dot", str(out)]) == 0
+    assert built == [1440]
+    assert json.loads(capsys.readouterr().out)["orbit_count"] == 4
+    dot = hw.move_graph_dot(hw.orbits(hw.enumerate_tuples(4, 2)))
+    assert out.read_bytes() == dot.encode()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from severi.base import InvalidState
 from severi.dual_graph import (
     CentralFiber,
     arithmetic_genus,
@@ -43,6 +44,12 @@ def test_T_examples():
     # three direct nodes, no contracted components
     gr = CentralFiber(x_genus=0, e_parts=((1, 2),), z_parts=(), edges=(("X", "E0"),) * 3)
     assert compute_T(gr) == 3
+
+
+def test_invalid_graph_raises_invalid_state():
+    gr = CentralFiber(x_genus=1, e_parts=((1, 1),), z_parts=(), edges=())
+    with pytest.raises(InvalidState, match=r"^central fiber must be connected$"):
+        compute_T(gr)
 
 
 def test_arithmetic_genus_examples():

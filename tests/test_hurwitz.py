@@ -9,6 +9,7 @@ from dataclasses import fields
 import pytest
 
 from severi import words as wd
+from severi.base import InvalidState
 from severi.hurwitz import (
     MAX_ENUM_TUPLES,
     MAX_SCAN_B,
@@ -460,17 +461,28 @@ def malformed_orbit_inputs(name):
 MALFORMED = ["empty", "degree", "branch-count", "entry-not-in-table", "degree-field", "intransitive"]
 
 
-@pytest.mark.parametrize(
-    "name,refuse",
-    [pytest.param(name, orbits, id=name) for name in MALFORMED]
-    + [pytest.param(name, move_graph_dot, id=f"{name}-dot") for name in MALFORMED[1:]],
-)
-def test_orbits_rejects_malformed_input(name, refuse):
-    """move_graph_dot refuses what orbits() refuses, with the same
-    ValueError, but for the empty set, which it draws as an empty graph."""
+@pytest.mark.parametrize("name", MALFORMED)
+def test_orbits_rejects_malformed_input(name):
+    """orbits() is the one gate of a tuple set: move_graph_dot draws only
+    the report of a set that passed it."""
     tuples, message = malformed_orbit_inputs(name)
     with pytest.raises(ValueError, match=message):
-        refuse(tuples)
+        orbits(tuples)
+
+
+def test_invalid_tuples_raise_invalid_state():
+    """A tuple's validity faults raise InvalidState, read alone or in a
+    set: as a set entry outside the transpositions and as a class whose
+    sheets are not transitively permuted."""
+    broken = HurwitzTuple(2, T12, ID2, (ID2, T12))
+    message = r"^T1 is not a transposition; \[A,B\] != T1\.\.\.Tb$"
+    with pytest.raises(InvalidState, match=message):
+        invariant_lattice(broken)
+    with pytest.raises(InvalidState, match=message):
+        orbits(enumerate_tuples(2, 2) + [broken])
+    tuples, message = malformed_orbit_inputs("intransitive")
+    with pytest.raises(InvalidState, match=message):
+        orbits(tuples)
 
 
 @pytest.mark.parametrize(
@@ -531,25 +543,12 @@ def test_expected_lattices():
 
 def test_move_graph_dot():
     ts = enumerate_tuples(2, 2)
-    dot = move_graph_dot(ts)
+    dot = move_graph_dot(orbits(ts))
     assert dot.startswith("graph moves")
-    assert dot == move_graph_dot(ts)
-    assert move_graph_dot([]) == "graph moves {\n}\n"
-    with pytest.raises(ValueError, match="one degree and one branch count"):
-        move_graph_dot(ts + enumerate_tuples(3, 2))
-    # the input is checked as orbits() checks it: a repeated tuple would drop
-    # a node, and an invalid tuple or a set the moves leave has no packed
-    # image to draw an edge to
-    with pytest.raises(ValueError, match=r"^tuple 4 repeats tuple 0$"):
-        move_graph_dot(ts + ts[:1])
-    broken = HurwitzTuple(2, T12, ID2, (ID2, T12))
-    with pytest.raises(ValueError, match=r"^T1 is not a transposition; \[A,B\] != T1\.\.\.Tb$"):
-        move_graph_dot(ts + [broken])
-    with pytest.raises(AssertionError, match="a move left the enumerated tuple set"):
-        move_graph_dot(enumerate_tuples(3, 2)[:3])
+    assert dot == move_graph_dot(orbits(ts))
 
 
-# sha256 of move_graph_dot(list(iter_tuples(d, b))), recorded when the edges
+# sha256 of move_graph_dot(orbits(list(iter_tuples(d, b)))), recorded when the edges
 # came from the object-level moves; b = 0 has no braids before the relabelings
 DOT_SHA256 = {
     (3, 0): "9a6d0a2ae472d7ee7a2f5d1121208ef1375f1099ef4927e0b9acb635d6d72aa8",
@@ -563,7 +562,7 @@ DOT_SHA256 = {
 
 @pytest.mark.parametrize("d,b", sorted(DOT_SHA256))
 def test_move_graph_dot_bytes_are_pinned(d, b):
-    dot = move_graph_dot(list(iter_tuples(d, b)))
+    dot = move_graph_dot(orbits(list(iter_tuples(d, b))))
     assert hashlib.sha256(dot.encode()).hexdigest() == DOT_SHA256[d, b]
 
 
@@ -577,7 +576,8 @@ def test_move_graph_components_are_the_orbits(d, g):
             x = parent[x]
         return x
 
-    edges = re.findall(r"^  n(\d+) -- n(\d+) ", move_graph_dot(ts), re.M)
+    rep = orbits(ts)
+    edges = re.findall(r"^  n(\d+) -- n(\d+) ", move_graph_dot(rep), re.M)
     assert edges
     for i, j in edges:
         parent[find(int(i))] = find(int(j))
@@ -585,8 +585,8 @@ def test_move_graph_components_are_the_orbits(d, g):
     for i in range(len(ts)):
         by_root.setdefault(find(i), set()).add(i)
     by_orbit: dict = {}
-    for i, rep in enumerate(orbits(ts).orbit_of):
-        by_orbit.setdefault(rep, set()).add(i)
+    for i, o in enumerate(rep.orbit_of):
+        by_orbit.setdefault(o, set()).add(i)
     assert sorted(map(sorted, by_root.values())) == sorted(map(sorted, by_orbit.values()))
 
 
