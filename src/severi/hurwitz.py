@@ -61,16 +61,24 @@ from .monodromy import (
 )
 from .profiles import partitions
 
-# Budgets: the largest branch count and tuple_count that iter_tuples
-# streams, and per degree the largest branch count the exhaustive scan
-# accepts, both checked before any table is built; the degree bound of both
-# is ``MAX_TABLE_D``.  Each scan bound is the last b whose branch-word table
-# stays within 40,000 (product, letter set) keys: 32,018 at (d, b) = (5, 6)
-# and 15,405 at (6, 4), against 42,520 at (5, 7) and 111,420 at (6, 5); at
-# d <= 4 the table stops at 516 keys, and (4, 100) takes 0.3 s of CPU.
-MAX_ENUM_B = 6
+# Budgets, checked before any table is built.  Both table walks, the stream
+# and the exhaustive scan, refuse d > ``MAX_TABLE_D`` and b > ``MAX_B[d]``: the
+# last b whose scan branch-word table stays within 40,000 (product, letter set)
+# keys: 32,018 at (d, b) = (5, 6) and 15,405 at (6, 4), against 42,520 at (5, 7)
+# and 111,420 at (6, 5); at d <= 4 it stops at 516 keys, and the (4, 100) scan
+# takes 0.3 s of CPU.  The stream also refuses more tuples than MAX_ENUM_TUPLES.
 MAX_ENUM_TUPLES = 3_000_000
-MAX_SCAN_B = {1: 100, 2: 100, 3: 100, 4: 100, 5: 6, 6: 4}
+MAX_B = {1: 100, 2: 100, 3: 100, 4: 100, 5: 6, 6: 4}
+
+
+def _guard(d: int, b: int, walk: str) -> None:
+    """The domain check, then the table bounds, for the named walk."""
+    if d < 1 or b < 0:
+        raise ValueError("need d >= 1, b >= 0")
+    if d > MAX_TABLE_D:
+        raise BudgetExceeded(f"{walk} guard: d={d} > {MAX_TABLE_D}")
+    if b > MAX_B[d]:
+        raise BudgetExceeded(f"{walk} guard: b={b} > {MAX_B[d]}")
 
 
 def branch_points(g: int) -> int:
@@ -85,13 +93,13 @@ def branch_points(g: int) -> int:
 def iter_tuples(d: int, b: int):
     """All valid tuples of degree d with b branch letters, streamed.
 
-    After the domain check, past ``MAX_ENUM_B`` or ``MAX_ENUM_TUPLES`` by
-    :func:`tuple_count` it raises :class:`BudgetExceeded`, and where that
-    count is 0 (b odd, or d = 1 and b > 0) it yields nothing, both before
-    any table is built.  For each (A, B), in lexicographic order, the branch
-    words of product [A, B] are read from a table of all C(d, 2)^b words,
-    built once per call in the order of ``itertools.product`` (of table
-    indices).
+    After the domain check, past ``MAX_TABLE_D``, ``MAX_B[d]`` (as the scan)
+    or ``MAX_ENUM_TUPLES`` by :func:`tuple_count` it raises BudgetExceeded,
+    and where that count is 0 (b odd, or d = 1 and b > 0) it yields nothing,
+    all before any table is built.  For each (A, B), in lexicographic order,
+    the branch words of product [A, B] are read from a table of all
+    C(d, 2)^b words, built once per call in the order of
+    ``itertools.product`` (of table indices).
 
     Branch letters only add edges to the sheet graph, so a word gives a
     transitive tuple exactly when its transpositions join all the orbits of
@@ -100,13 +108,10 @@ def iter_tuples(d: int, b: int):
     partitions is joined once, and the words of each (orbits, product) are
     filtered once, for every (A, B) that shares them.
     """
-    if d < 1 or b < 0:
-        raise ValueError("need d >= 1, b >= 0")
-    if b > MAX_ENUM_B:
-        raise BudgetExceeded(f"enumeration guard: b={b} > {MAX_ENUM_B}")
-    if d <= MAX_TABLE_D and (count := tuple_count(d, b)) > MAX_ENUM_TUPLES:
+    _guard(d, b, "enumeration")
+    if (count := tuple_count(d, b)) > MAX_ENUM_TUPLES:
         raise BudgetExceeded(f"enumeration guard: N({d}, {b}) = {count} > {MAX_ENUM_TUPLES}")
-    if d <= MAX_TABLE_D and not count:
+    if not count:
         return
     perms, index, mul, inv, transps = perm_table(d)
     step = lambda p, t: mul[p][t]
@@ -149,6 +154,8 @@ def tuple_count(d: int, b: int) -> int:
     """The tuples (A, B, T_1..T_b) of d sheets with [A, B] = T_1..T_b,
     transitive or not: d! * sum over partitions lam of d of c(lam)^b, by
     Frobenius, the content sum c(lam) being a transposition's central character."""
+    if d < 1 or b < 0:
+        raise ValueError("need d >= 1, b >= 0")
     contents = (sum(n * (n - 1) // 2 - i * n for i, n in enumerate(lam)) for lam in partitions(d))
     return math.factorial(d) * sum(c**b for c in contents)
 
@@ -564,14 +571,9 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
 
     The kernel-order check is a claim about ramified tuples, so it is
     tallied only for b >= 1.  Counts failures instead of raising, so a red
-    run is inspectable; a b past ``MAX_SCAN_B[d]`` is refused before any table.
+    run is inspectable; it refuses first, by the guard :func:`iter_tuples` shares.
     """
-    if d < 1 or b < 0:
-        raise ValueError("need d >= 1, b >= 0")
-    if d > MAX_TABLE_D:
-        raise BudgetExceeded(f"scan guard: d={d} > {MAX_TABLE_D}")
-    if b > MAX_SCAN_B[d]:
-        raise BudgetExceeded(f"scan guard: b={b} > {MAX_SCAN_B[d]}")
+    _guard(d, b, "scan")
     perms, _, mul, _, _ = perm_table(d)
     dfact = math.factorial(d)
     half = dfact // 2

@@ -91,10 +91,33 @@ def test_budget_exit_code():
 
 
 def test_hurwitz_orbits_checks_the_domain_before_the_budget():
-    # d = 0 is out of the domain (exit 1) before b = 8 is over the budget
-    proc = run_cli("hurwitz", "orbits", "--d", "0", "--g", "5", expect=1)
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == ["error: need d >= 1, b >= 0"]
+    # d = 0 is out of the domain (exit 1), whatever b is: b = 102 would be
+    # over the branch bound
+    for g in ("5", "52"):
+        proc = run_cli("hurwitz", "orbits", "--d", "0", "--g", g, expect=1)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: need d >= 1, b >= 0"]
+
+
+@pytest.mark.parametrize(
+    "d,g,expect,stderr",
+    [
+        ("3", "5", 0, ""),
+        ("2", "51", 0, ""),
+        ("3", "7", 3, "budget exceeded: enumeration guard: N(3, 12) = 6377292 > 3000000"),
+        ("2", "52", 3, "budget exceeded: enumeration guard: b=102 > 100"),
+    ],
+    ids=["d3-g5", "d2-g51", "d3-g7", "d2-g52"],
+)
+def test_hurwitz_orbits_shares_the_scan_branch_bound(d, g, expect, stderr):
+    # the orbit count reaches as far as the scan's bound on b and the tuple
+    # count allow: (3, 8) has 78,720 tuples in one orbit, (2, 100) four
+    proc = run_cli("hurwitz", "orbits", "--d", d, "--g", g, expect=expect)
+    assert proc.stderr.strip() == stderr
+    if expect == 0:
+        assert '"orbit_count":1' in proc.stdout
+    else:
+        assert proc.stdout == ""
 
 
 def test_empty_hurwitz_space_is_an_orbit_error_and_a_zero_scan():

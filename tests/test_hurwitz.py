@@ -11,8 +11,8 @@ import pytest
 from severi import words as wd
 from severi.base import InvalidState
 from severi.hurwitz import (
+    MAX_B,
     MAX_ENUM_TUPLES,
-    MAX_SCAN_B,
     MOVES,
     PUSH_A,
     PUSH_B,
@@ -120,39 +120,51 @@ def test_enumeration_is_pinned(d, g):
 
 
 def test_enumeration_guard():
-    # the refusals by branch count and by tuple count build no table
+    # the refusals by degree, by branch count and by tuple count build no
+    # table; the first two are the scan's, so (6, 6) is refused by its
+    # branch count before its tuple count is taken
     perm_table.cache_clear()
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(5, 6\) = 243765360 > 3000000$"):
-        enumerate_tuples(5, 4)
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(6, 4\) = 83481120 > 3000000$"):
-        enumerate_tuples(6, 3)
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: b=8 > 6$"):
-        enumerate_tuples(4, 5)
-    assert perm_table.cache_info().currsize == 0
-    with pytest.raises(BudgetExceeded, match=r"^dense tables are limited to d <= 6$"):
-        enumerate_tuples(7, 2)
+    refused = [
+        (5, 4, r"N\(5, 6\) = 243765360 > 3000000"),
+        (6, 3, r"N\(6, 4\) = 83481120 > 3000000"),
+        (4, 5, r"N\(4, 8\) = 80633856 > 3000000"),
+        (6, 4, r"b=6 > 4"),
+        (2, 52, r"b=102 > 100"),
+        (7, 2, r"d=7 > 6"),
+    ]
+    for d, g, message in refused:
+        with pytest.raises(BudgetExceeded, match=rf"^enumeration guard: {message}$"):
+            enumerate_tuples(d, g)
+        assert perm_table.cache_info().currsize == 0, (d, g)
     # everything admitted before the count budget stays admitted but (5, 6)
     assert tuple_count(5, 4) <= MAX_ENUM_TUPLES < tuple_count(5, 6)
+    # at d = 2 the count stays at 4 up to the branch bound
+    assert [len(enumerate_tuples(2, g)) for g in (5, 51)] == [4, 4]
 
 
 def test_iter_tuples_checks_the_domain_then_the_budget():
     # the stream refuses with the messages enumerate_tuples gives, before
     # building any table
     perm_table.cache_clear()
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: N\(5, 6\) = 243765360 > 3000000$"):
-        list(iter_tuples(5, 6))
-    with pytest.raises(BudgetExceeded, match=r"^enumeration guard: b=7 > 6$"):
-        list(iter_tuples(2, 7))
-    assert perm_table.cache_info().currsize == 0
-    # the domain comes first: tuple_count(3, -1) would divide by zero
-    for d, b in [(3, -1), (0, 8)]:
-        with pytest.raises(ValueError, match=r"^need d >= 1, b >= 0$"):
+    refused = [
+        (5, 6, r"N\(5, 6\) = 243765360 > 3000000"),
+        (6, 5, r"b=5 > 4"),
+        (7, 101, r"d=7 > 6"),
+    ]
+    for d, b, message in refused:
+        with pytest.raises(BudgetExceeded, match=rf"^enumeration guard: {message}$"):
             list(iter_tuples(d, b))
+        assert perm_table.cache_info().currsize == 0, (d, b)
+    # the domain comes first, in the stream and in the count it reads
+    for d, b in [(3, -1), (0, 8), (2, -1), (7, -1)]:
+        for walk in (tuple_count, lambda d, b: list(iter_tuples(d, b))):
+            with pytest.raises(ValueError, match=r"^need d >= 1, b >= 0$"):
+                walk(d, b)
     # where no tuple exists (b odd, or one sheet and b > 0) the stream is
-    # empty, again before any table: (6, 5) would build 15^5 branch words
-    for d, b in [(6, 5), (1, 2)]:
+    # empty, again before any table: (4, 99) would build 6^99 branch words
+    for d, b in [(2, 7), (4, 99), (1, 2), (1, 100)]:
         assert tuple_count(d, b) == 0 and list(iter_tuples(d, b)) == []
-    assert perm_table.cache_info().currsize == 0
+        assert perm_table.cache_info().currsize == 0, (d, b)
 
 
 def test_perm_table_starts_at_the_identity():
@@ -621,7 +633,7 @@ def test_orbit_counts_beyond_calibration():
     """The component counts the moves are calibrated against also hold at
     neighbouring (d, g); one orbit per realized lattice throughout, as
     many as the paper's component count."""
-    for (d, g, expect) in [(3, 3, 1), (5, 2, 1), (4, 3, 4), (3, 4, 1)]:
+    for (d, g, expect) in [(3, 3, 1), (5, 2, 1), (4, 3, 4), (3, 4, 1), (3, 5, 1)]:
         rep = orbits(list(iter_tuples(d, 2 * g - 2)))
         assert rep.orbit_count == expect == hurwitz_component_count(d)
         assert all(n == 1 for n in rep.lattice_of_orbit.values())
@@ -772,8 +784,8 @@ def test_scan_boundaries():
     for d, b in [(0, 2), (3, -1), (7, -1), (0, 200)]:
         with pytest.raises(ValueError):
             scan_monodromy(d, b)
-    assert set(MAX_SCAN_B) == set(range(1, MAX_TABLE_D + 1))
-    assert scan_monodromy(2, MAX_SCAN_B[2]).tuples == 4
+    assert set(MAX_B) == set(range(1, MAX_TABLE_D + 1))
+    assert scan_monodromy(2, MAX_B[2]).tuples == 4
     for d, b in [(3, 1), (4, 3)]:
         rep = scan_monodromy(d, b)
         assert rep.tuples == rep.groups == 0 and rep.ok
@@ -793,7 +805,7 @@ def test_scan_refusals_build_no_table():
     for d, b, message in refused:
         with pytest.raises(BudgetExceeded, match=rf"^scan guard: {message}$"):
             scan_monodromy(d, b)
-    assert perm_table.cache_info().currsize == 0
+        assert perm_table.cache_info().currsize == 0, (d, b)
 
 
 def test_scan_budget_on_branch_words():
@@ -805,7 +817,7 @@ def test_scan_budget_on_branch_words():
     pins = {4: {6: 516, 8: 516}, 5: {6: 32_018, 7: 42_520}, 6: {4: 15_405, 5: 111_420}}
     for d in range(1, MAX_TABLE_D + 1):
         _, _, mul, _, transps = perm_table(d)
-        last = 8 if d <= 4 else MAX_SCAN_B[d] + 1
+        last = 8 if d <= 4 else MAX_B[d] + 1
         keys = [set(_branch_words(mul, transps, b)) for b in range(last + 1)]
         sizes = [len(k) for k in keys]
         assert all(keys[b] <= keys[b + 2] for b in range(1, last - 1))
@@ -813,6 +825,6 @@ def test_scan_budget_on_branch_words():
         if d <= 4:
             # the table saturates at 516 keys, so only the bound of 100
             # stops a long scan
-            assert keys[6] == keys[8] and max(sizes) <= 516 and MAX_SCAN_B[d] == 100
+            assert keys[6] == keys[8] and max(sizes) <= 516 and MAX_B[d] == 100
         else:
             assert max(sizes[:-1]) <= 40_000 < sizes[-1]
