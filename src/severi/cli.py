@@ -43,8 +43,17 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip() != "")
+def _vector(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated integers; a bad entry is refused by its flag."""
+    out = []
+    for x in text.split(","):
+        if x.strip() == "":
+            continue
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise ValueError(f"{flag} entry {x.strip()!r} is not an integer") from None
+    return tuple(out)
 
 
 def _rows(text: str) -> list[tuple[int, int]]:
@@ -53,7 +62,7 @@ def _rows(text: str) -> list[tuple[int, int]]:
     for chunk in text.split(";"):
         if chunk.strip() == "":
             continue
-        row = _vector(chunk)
+        row = _vector(chunk, "--rows")
         if len(row) != 2:
             raise ValueError(f"row {chunk.strip()!r} needs two integers, got {len(row)}")
         rows.append(row)
@@ -122,8 +131,8 @@ def cmd_gamma(args) -> int:
     from . import surfaces as sf
 
     model = _MODELS[args.model](sf)
-    D = model.from_vector(_vector(args.D))
-    tau = model.from_vector(_vector(args.tau))
+    D = model.from_vector(_vector(args.D, "--D"))
+    tau = model.from_vector(_vector(args.tau, "--tau"))
     value = sf.gamma(D, tau, args.b)
     bound = sf.dim_bound(args.g, value)
     _emit(

@@ -418,13 +418,42 @@ def pair_orbits_match_classes(d: int, letters, lat: Lattice2, w) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def perm_table(d: int):
-    """Dense multiplication table for S_d, for the exhaustive scans; its
-    ``perms`` come in lexicographic order, so index 0 is the identity."""
+    """Dense multiplication table for S_d, for the exhaustive scans.
+
+    Returns ``(perms, index, mul, inv, transpositions)``.  ``perms`` come in
+    lexicographic order, so index 0 is the identity, and ``index`` inverts
+    that list.  ``mul[x][y]`` is the index of ``compose(perms[x], perms[y])``,
+    "x then y"; the reverse reading flips every product.  ``inv[x]`` is the
+    index of the inverse and ``transpositions`` lists the indices of the
+    d(d-1)/2 transpositions.
+
+    Only the rows of the d - 1 adjacent transpositions s are looked up by
+    hashing each product.  Every other row is composed once, breadth-first
+    from those: as (x s) y = x (s y), row(x s) is row(x) read through row(s),
+    and inv(x s) = s inv(x).
+    """
+    if d < 1:
+        raise ValueError("need d >= 1")
     if d > MAX_TABLE_D:
         raise BudgetExceeded(f"dense tables are limited to d <= {MAX_TABLE_D}")
     perms = list(itertools.permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[compose(p, q)] for q in perms] for p in perms]
-    inv = [index[inverse(p)] for p in perms]
+    mul = [None] * len(perms)
+    inv = [0] * len(perms)
+    mul[0] = list(range(len(perms)))
+    gens = [index[transposition(d, i, i + 1)] for i in range(d - 1)]
+    for s in gens:
+        mul[s] = [index[compose(perms[s], q)] for q in perms]
+        inv[s] = s
+    # the list grows while it is walked: each row reached is queued once
+    queue = list(gens)
+    for x in queue:
+        row_x = mul[x]
+        for s in gens:
+            xs = row_x[s]
+            if mul[xs] is None:
+                mul[xs] = list(map(row_x.__getitem__, mul[s]))
+                inv[xs] = mul[s][inv[x]]
+                queue.append(xs)
     transpositions = [i for i, p in enumerate(perms) if is_transposition(p)]
     return perms, index, mul, inv, transpositions

@@ -402,6 +402,23 @@ def test_lattice_rows_need_two_integers(action, rows, bad):
 
 
 @pytest.mark.parametrize(
+    "args,flag,bad",
+    [
+        (("gamma", "--D", "0,a", "--tau", "3,2"), "--D", "a"),
+        (("gamma", "--D", "0,1", "--tau", "4,x"), "--tau", "x"),
+        (("gamma", "--D", "0,1.5", "--tau", "3,2"), "--D", "1.5"),
+        (("lattice", "snf", "--rows", "1,a;0,2"), "--rows", "a"),
+    ],
+)
+def test_non_integer_vector_entry_names_its_flag(args, flag, bad):
+    if args[0] == "gamma":
+        args = (*args, "--model", "elliptic_times_p1", "--b", "0", "--g", "2")
+    proc = run_cli(*args, expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {flag} entry '{bad}' is not an integer"]
+
+
+@pytest.mark.parametrize(
     "args", [("sublattices", "--e", "1000000"), ("counts", "--d", "100000000")]
 )
 def test_lattice_enumerators_over_budget_exit_code(args):

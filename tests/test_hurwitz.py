@@ -174,6 +174,29 @@ def test_perm_table_starts_at_the_identity():
         assert perm_table(d)[0][0] == identity(d)
 
 
+@pytest.mark.parametrize("d", range(1, MAX_TABLE_D + 1))
+def test_perm_table_is_the_cayley_table(d):
+    """Every entry of the composed table against a hashed product, read
+    "x then y"; at d = 6 that is 518,400 entries."""
+    perms, index, mul, inv, transps = perm_table(d)
+    assert perms == sorted(itertools.permutations(range(d)))
+    assert index == {p: i for i, p in enumerate(perms)}
+    for x, p in enumerate(perms):
+        assert mul[x] == [index[compose(p, q)] for q in perms], (d, p)
+        assert mul[x][inv[x]] == 0 and perms[inv[x]] == inverse(p), (d, p)
+    expected = {index[transposition(d, i, j)] for i, j in itertools.combinations(range(d), 2)}
+    assert len(transps) == d * (d - 1) // 2 and set(transps) == expected
+
+
+def test_perm_table_refuses_degrees_below_one():
+    # refused before anything is built or cached
+    perm_table.cache_clear()
+    for d in (0, -2):
+        with pytest.raises(ValueError, match=r"^need d >= 1$"):
+            perm_table(d)
+        assert perm_table.cache_info().currsize == 0, d
+
+
 def test_hurwitz_tuple_is_an_immutable_value():
     t = HurwitzTuple(3, (1, 2, 0), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
     with pytest.raises(AttributeError):
