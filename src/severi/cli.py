@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Subcommands: terms, forest, dim, gamma, genusbound, lattice, mono, hurwitz.
-All output is canonical JSON (sorted keys, compact separators) on stdout,
-so identical inputs produce byte-identical output.  Exit codes: 0 success,
-1 domain error, 2 usage error, 3 resource budget exceeded.
+
+Each ``cmd_*`` function returns the JSON object it reports, or raises;
+:func:`main` alone prints it and maps refusals to exit codes.  Success
+prints that one object as canonical JSON (sorted keys, compact separators),
+so identical inputs give byte-identical output, and exits 0.  A refusal
+writes one stderr line: ``error: ...`` and exit 1 for a domain error
+(``ValueError``, ``OSError``, ``KeyError``), ``budget exceeded: ...`` and
+exit 3 for ``BudgetExceeded``; a usage error is argparse's, exit 2.  Only
+``forest`` prints first: a truncated forest, before its exit-3 line.
 
 A subcommand imports only the modules it runs: each ``cmd_*`` function
 imports its own, and at module level only the leaf :mod:`.base` is loaded,
@@ -33,6 +39,12 @@ EXIT_BUDGET = 3
 def _emit(obj) -> None:
     # print writes the newline on its own, where appending it copies the text
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
+def _write_dot(path: str, text: str) -> None:
+    # the caller builds the text first: opening the file truncates it
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _read_json(path: str):
@@ -79,7 +91,7 @@ _MODELS = {
 }
 
 
-def cmd_terms(args) -> int:
+def cmd_terms(args) -> dict:
     from . import degeneration as dg
     from . import states as st
 
@@ -88,17 +100,14 @@ def cmd_terms(args) -> int:
         terms = dg.successors_simple(state, key_mode=args.key_mode)
     else:
         terms = dg.successors_general(state, key_mode=args.key_mode)
-    _emit(
-        {
-            "state": st.state_to_json(state),
-            "dimension": st.dimension(state),
-            "terms": [t.to_json() for t in terms],
-        }
-    )
-    return EXIT_OK
+    return {
+        "state": st.state_to_json(state),
+        "dimension": st.dimension(state),
+        "terms": [t.to_json() for t in terms],
+    }
 
 
-def cmd_forest(args) -> int:
+def cmd_forest(args) -> dict:
     from . import degeneration as dg
     from . import states as st
 
@@ -107,27 +116,20 @@ def cmd_forest(args) -> int:
         [root], floor=args.floor, max_nodes=args.max_nodes, key_mode=args.key_mode
     )
     if args.dot:
-        text = dg.forest_to_dot(forest)  # built first: opening truncates the file
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _emit(forest.to_json())
+        _write_dot(args.dot, dg.forest_to_dot(forest))
     if forest.truncated:
-        print(
-            f"budget exceeded: forest: max_nodes={args.max_nodes} reached, partial forest printed",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    return EXIT_OK
+        _emit(forest.to_json())
+        raise BudgetExceeded(f"forest: max_nodes={args.max_nodes} reached, partial forest printed")
+    return forest.to_json()
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> dict:
     from . import surfaces as sf
 
-    _emit({"d": args.d, "g": args.g, "b": args.b, "dimension": sf.dim_V_ab(args.d, args.g, args.b)})
-    return EXIT_OK
+    return {"d": args.d, "g": args.g, "b": args.b, "dimension": sf.dim_V_ab(args.d, args.g, args.b)}
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> dict:
     from . import surfaces as sf
 
     model = _MODELS[args.model](sf)
@@ -135,103 +137,77 @@ def cmd_gamma(args) -> int:
     tau = model.from_vector(_vector(args.tau, "--tau"))
     value = sf.gamma(D, tau, args.b)
     bound = sf.dim_bound(args.g, value)
-    _emit(
-        {
-            "model": model.name,
-            "gamma": value,
-            "dim_bound": bound,
-            "applicable": bound is not None,
-        }
-    )
-    return EXIT_OK
+    return {
+        "model": model.name,
+        "gamma": value,
+        "dim_bound": bound,
+        "applicable": bound is not None,
+    }
 
 
-def cmd_genusbound(args) -> int:
+def cmd_genusbound(args) -> dict:
     from . import dual_graph as dgr
 
     graph = dgr.CentralFiber.from_json(_read_json(args.graph))
-    report = dgr.genus_bound_check(graph, args.g)
-    _emit(report.to_json())
-    return EXIT_OK
+    return dgr.genus_bound_check(graph, args.g).to_json()
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> dict:
     from . import lattices as lt
 
     if args.action == "snf":
         lat = lt.hnf(_rows(args.rows))
-        _emit({"hnf": lat.to_json(), "snf": list(lt.snf(lat)), "index": lat.index})
-    elif args.action == "sublattices":
+        return {"hnf": lat.to_json(), "snf": list(lt.snf(lat)), "index": lat.index}
+    if args.action == "sublattices":
         subs = lt.sublattices(args.e)
-        _emit({"e": args.e, "count": len(subs), "lattices": [s.to_json() for s in subs]})
-    elif args.action == "hat":
+        return {"e": args.e, "count": len(subs), "lattices": [s.to_json() for s in subs]}
+    if args.action == "hat":
         lat = lt.hnf(_rows(args.rows))
         result = lt.construct_hat(lat, args.D)
-        if result is None:
-            _emit({"feasible": False, "m": lt.m_invariant(lat), "D": args.D})
-        else:
+        out = {"feasible": result is not None, "m": lt.m_invariant(lat), "D": args.D}
+        if result is not None:
             lhat, v = result
-            _emit(
-                {
-                    "feasible": True,
-                    "m": lt.m_invariant(lat),
-                    "D": args.D,
-                    "lhat": lhat.to_json(),
-                    "v": list(v),
-                }
-            )
-    elif args.action == "counts":
-        out = {"d": args.d}
-        if args.d >= 2:
-            out["hurwitz_components"] = lt.hurwitz_component_count(args.d)
-        out["global_pairs"] = len(lt.global_component_pairs(args.d))
-        out["global_pairs_proper"] = len(lt.global_component_pairs(args.d, proper_only=True))
-        _emit(out)
-    return EXIT_OK
+            out.update(lhat=lhat.to_json(), v=list(v))
+        return out
+    out = {"d": args.d}
+    if args.d >= 2:
+        out["hurwitz_components"] = lt.hurwitz_component_count(args.d)
+    out["global_pairs"] = len(lt.global_component_pairs(args.d))
+    out["global_pairs_proper"] = len(lt.global_component_pairs(args.d, proper_only=True))
+    return out
 
 
-def cmd_mono(args) -> int:
+def cmd_mono(args) -> dict:
     if args.action == "scan":
         from . import hurwitz as hw
 
-        report = hw.scan_monodromy(args.d, args.b)
-        _emit(report.to_json())
-        return EXIT_OK
+        return hw.scan_monodromy(args.d, args.b).to_json()
     from . import lattices as lt
     from . import monodromy as mo
 
     t = mo.HurwitzTuple.from_json(_read_json(args.tuple))
     if args.action == "check":
         bad = mo.violations(t)
-        _emit({"valid": not bad, "violations": list(bad)})
-        return EXIT_OK
+        return {"valid": not bad, "violations": list(bad)}
     if args.action == "lattice":
         lat = mo.invariant_lattice(t)
-        _emit(
-            {
-                "lattice": lat.to_json(),
-                "index": lat.index,
-                "primitive": lat == lt.IDENTITY,
-            }
-        )
-        return EXIT_OK
-    fac = mo.factorize(t)
-    out = fac.to_json()
+        return {
+            "lattice": lat.to_json(),
+            "index": lat.index,
+            "primitive": lat == lt.IDENTITY,
+        }
+    out = mo.factorize(t).to_json()
     out["kernel"] = mo.kernel_order_check(t).to_json()
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
-def cmd_hurwitz(args) -> int:
+def cmd_hurwitz(args) -> dict:
     from . import hurwitz as hw
 
     report = hw.orbits(hw.enumerate_tuples(args.d, args.g))
     if args.dot:
-        text = hw.move_graph_dot(report)  # built first: opening truncates the file
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _emit(report.to_json())
-    return EXIT_OK
+        _write_dot(args.dot, hw.move_graph_dot(report))
+    return report.to_json()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args))
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -632,11 +632,10 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
 
         # kernel order under the canonical factorization, a claim about
         # ramified tuples only; the translations act regularly on the e
-        # blocks Z^2 / L, so the quotient group has order e
+        # blocks Z^2 / L, so the quotient group has order e, and each
+        # block holds d / e sheets of a transitive tuple, so e divides d
         e = lat.index
-        if b and d % e:
-            report.kernel_failures += n
-        elif b:
+        if b:
             report.kernel_checked += n
             if math.factorial(d // e) ** e * e != order:
                 report.kernel_failures += n

@@ -140,6 +140,19 @@ def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
     assert proc.stderr.startswith("budget exceeded:") and proc.stderr.count("\n") == 1
 
 
+def test_mono_factor_group_order_over_budget_exit_code(tmp_path):
+    # a valid ramified 9-sheet tuple: the group order its factorization
+    # expects, 9!, is past the closure budget of 8!
+    nine = tmp_path / "nine.json"
+    nine.write_text(
+        json.dumps({"d": 9, "A": [list(range(1, 10))], "B": [], "T": [[[1, 2]], [[1, 2]]]})
+    )
+    assert json.loads(run_cli("mono", "check", "--tuple", str(nine)).stdout)["valid"]
+    proc = run_cli("mono", "factor", "--tuple", str(nine), expect=3)
+    assert proc.stdout == ""
+    assert proc.stderr == "budget exceeded: expected order 362880 > budget 40320\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--key-mode", "symbolic"), ("--simple", "--key-mode", "symbolic")],

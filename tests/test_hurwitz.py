@@ -197,6 +197,18 @@ def test_perm_table_refuses_degrees_below_one():
         assert perm_table.cache_info().currsize == 0, d
 
 
+def test_orbits_refuse_a_degree_past_the_dense_tables():
+    # the dense-table budget is the one gate of a degree-7 tuple passed to
+    # orbits(), and it refuses before any table is built or cached
+    t12 = transposition(7, 0, 1)
+    t = HurwitzTuple(7, (1, 2, 3, 4, 5, 6, 0), identity(7), (t12, t12))
+    assert is_valid(t)
+    before = perm_table.cache_info().currsize
+    with pytest.raises(BudgetExceeded, match=rf"^dense tables are limited to d <= {MAX_TABLE_D}$"):
+        orbits([t])
+    assert perm_table.cache_info().currsize == before
+
+
 def test_hurwitz_tuple_is_an_immutable_value():
     t = HurwitzTuple(3, (1, 2, 0), (0, 1, 2), ((1, 0, 2), (1, 0, 2)))
     with pytest.raises(AttributeError):
