@@ -631,9 +631,9 @@ def scan_monodromy(d: int, b: int) -> ScanReport:
             report.equivalence_failures += n
 
         # kernel order under the canonical factorization, a claim about
-        # ramified tuples only; the translations act regularly on the e
-        # blocks Z^2 / L, so the quotient group has order e, and each
-        # block holds d / e sheets of a transitive tuple, so e divides d
+        # ramified tuples only; the quotient group has order e, as
+        # monodromy.kernel_order_check states, and each block holds d / e
+        # sheets of a transitive tuple, so e divides d
         e = lat.index
         if b:
             report.kernel_checked += n

@@ -50,10 +50,7 @@ class Lattice2(_Lattice2):
         return ((self.a, self.b), (0, self.c))
 
     def contains(self, v) -> bool:
-        x, y = v
-        if x % self.a != 0:
-            return False
-        return (y - (x // self.a) * self.b) % self.c == 0
+        return self.reduce(v) == (0, 0)
 
     def residues(self) -> tuple[tuple[int, int], ...]:
         """Canonical coset representatives of Z^2 modulo the lattice."""

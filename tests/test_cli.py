@@ -141,16 +141,30 @@ def test_tuple_sheet_count_over_budget_exit_code(tmp_path):
 
 
 def test_mono_factor_group_order_over_budget_exit_code(tmp_path):
-    # a valid ramified 9-sheet tuple: the group order its factorization
-    # expects, 9!, is past the closure budget of 8!
-    nine = tmp_path / "nine.json"
-    nine.write_text(
-        json.dumps({"d": 9, "A": [list(range(1, 10))], "B": [], "T": [[[1, 2]], [[1, 2]]]})
-    )
-    assert json.loads(run_cli("mono", "check", "--tuple", str(nine)).stdout)["valid"]
-    proc = run_cli("mono", "factor", "--tuple", str(nine), expect=3)
-    assert proc.stdout == ""
-    assert proc.stderr == "budget exceeded: expected order 362880 > budget 40320\n"
+    # valid ramified 9-sheet tuples, one with e = 1 and one with e = 3: the
+    # kernel check closes only G, so each meets the closure budget of 8!
+    nines = [
+        {"d": 9, "A": [list(range(1, 10))], "B": [], "T": [[[1, 2]], [[1, 2]]]},
+        {
+            "d": 9, "A": [[1, 4, 7], [2, 5, 8], [3, 6, 9]], "B": [],
+            "T": [[[1, 2]], [[2, 3]], [[2, 3]], [[1, 2]]],
+        },
+    ]
+    for i, document in enumerate(nines):
+        nine = tmp_path / f"nine{i}.json"
+        nine.write_text(json.dumps(document))
+        assert json.loads(run_cli("mono", "check", "--tuple", str(nine)).stdout)["valid"]
+        proc = run_cli("mono", "factor", "--tuple", str(nine), expect=3)
+        assert proc.stdout == ""
+        assert proc.stderr == "budget exceeded: group closure needs 362880 > budget 40320\n"
+
+
+def test_mono_factor_unramified_tuple_skips_the_kernel_check(tmp_path):
+    # no branch letters, so no kernel claim to check: skipped, not failed
+    unramified = tmp_path / "unramified.json"
+    unramified.write_text(json.dumps({"d": 2, "A": [[1, 2]]}))
+    proc = run_cli("mono", "factor", "--tuple", str(unramified))
+    assert '"applicable":false' in proc.stdout and '"ok":true' in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from severi.states import (
     DEGREE,
     SYMBOLIC,
     InvalidState,
+    LineBundle,
     SeveriState,
     canonical_key,
     dimension,
@@ -985,6 +986,42 @@ def test_symbolic_key_matches_reference_on_every_f2_shape(f2_symbolic):
     assert len(keyed) == forest.keyed == 7_494
     for alpha, betas in keyed:
         assert shape_key(alpha, betas, SYMBOLIC) == reference_symbolic_part(alpha, betas)
+
+
+def relabeled(s, rng):
+    """``s`` with its points renamed by a random permutation of its labels
+    and its groups shuffled: the same state, so the same canonical key."""
+    labels = s.point_labels()
+    rename = dict(zip(labels, rng.sample(labels, len(labels))))
+    betas = [
+        (beta, LineBundle(tuple(
+            (kind, rename[name] if kind == "pt" else name, deg, coeff)
+            for kind, name, deg, coeff in bundle.terms
+        )))
+        for beta, bundle in s.betas
+    ]
+    rng.shuffle(betas)
+    alpha = tuple((order, rename[lbl]) for order, lbl in s.alpha)
+    return SeveriState(s.d, s.N, s.g, alpha, tuple(betas))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: the symbolic key orders the groups and names the "
+    "points by their stored labels, so a relabeling can change it",
+)
+def test_symbolic_key_is_invariant_under_relabeling_on_f2_nodes(f2_symbolic):
+    """Item 8a's relabeling oracle on a seeded sample of F2 nodes with at
+    most seven point labels, three relabelings each."""
+    rng = random.Random("item 8a relabelings")
+    nodes = [s for s in f2_symbolic[0].nodes.values() if len(s.point_labels()) <= 7]
+    changed = [
+        (s, r)
+        for s in rng.sample(nodes, 300)
+        for r in (relabeled(s, rng) for _ in range(3))
+        if canonical_key(r, SYMBOLIC) != canonical_key(s, SYMBOLIC)
+    ]
+    assert not changed, f"{len(changed)} of 900 relabelings changed the key"
 
 
 def labelled_edges(forest, key_of):

@@ -271,6 +271,20 @@ def test_braid_move_fixed_point_and_inverse():
             assert is_valid(braid_move(s, i))
 
 
+@pytest.mark.parametrize("i", [-1, 1])
+def test_braid_move_index_out_of_range(i):
+    t = HurwitzTuple(2, ID2, ID2, (T12, T12))
+    with pytest.raises(ValueError, match=f"braid index {i} out of range for b=2"):
+        braid_move(t, i)
+
+
+def test_handle_moves_need_a_branch_letter():
+    t = HurwitzTuple(2, T12, ID2, ())
+    for mv in (PUSH_A, PUSH_B):
+        with pytest.raises(ValueError, match="handle moves need at least one branch letter"):
+            mv.apply(t)
+
+
 def test_moves_preserve_validity_and_lattice():
     for t in sample_tuples(32, 60):
         lat = invariant_lattice(t)

@@ -234,3 +234,16 @@ def test_residues_and_reduce(rng):
             r = lat.reduce(v)
             assert r in res
             assert lat.contains((v[0] - r[0], v[1] - r[1]))
+
+
+def test_contains_matches_the_integer_span_of_the_rows():
+    """Membership against the lattice points i*(a, b) + j*(0, c) of a box,
+    on both sides: x not a multiple of a, and x a multiple with y off."""
+    lat = Lattice2(2, 1, 3)
+    assert not lat.contains((1, 0)) and not lat.contains((2, 0))
+    assert lat.contains((2, 1)) and lat.contains((-2, 2))
+    for lat in (IDENTITY, lat, Lattice2(3, 2, 4), Lattice2(1, 0, 5)):
+        (a, b), (_, c) = lat.rows()
+        span = {(i * a, i * b + j * c) for i in range(-20, 21) for j in range(-40, 41)}
+        for v in ((x, y) for x in range(-6, 7) for y in range(-6, 7)):
+            assert lat.contains(v) == (v in span), (lat, v)

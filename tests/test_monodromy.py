@@ -189,7 +189,8 @@ def test_kernel_order_imprimitive_witness():
 
 
 def test_kernel_order_unramified_inapplicable():
-    assert not kernel_order_check(HurwitzTuple(2, T12, ID2, ())).applicable
+    rep = kernel_order_check(HurwitzTuple(2, T12, ID2, ()))
+    assert not rep.applicable and rep.ok
 
 
 def test_block_pair_transitivity():
@@ -288,3 +289,17 @@ def test_group_answers_match_sympy(d, b):
         assert group.is_transitive() == is_valid(t), t
         assert (order == math.factorial(d)) == is_full_monodromy(t), t
         assert group.is_primitive() == is_primitive(t), t
+
+
+@pytest.mark.parametrize("d,b", [(4, 0), (6, 0), (3, 2), (4, 2), (3, 4)])
+def test_quotient_group_has_the_lattice_index_as_order(d, b):
+    """The lemma kernel_order_check relies on instead of closing the
+    quotient group: the translations a_bar, b_bar generate a group of
+    order e, the index of the invariant lattice."""
+    from severi.hurwitz import iter_tuples
+
+    for t in iter_tuples(d, b):
+        fac = factorize(t)
+        assert len(group_closure([fac.a_bar, fac.b_bar])) == fac.e == fac.lattice.index, t
+        if t.T:
+            assert kernel_order_check(t).quotient_order == fac.e, t
