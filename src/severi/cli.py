@@ -196,9 +196,8 @@ def cmd_mono(args) -> dict:
             "index": lat.index,
             "primitive": lat == lt.IDENTITY,
         }
-    out = mo.factorize(t).to_json()
-    out["kernel"] = mo.kernel_order_check(t).to_json()
-    return out
+    fac = mo.factorize(t)
+    return {**fac.to_json(), "kernel": mo._kernel_order_check(t, fac).to_json()}
 
 
 def cmd_hurwitz(args) -> dict:

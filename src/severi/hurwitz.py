@@ -104,8 +104,8 @@ def iter_tuples(d: int, b: int):
     Branch letters only add edges to the sheet graph, so a word gives a
     transitive tuple exactly when its transpositions join all the orbits of
     <A, B>, and every word does when <A, B> is transitive.  The orbits
-    depend only on the cycle partitions of A and B, so each pair of
-    partitions is joined once, and the words of each (orbits, product) are
+    depend only on the cycle partitions of A and B, so they are joined once
+    per pair of partition ids, and the words of each (orbits, product) are
     filtered once, for every (A, B) that shares them.
     """
     _guard(d, b, "enumeration")
@@ -119,16 +119,19 @@ def iter_tuples(d: int, b: int):
     letters = itertools.product([perms[t] for t in transps], repeat=b)
     for w, word in zip(itertools.product(transps, repeat=b), letters):
         words.setdefault(functools.reduce(step, w, 0), []).append(word)
-    cycles = [_orbits(d, [p]) for p in perms]
-    orbits_of: dict = {}  # (cycles of A, cycles of B) -> orbits of <A, B>
+    parts = [_orbits(d, [p]) for p in perms]  # the cycle partition of each permutation
+    ids: dict = {}  # cycle partition -> its id, the first permutation index with it
+    pid = [ids.setdefault(c, i) for i, c in enumerate(parts)]
+    orbits_of: dict = {}  # (partition id of A, that of B) -> orbits of <A, B>
     branches: dict = {}  # (orbits of <A, B>, [A, B]) -> branch tuples
     for a_i, a in enumerate(perms):
+        row, a_inv, a_id = mul[a_i], inv[a_i], pid[a_i]
         for b_i, bb in enumerate(perms):
-            target = mul[mul[mul[a_i][b_i]][inv[a_i]]][inv[b_i]]
+            target = mul[mul[row[b_i]][a_inv]][inv[b_i]]
             if target not in words:
                 continue
-            key = cycles[a_i], cycles[b_i]
-            orbs = orbits_of[key] = orbits_of.get(key) or _orbits(d, [a, bb])
+            key = a_id, pid[b_i]
+            orbs = orbits_of[key] = orbits_of.get(key) or _orbits(d, [parts[key[1]]], parts[a_id])
             if (orbs, target) not in branches:
                 branches[orbs, target] = [
                     t for t in words[target] if not any(orbs) or not any(_orbits(d, t, orbs))
@@ -277,15 +280,17 @@ class _PackedMoves:
     the multiplication table, whose identity is index 0.
 
     The constructor, run once per :func:`orbits` call on a nonempty set, is
-    the one gate of a tuple set.  It checks each tuple by one table lookup
-    per entry: the first tuple's degree d <= ``MAX_TABLE_D`` and branch
-    count, no repeat, every T a transposition and T_1..T_b = [A, B], else a
-    ValueError.  In input order, the first tuple not yet placed opens a
-    relabeling class of all its conjugates by S_d, named by its input index
-    (``class_of``); its invariant lattice, computed once per class, must
-    exist, that is, the sheets must be transitively permuted.  ``reps``
-    holds (name, packed key, lattice) per class, ``census`` the tuples per
-    lattice and ``pos`` {packed key: input index}, which :meth:`find` reads.
+    the one gate of a tuple set.  It checks the first tuple's degree d <=
+    ``MAX_TABLE_D`` and branch count, no repeat, every T a transposition and
+    T_1..T_b = [A, B], else a ValueError: A and B by a table lookup each,
+    the letters once per distinct branch word, whose product each tuple
+    compares with [A, B].  In input order, the first tuple not yet placed
+    opens a relabeling class of all its conjugates by S_d, named by its
+    input index (``class_of``); its invariant lattice, computed once per
+    class, must exist, that is, the sheets must be transitively permuted.
+    ``reps`` holds (name, packed key, lattice) per class, ``census`` the
+    tuples per lattice and ``pos`` {packed key: input index}, which
+    :meth:`find` reads.
     """
 
     def __init__(self, tuples: list):
@@ -295,22 +300,30 @@ class _PackedMoves:
         self.adjacent = [index[transposition(d, k, k + 1)] for k in range(d - 1)]
         self.width, self.weights = b + 2, [self.radix**i for i in range(b + 2)]
         transps, radix, weights = frozenset(transps), self.radix, self.weights[2:]
+        words: dict = {}  # valid branch word -> (packed digits, product)
+
+        def pack(word):  # words[word], kept when first seen, or None if invalid
+            digits = prod = 0
+            for x, w in zip(map(index.get, word), weights):
+                if x not in transps:
+                    return None
+                digits, prod = digits + x * w, mul[prod][x]
+            return words.setdefault(tuple(word), (digits, prod))
+
         self.pos = pos = {}
         for i, t in enumerate(tuples):
             a, bb = index.get(t.A), index.get(t.B)
             ok = t.d == d and len(t.T) == b and a is not None and bb is not None
             if ok:
-                key, prod = a + bb * radix, 0
-                for x, w in zip(map(index.get, t.T), weights):
-                    ok = x in transps
-                    if not ok:
-                        break
-                    key, prod = key + x * w, mul[prod][x]
-                ok = ok and prod == mul[mul[mul[a][bb]][inv[a]]][inv[bb]]
+                try:
+                    packed = words[t.T]
+                except (KeyError, TypeError):  # a new or invalid word, or a list
+                    packed = pack(t.T)
+                ok = packed is not None and packed[1] == mul[mul[mul[a][bb]][inv[a]]][inv[bb]]
             if not ok:
                 check_valid(t)
                 raise ValueError("orbits need tuples of one degree and one branch count")
-            j = pos.setdefault(key, i)
+            j = pos.setdefault(a + bb * radix + packed[0], i)
             if j != i:
                 raise ValueError(f"tuple {i} repeats tuple {j}")
         self.class_of = class_of = [None] * len(tuples)

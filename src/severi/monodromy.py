@@ -361,7 +361,10 @@ def kernel_order_check(t: HurwitzTuple) -> KernelReport:
     and these generate Z^2/L, which acts on itself regularly.  Inapplicable,
     so vacuously ok, for unramified tuples (no branch letters): the
     statement is about simply branched covers."""
-    fac = factorize(t)
+    return _kernel_order_check(t, factorize(t))
+
+
+def _kernel_order_check(t: HurwitzTuple, fac: Factorization) -> KernelReport:
     if not t.T:
         return KernelReport(applicable=False)
     expected = math.factorial(fac.dtilde) ** fac.e * fac.e

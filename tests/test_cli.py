@@ -508,6 +508,19 @@ def test_hurwitz_orbits_with_dot_gates_the_tuples_once(tmp_path, monkeypatch, ca
     assert out.read_bytes() == dot.encode()
 
 
+def test_mono_factor_factors_the_tuple_once(monkeypatch, capsys):
+    """The kernel check reads the factorization that mono factor prints."""
+    from severi import cli
+    from severi import monodromy as mo
+
+    calls = []
+    factorize = mo.factorize
+    monkeypatch.setattr(mo, "factorize", lambda t: calls.append(t) or factorize(t))
+    assert cli.main(["mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["kernel"]["ok"]
+
+
 @pytest.mark.parametrize(
     "args",
     [

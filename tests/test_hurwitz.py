@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import re
+import sys
+from array import array
 from collections import Counter
 from dataclasses import fields
 
@@ -117,6 +119,26 @@ def test_enumeration_is_pinned(d, g):
     ts = enumerate_tuples(d, g)
     digest = hashlib.sha256(json.dumps([t.to_json() for t in ts]).encode()).hexdigest()
     assert (len(ts), digest) == ENUM_SHA256[d, g]
+
+
+# sha256 of the little-endian 16-bit perm_table(6) indices of A, B, T1, T2 of
+# every tuple of iter_tuples(6, 2), in order; recorded from the enumeration
+# that joined the cycle partitions of A and B as pairs of partition tuples
+ENUM_6_2_SHA256 = (259_200, "f4ad752744bcca91c5108e63f3bef9cc192064538ebeb490a7520f86c6f29db7")
+
+
+def test_degree_six_enumeration_is_pinned():
+    """The join of orbit partitions over all 203 partitions of six sheets:
+    the same tuples in the same order, digested as table indices."""
+    index = perm_table(6)[1]
+    digits = array("H")
+    n = 0
+    for t in iter_tuples(6, 2):
+        digits.extend(map(index.__getitem__, t.generators()))
+        n += 1
+    if sys.byteorder == "big":
+        digits.byteswap()
+    assert (n, hashlib.sha256(digits.tobytes()).hexdigest()) == ENUM_6_2_SHA256
 
 
 def test_enumeration_guard():
@@ -557,6 +579,39 @@ def test_orbit_counters(d, g, classes, images, unions):
     assert (rep.classes, rep.images, rep.unions) == (classes, images, unions)
     assert rep.classes - rep.unions == rep.orbit_count
     assert not {"classes", "images", "unions"} & set(rep.to_json())
+
+
+def test_orbits_check_a_reused_branch_word_against_its_own_commutator():
+    # (S12, S12) is the word of the valid ts[0], checked first; with A = S12,
+    # B = S23 the commutator is a 3-cycle, not the word's product
+    ts = enumerate_tuples(3, 2)
+    broken = HurwitzTuple(3, S12, S23, ts[0].T)
+    assert ts[0].T == (S12, S12) and ts[0].T in {t.T for t in ts}
+    with pytest.raises(InvalidState, match=r"^\[A,B\] != T1\.\.\.Tb$"):
+        orbits(ts + [broken])
+
+
+def test_orbits_accept_a_branch_word_given_as_a_list():
+    # a tuple whose word is a list, outside the first tuple of its class,
+    # is packed like its tuple-valued copy
+    ts = enumerate_tuples(3, 2)
+    rep = orbits(ts)
+    j = next(i for i, c in enumerate(rep._moves.class_of) if c != i)
+    listed = ts[:j] + [HurwitzTuple(3, ts[j].A, ts[j].B, list(ts[j].T))] + ts[j + 1 :]
+    rep2 = orbits(listed)
+    assert (rep2.orbit_of, rep2.to_json()) == (rep.orbit_of, rep.to_json())
+    assert rep2._moves.pos == rep._moves.pos
+
+
+def test_orbits_refuse_a_longer_word_of_the_same_product():
+    # ts[0]'s word and its product, lengthened by a letter and its inverse:
+    # a valid tuple of b = 4, refused as a branch count of its own
+    ts = enumerate_tuples(3, 2)
+    longer = HurwitzTuple(3, ts[0].A, ts[0].B, ts[0].T + (S23, S23))
+    assert is_valid(longer)
+    message = r"^orbits need tuples of one degree and one branch count$"
+    with pytest.raises(ValueError, match=message):
+        orbits(ts + [longer])
 
 
 def test_orbits_reject_a_repeated_tuple():
