@@ -5,11 +5,10 @@ monodromy scans (criteria 5-7) share one streaming pass per (d, b) via a
 module-scoped fixture; together they stay inside the five-minute budget.
 """
 
+import hashlib
 import json
 import math
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from severi import hurwitz as hw
 from severi import lattices as lt
 from severi import surfaces as sf
 from severi.states import dimension
+from tests.cold import run_cli
 from tests.conftest import random_normalized_state
 from tests.test_lattices import sigma_oracle
 
@@ -230,34 +230,27 @@ def test_criterion_09_genus_oracle():
     _report(9, "arithmetic genus matches the nodal-curve oracle on 1000 graphs; equality diagnostics agree")
 
 
-def _run_cli(*args) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_criterion_10_cli_determinism():
-    invocations = [
-        ("terms", "--state", str(FIXTURES / "state_simple.json")),
-        ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-        ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-        ("dim", "--d", "3", "--g", "2", "--b", "3"),
-        ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2", "--b", "0", "--g", "3"),
-        ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
-        ("lattice", "counts", "--d", "6"),
-        ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
-        ("hurwitz", "orbits", "--d", "4", "--g", "2"),
-    ]
-    for args in invocations:
-        first = _run_cli(*args)
-        second = _run_cli(*args)
+    # the benchmark's goldens, read and never written; its inputs are
+    # byte-identical copies of these fixtures
+    golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
+    invocations = {
+        "terms-simple": ("terms", "--state", str(FIXTURES / "state_simple.json")),
+        "terms-two-groups": ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
+        "forest": ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
+        "dim": ("dim", "--d", "3", "--g", "2", "--b", "3"),
+        "gamma": ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2", "--b", "0", "--g", "3"),
+        "genusbound": ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
+        "lattice-counts": ("lattice", "counts", "--d", "6"),
+        "mono-factor": ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
+        "hurwitz-orbits": ("hurwitz", "orbits", "--d", "4", "--g", "2"),
+    }
+    for name, args in invocations.items():
+        first, second = (run_cli(*args, text=False).stdout for _ in range(2))
         assert first == second, f"non-deterministic output for {args}"
+        assert hashlib.sha256(first).hexdigest() == golden["digests"][f"cli-{name}"], name
         json.loads(first)
-    _report(10, f"{len(invocations)} CLI invocations produce byte-identical JSON on repeat")
+    _report(10, f"{len(invocations)} CLI invocations print their pinned bytes, twice each")
 
 
 def test_optional_kernel_order_d6():

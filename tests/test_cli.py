@@ -1,27 +1,15 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from severi.base import BudgetExceeded
+from tests.cold import run, run_cli
 from tests.test_hurwitz import DOT_SHA256
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def run_cli(*args, expect: int = 0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == expect, proc.stderr
-    return proc
 
 
 def test_dim():
@@ -70,22 +58,15 @@ def test_terms_invalid_state_exit_code(tmp_path):
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", "dim", "--d", "3"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
+    run_cli("dim", "--d", "3", expect=2)
 
 
 def test_budget_exit_code():
     # (d, b) = (5, 6) has 243,765,360 tuples: refused by its count, before
     # enumerating any
     args = ("hurwitz", "orbits", "--d", "5", "--g", "4")
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", *args], capture_output=True, text=True, timeout=5
-    )
-    assert proc.returncode == 3 and proc.stdout == ""
+    proc = run_cli(*args, expect=3, timeout=5)
+    assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("budget exceeded:")
 
@@ -234,11 +215,8 @@ def test_type_two_partitions_over_budget_exit_code(tmp_path, mass):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"d": mass, "N": 1, "g": 0, "alpha": [{"mult": mass, "point": "p1"}]}))
     for command in ("terms", "--state"), ("forest", "--root"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "severi.cli", *command, str(path)],
-            capture_output=True, text=True, timeout=5,
-        )
-        assert proc.returncode == 3 and proc.stdout == ""
+        proc = run_cli(*command, str(path), expect=3, timeout=5)
+        assert proc.stdout == ""
         assert proc.stderr == f"budget exceeded: terms: p({mass}) - 1 type II rows > 100000\n"
 
 
@@ -252,11 +230,8 @@ def test_type_two_walk_over_budget_exit_code(tmp_path):
     ]
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"d": 32, "N": 1, "g": 0, "betas": groups}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", "terms", "--state", str(path)],
-        capture_output=True, text=True, timeout=2,
-    )
-    assert proc.returncode == 3 and proc.stdout == ""
+    proc = run_cli("terms", "--state", str(path), expect=3, timeout=2)
+    assert proc.stdout == ""
     assert proc.stderr == "budget exceeded: type II walk: 65536 choices > 2048\n"
 
 
@@ -299,11 +274,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             ("forest", "--root", state, "--key-mode", "symbolic", "--max-nodes", "300"),
             ("hurwitz", "orbits", "--d", "4", "--g", "2", "--dot", str(dot)),
         ):
-            proc = subprocess.run(
-                [sys.executable, "-m", "severi.cli", *args],
-                capture_output=True,
-                env={**os.environ, "PYTHONHASHSEED": seed},
-            )
+            proc = run("-m", "severi.cli", *args, text=False, env={"PYTHONHASHSEED": seed})
             outputs.append((proc.returncode, proc.stdout))
         runs.append((outputs, dot.read_bytes()))
     assert [code for code, _ in runs[0][0]] == [0, 3, 0]
@@ -371,6 +342,10 @@ _ONE_EDGE = {
             "group 0: empty moving group", id="terms-simple-empty-group",
         ),
         pytest.param(
+            ("terms", "--state"), _EMPTY_GROUP,
+            "group 0: empty moving group", id="terms-empty-group",
+        ),
+        pytest.param(
             ("genusbound", "--g", "2", "--graph"), _ONE_EDGE,
             "Z0 is a rational tail; the central fiber must be minimal; "
             "central fiber must be connected",
@@ -408,10 +383,8 @@ def test_lattice_hat_with_a_large_prime_factor():
     # 2000000000000000006 = 2 * (10**18 + 3), a prime that takes trial
     # division 10^9 steps: the witness is the least shift of 2 by 3, to 5
     args = ("lattice", "hat", "--rows", "2000000000000000006,2;0,3", "--D", "5")
-    proc = subprocess.run(
-        [sys.executable, "-m", "severi.cli", *args], capture_output=True, text=True, timeout=5
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
+    proc = run_cli(*args, timeout=5)
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["v"] == [2000000000000000006, 5]
 
 

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 
@@ -1022,6 +1022,72 @@ def test_symbolic_key_is_invariant_under_relabeling_on_f2_nodes(f2_symbolic):
         if canonical_key(r, SYMBOLIC) != canonical_key(s, SYMBOLIC)
     ]
     assert not changed, f"{len(changed)} of 900 relabelings changed the key"
+
+
+def incidence_graph(nx, alpha, betas):
+    """Item 19's coloured bipartite graph of a shape: a node per group,
+    coloured by its profile, bundle degree and symbol tail, a node per point,
+    coloured by its alpha order or 0 for a Q point, and an edge from each
+    group to each point of its bundle, carrying the point's coefficient."""
+    graph = nx.Graph()
+    graph.add_nodes_from((lbl, {"colour": order}) for order, lbl in alpha)
+    for j, (beta, bundle) in enumerate(betas):
+        tail = tuple(term for term in bundle.terms if term[0] != "pt")
+        graph.add_node(j, colour=(beta.entries, bundle.degree, tail))
+        for kind, name, _, coeff in bundle.terms:
+            if kind == "pt":
+                if name not in graph:
+                    graph.add_node(name, colour=0)
+                graph.add_edge(j, name, coeff=coeff)
+    return graph
+
+
+def isomorphic(nx, g, h):
+    """VF2 isomorphism that keeps node colours and edge coefficients."""
+    match = nx.algorithms.isomorphism
+    return nx.is_isomorphic(
+        g, h,
+        node_match=match.categorical_node_match("colour", None),
+        edge_match=match.categorical_edge_match("coeff", None),
+    )
+
+
+def test_shapes_sharing_a_symbolic_key_are_isomorphic(f2_symbolic):
+    """Item 8a's networkx oracle, one way round: every shape the F2 build
+    keyed is isomorphic to the first shape that got its symbolic key."""
+    nx = pytest.importorskip("networkx")
+    first, pairs = {}, 0
+    for alpha, betas in f2_symbolic[1]:
+        graph = incidence_graph(nx, alpha, betas)
+        seen = first.setdefault(shape_key(alpha, betas, SYMBOLIC), graph)
+        if seen is not graph:
+            assert isomorphic(nx, seen, graph), (alpha, betas)
+            pairs += 1
+    assert pairs
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: the symbolic key orders the groups and names the "
+    "points by their stored labels, so isomorphic shapes can get different keys",
+)
+def test_isomorphic_shapes_share_a_symbolic_key(f2_symbolic):
+    """The other way round, on a seeded sample of 500 of the symbolic keys
+    of the F2 build: no two keys of one degree class have isomorphic
+    shapes."""
+    nx = pytest.importorskip("networkx")
+    shapes = {}
+    for alpha, betas in f2_symbolic[1]:
+        shapes.setdefault(shape_key(alpha, betas, SYMBOLIC), (alpha, betas))
+    classes = defaultdict(list)
+    for alpha, betas in random.Random("item 8a isomorphism").sample(list(shapes.values()), 500):
+        classes[shape_key(alpha, betas)].append(incidence_graph(nx, alpha, betas))
+    repeats = sum(
+        any(isomorphic(nx, graph, other) for other in graphs[:i])
+        for graphs in classes.values()
+        for i, graph in enumerate(graphs)
+    )
+    assert not repeats, f"{repeats} of 500 keys have a shape isomorphic to an earlier key's"
 
 
 def labelled_edges(forest, key_of):

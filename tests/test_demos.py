@@ -1,19 +1,19 @@
-"""The demos print the same output: each demo's stdout, by sha256 digest.
+"""The demos print the same output: each demo's stdout, by sha256 digest,
+from a cold ``python -S -W error`` process, so a demo that needs a package
+outside the standard library, or raises a warning, fails too.
 
 A change that alters what a demo prints must re-record its digest here and
 say why in CHANGES.md.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).parent.parent
-DEMOS = ROOT / "demos"
+from tests.cold import run
+
+DEMOS = Path(__file__).parent.parent / "demos"
 
 STDOUT_SHA256 = {
     "01_profiles_and_dimension_formulas.py": "8fa43a8640d5f5efa96488864b76afbc0485db23da815f722bb0c16097ecb9e8",
@@ -30,11 +30,6 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_stdout(name):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run(str(DEMOS / name), text=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]

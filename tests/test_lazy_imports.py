@@ -1,9 +1,8 @@
 """A cold CLI process imports only the modules its subcommand runs, and the
 package's lazy attributes keep the public surface."""
 
+import functools
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -13,8 +12,8 @@ import severi
 from severi import cli
 from severi import states as st
 from severi import surfaces as sf
+from tests.cold import run
 
-ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # Runs cli.main in a fresh interpreter and prints the modules loaded.
@@ -27,16 +26,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def run_probe(code: str, *args: str, flags: tuple[str, ...] = ()) -> tuple[int, set[str]]:
-    """The probe's exit code and every module it reports; ``flags`` go to
-    the interpreter."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+def run_probe(code: str, *args: str) -> tuple[int, set[str]]:
+    """The probe's exit code and every module it reports."""
+    proc = run("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     exit_code, modules = json.loads(proc.stdout)
     return exit_code, set(modules)
@@ -87,20 +79,28 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
+def subcommand_modules(name: str) -> frozenset[str]:
+    """Every module the subcommand's probe reports: one process per
+    subcommand serves each test below."""
+    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0])
+    assert exit_code == 0
+    return frozenset(modules)
+
+
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_subcommand_loads_only_its_modules(name):
-    args, expected = SUBCOMMANDS[name]
-    assert loaded_modules(PROBE, *args) == (0, expected)
+    loaded = {m.removeprefix("severi.") for m in subcommand_modules(name) if m.startswith("severi.")}
+    assert loaded == SUBCOMMANDS[name][1]
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_subcommand_loads_only_the_standard_library(name):
-    # -S skips the site module, whose .pth files may load third-party code;
-    # what is left is the probe, the package and the standard library
-    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0], flags=("-S",))
-    assert exit_code == 0
+    # the probe runs under -S, which skips the site module, whose .pth files
+    # may load third-party code: what is left is the probe, the package and
+    # the standard library
     others = {
-        m for m in modules
+        m for m in subcommand_modules(name)
         if m != "__main__" and m.split(".")[0] not in ("severi", *sys.stdlib_module_names)
     }
     assert others == set()
@@ -113,9 +113,7 @@ def test_subcommand_loads_only_the_standard_library(name):
     "name", ["dim", "gamma", "genusbound", "lattice-counts", "lattice-snf", "mono-factor"]
 )
 def test_light_subcommand_loads_no_dataclasses(name):
-    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0])
-    assert exit_code == 0
-    assert not modules & {"dataclasses", "inspect"}
+    assert not subcommand_modules(name) & {"dataclasses", "inspect"}
 
 
 def test_base_imports_no_other_module():

@@ -153,8 +153,16 @@ def test_validate_duplicate_labels():
         (lambda: check_valid(mk(0, 1, 0)), InvalidState, "fiber degree d=0 must be >= 1"),
         (lambda: LineBundle(((PT, "p", 2, 1),)), ValueError, "points have degree 1"),
         (lambda: canonical_key(mk(1, 0, 0), "exact"), ValueError, "unknown key mode 'exact'"),
+        (
+            lambda: check_valid(state_from_json({
+                "d": 1, "N": 1, "g": 0, "alpha": [{"mult": 1, "point": "p1"}],
+                "betas": [{"profile": [], "L": {"degree": 0, "expr": []}}],
+            })),
+            InvalidState,
+            "group 0: empty moving group",
+        ),
     ],
-    ids=["fiber-degree", "point-degree", "key-mode"],
+    ids=["fiber-degree", "point-degree", "key-mode", "empty-group"],
 )
 def test_refusals_name_their_reason(make, error, message):
     with pytest.raises(error) as refused:
