@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -105,8 +106,9 @@ def iter_tuples(d: int, b: int):
     transitive tuple exactly when its transpositions join all the orbits of
     <A, B>, and every word does when <A, B> is transitive.  The orbits
     depend only on the cycle partitions of A and B, so they are joined once
-    per pair of partition ids, and the words of each (orbits, product) are
-    filtered once, for every (A, B) that shares them.
+    per unordered pair of partition ids (the join commutes, and its
+    least-sheet labels are canonical), and the words of each (orbits,
+    product) are filtered once, for every (A, B) that shares them.
     """
     _guard(d, b, "enumeration")
     if (count := tuple_count(d, b)) > MAX_ENUM_TUPLES:
@@ -124,6 +126,7 @@ def iter_tuples(d: int, b: int):
     pid = [ids.setdefault(c, i) for i, c in enumerate(parts)]
     orbits_of: dict = {}  # (partition id of A, that of B) -> orbits of <A, B>
     branches: dict = {}  # (orbits of <A, B>, [A, B]) -> branch tuples
+    new = tuple.__new__
     for a_i, a in enumerate(perms):
         row, a_inv, a_id = mul[a_i], inv[a_i], pid[a_i]
         for b_i, bb in enumerate(perms):
@@ -131,13 +134,16 @@ def iter_tuples(d: int, b: int):
             if target not in words:
                 continue
             key = a_id, pid[b_i]
-            orbs = orbits_of[key] = orbits_of.get(key) or _orbits(d, [parts[key[1]]], parts[a_id])
+            if (orbs := orbits_of.get(key)) is None:  # the join commutes: file both orders
+                orbs = _orbits(d, [parts[key[1]]], parts[a_id])
+                orbits_of[key] = orbits_of[key[::-1]] = orbs
             if (orbs, target) not in branches:
                 branches[orbs, target] = [
                     t for t in words[target] if not any(orbs) or not any(_orbits(d, t, orbs))
                 ]
             for branch in branches[orbs, target]:
-                yield HurwitzTuple(d, a, bb, branch)
+                # what HurwitzTuple._make does: skips the Python-level __new__ call per tuple
+                yield new(HurwitzTuple, (d, a, bb, branch))
 
 
 def _orbits(d: int, gens, start=None) -> tuple[int, ...]:
@@ -286,11 +292,11 @@ class _PackedMoves:
     the letters once per distinct branch word, whose product each tuple
     compares with [A, B].  In input order, the first tuple not yet placed
     opens a relabeling class of all its conjugates by S_d, named by its
-    input index (``class_of``); its invariant lattice, computed once per
-    class, must exist, that is, the sheets must be transitively permuted.
-    ``reps`` holds (name, packed key, lattice) per class, ``census`` the
-    tuples per lattice and ``pos`` {packed key: input index}, which
-    :meth:`find` reads.
+    input index (``class_of``) and summed from the cached rows of
+    :meth:`conjugates`; its invariant lattice, computed once per class, must
+    exist, that is, the sheets must be transitively permuted.  ``reps``
+    holds (name, packed key, lattice) per class, ``census`` the tuples per
+    lattice and ``pos`` {packed key: input index}, which :meth:`find` reads.
     """
 
     def __init__(self, tuples: list):
@@ -299,6 +305,7 @@ class _PackedMoves:
         self.d, self.perms, self.mul, self.inv, self.radix = d, perms, mul, inv, len(perms)
         self.adjacent = [index[transposition(d, k, k + 1)] for k in range(d - 1)]
         self.width, self.weights = b + 2, [self.radix**i for i in range(b + 2)]
+        self.rows: dict = {}  # (entry x, weight w) -> conjugation row, see conjugates
         transps, radix, weights = frozenset(transps), self.radix, self.weights[2:]
         words: dict = {}  # valid branch word -> (packed digits, product)
 
@@ -355,13 +362,16 @@ class _PackedMoves:
         """The packed conjugate of the tuple ``key`` by each table index g
         of ``gs``, in order: every entry x becomes g^-1 x g.  All of
         ``range(radix)`` gives its relabeling class, and :attr:`adjacent`
-        the relabeling moves c1.., c{d-1} by (1 2), (2 3), ..."""
-        mul = self.mul
-        rows = [mul[self.inv[g]] for g in gs]
-        out = [0] * len(rows)
-        for x, wk in zip(self.unpack(key), self.weights):
-            out = [o + mul[row[x]][g] * wk for g, o, row in zip(gs, out, rows)]
-        return out
+        the relabeling moves c1.., c{d-1} by (1 2), (2 3), ...  It sums one
+        row per digit x of weight w, ``rows[x, w][g] = w * index(g^-1 x g)``,
+        built over S_d when first met and kept on the instance."""
+        mul, inv, memo, every = self.mul, self.inv, self.rows, range(self.radix)
+        rows = []
+        for x, w in zip(self.unpack(key), self.weights):
+            if (row := memo.get((x, w))) is None:
+                row = memo[x, w] = [w * mul[mul[inv[g]][x]][g] for g in every]
+            rows.append(row if gs == every else [row[g] for g in gs])
+        return list(functools.reduce(functools.partial(map, operator.add), rows))
 
     def images(self, key: int) -> list[int]:
         """The packed image of the tuple ``key`` under each braid move

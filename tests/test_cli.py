@@ -494,20 +494,10 @@ def test_mono_factor_factors_the_tuple_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["kernel"]["ok"]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("dim", "--d", "3", "--g", "2", "--b", "3"),
-        ("terms", "--state", str(FIXTURES / "state_simple.json")),
-        ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-        ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-        ("lattice", "counts", "--d", "6"),
-        ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
-        ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
-        ("hurwitz", "orbits", "--d", "3", "--g", "2"),
-    ],
-)
-def test_repeated_runs_are_byte_identical(args):
+def test_repeated_runs_are_byte_identical():
+    """Criterion 10 runs its nine invocations twice each and pins their
+    bytes; this runs one more, ``hurwitz orbits`` at (d, g) = (3, 2)."""
+    args = ("hurwitz", "orbits", "--d", "3", "--g", "2")
     first = run_cli(*args).stdout
     second = run_cli(*args).stdout
     assert first == second

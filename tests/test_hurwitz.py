@@ -23,6 +23,7 @@ from severi.hurwitz import (
     ScanReport,
     _PackedMoves,
     _branch_words,
+    _orbits,
     _pair_classes,
     admissible,
     braid_move,
@@ -139,6 +140,39 @@ def test_degree_six_enumeration_is_pinned():
     if sys.byteorder == "big":
         digits.byteswap()
     assert (n, hashlib.sha256(digits.tobytes()).hexdigest()) == ENUM_6_2_SHA256
+
+
+def set_partitions(d):
+    """Every set partition of d sheets, each sheet labelled by the least
+    sheet of its block, as _orbits labels them."""
+    out = [()]
+    for s in range(d):
+        out = [p + (x,) for p in out for x in sorted(set(p)) + [s]]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_orbit_join_commutes(d):
+    """iter_tuples joins the cycle partitions of A and B once per unordered
+    pair of partition ids: in least-sheet labels, a partition is its own
+    orbits, and the join of two does not depend on which one it starts
+    from."""
+    parts = set_partitions(d)
+    assert len(parts) == [1, 2, 5, 15, 52][d - 1]
+    for p in parts:
+        assert _orbits(d, [p]) == p
+    for p, q in itertools.product(parts, repeat=2):
+        assert _orbits(d, [p], q) == _orbits(d, [q], p)
+
+
+@pytest.mark.parametrize("d,b", [(2, 2), (3, 2), (4, 2), (5, 2), (3, 4)])
+def test_enumerated_tuples_are_hurwitz_tuples(d, b):
+    """iter_tuples builds its tuples without calling the constructor; each
+    is still a HurwitzTuple of degree d with b branch letters."""
+    for t in iter_tuples(d, b):
+        u = HurwitzTuple(*t)
+        assert type(t) is HurwitzTuple and t == u and hash(t) == hash(u)
+        assert t.d == d and t.b == b
 
 
 def test_enumeration_guard():
@@ -493,6 +527,26 @@ def test_conjugates_are_the_relabeling_closure(d, g):
         classes.setdefault(c, []).append(j)
     for c, members in classes.items():
         assert c == members[0] and {ts[j] for j in members} == closure_of[ts[c]]
+
+
+def test_adjacent_conjugates_read_the_relabeling_rows():
+    """At (5, 2), the conjugates of each class's tuple by the adjacent
+    transpositions, which move_graph_dot draws, are those entries of its
+    conjugates by all of S_d, whether the weighted rows are read from the
+    memo that the class split filled or built by the adjacent call."""
+    moves = _PackedMoves(enumerate_tuples(5, 2))
+    every = range(moves.radix)
+    keys = [key for _, key, _ in moves.reps]
+    for key in keys:
+        assert all((x, w) in moves.rows for x, w in zip(moves.unpack(key), moves.weights))
+    for key in keys:
+        full = moves.conjugates(key, every)
+        assert moves.conjugates(key, moves.adjacent) == [full[g] for g in moves.adjacent]
+    for key in keys:
+        moves.rows.clear()
+        adjacent = moves.conjugates(key, moves.adjacent)
+        full = moves.conjugates(key, every)
+        assert adjacent == [full[g] for g in moves.adjacent]
 
 
 def test_orbits_rejects_a_set_the_moves_leave():
