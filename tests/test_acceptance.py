@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from bench import cli_jobs as cj
+from bench import oracle
+from bench.harness import load_golden
 from severi import degeneration as dg
 from severi import hurwitz as hw
 from severi import lattices as lt
@@ -26,6 +29,8 @@ from tests.test_lattices import sigma_oracle
 FIXTURES = Path(__file__).parent / "fixtures"
 
 SCAN_CASES = [(2, 2), (2, 4), (3, 2), (3, 4), (4, 2), (4, 4), (5, 2), (5, 4)]
+# the benchmark's count oracle, which uses no program code
+SCAN_TOTAL = sum(oracle.transitive_tuples(d, b) for d, b in SCAN_CASES)
 
 
 def _report(n: int, desc: str) -> None:
@@ -139,7 +144,10 @@ def test_criterion_05_full_monodromy_equivalence(scan_reports):
     for case in SCAN_CASES:
         rep = scan_reports[case]
         assert rep.equivalence_failures == 0, f"equivalence fails at {case}"
+        assert rep.tuples == oracle.transitive_tuples(*case), f"tuple count at {case}"
+        assert set(rep.census) == set(hw.expected_lattices(case[0])), f"census at {case}"
         total += rep.tuples
+    assert total == SCAN_TOTAL
     assert scan_reports["elapsed"] < 300.0
     _report(
         5,
@@ -155,6 +163,7 @@ def test_criterion_06_kernel_order(scan_reports):
         assert rep.kernel_failures == 0, f"kernel order fails at {case}"
         assert rep.kernel_checked == rep.tuples
         total += rep.kernel_checked
+    assert total == SCAN_TOTAL
     _report(6, f"|G| = (dtilde!)^e * |quotient| on all {total} tuples with d<=5, b<=4")
 
 
@@ -164,6 +173,7 @@ def test_criterion_07_block_pair_transitivity(scan_reports):
         rep = scan_reports[case]
         assert rep.blockpair_failures == 0, f"block pairs fail at {case}"
         total += rep.tuples
+    assert total == SCAN_TOTAL
     _report(7, f"block-pair transitivity holds on all {total} tuples with d<=5, b<=4")
 
 
@@ -172,6 +182,7 @@ def test_criterion_08_orbit_calibration():
     expected = {(2, 2): 1, (2, 3): 1, (3, 2): 1, (4, 2): 4}
     for (d, g), count in expected.items():
         tuples = hw.enumerate_tuples(d, g)
+        assert len(tuples) == oracle.transitive_tuples(d, hw.branch_points(g))
         report = hw.orbits(tuples)
         assert report.orbit_count == count, f"orbits({d},{g}) = {report.orbit_count} != {count}"
         realized = set(report.census)
@@ -231,35 +242,27 @@ def test_criterion_09_genus_oracle():
 
 
 def test_criterion_10_cli_determinism():
-    # the benchmark's goldens, read and never written; its inputs are
-    # byte-identical copies of these fixtures
-    golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
-    invocations = {
-        "terms-simple": ("terms", "--state", str(FIXTURES / "state_simple.json")),
-        "terms-two-groups": ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-        "forest": ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-        "dim": ("dim", "--d", "3", "--g", "2", "--b", "3"),
-        "gamma": ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2", "--b", "0", "--g", "3"),
-        "genusbound": ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
-        "lattice-counts": ("lattice", "counts", "--d", "6"),
-        "mono-factor": ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
-        "hurwitz-orbits": ("hurwitz", "orbits", "--d", "4", "--g", "2"),
-    }
-    for name, args in invocations.items():
-        first, second = (run_cli(*args, text=False).stdout for _ in range(2))
-        assert first == second, f"non-deterministic output for {args}"
-        assert hashlib.sha256(first).hexdigest() == golden["digests"][f"cli-{name}"], name
+    # bench/ holds the one copy of the invocations, their inputs and their
+    # digests; the inputs are byte-identical copies of these fixtures
+    for path in cj.INPUTS.iterdir():
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes(), path.name
+    golden = load_golden()
+    for name in cj.INVOCATIONS:
+        first, second = (run_cli(*cj.argv(name), text=False).stdout for _ in range(2))
+        assert first == second, f"non-deterministic output for {name}"
+        assert hashlib.sha256(first).hexdigest() == golden[f"cli-{name}"], name
         json.loads(first)
-    _report(10, f"{len(invocations)} CLI invocations print their pinned bytes, twice each")
+    _report(10, f"{len(cj.INVOCATIONS)} CLI invocations print their pinned bytes, twice each")
 
 
 def test_optional_kernel_order_d6():
     for case in [(6, 2), (6, 4)]:
         rep = hw.scan_monodromy(*case)
         assert rep.kernel_failures == 0 and rep.equivalence_failures == 0
+        assert rep.tuples == oracle.transitive_tuples(*case)
         _report(6, f"d=6 scan {case}: {rep.tuples} tuples, kernel order exact")
     report = hw.orbits(list(hw.iter_tuples(6, 2)))
-    assert len(report.tuples) == 259_200
+    assert len(report.tuples) == 259_200 == oracle.transitive_tuples(6, 2)
     assert report.orbit_count == 8 == lt.hurwitz_component_count(6)
     assert all(n == 1 for n in report.lattice_of_orbit.values())
     assert {lat.index for lat in report.census} == {1, 2, 3}

@@ -1,13 +1,13 @@
 import dataclasses
-import hashlib
 import itertools
-import json
 import math
 import random
 from collections import defaultdict, deque
 
 import pytest
 
+from bench.harness import digest, load_golden
+from bench.library_jobs import F1, F2, W
 from severi import degeneration as dg
 from severi.base import BudgetExceeded
 from severi.profiles import Profile, partition_count, partitions
@@ -506,7 +506,7 @@ def test_degree_walk_keeps_run_prefixes(rng):
 
 @pytest.mark.parametrize("mode", [DEGREE, SYMBOLIC])
 def test_forest_keys_are_canonical_keys(mode, rng):
-    roots = [simple_state(6, 4, 6, 0, 6), simple_state(5, 3, 4, 0, 5)]
+    roots = [F1, F2]
     roots += [random_normalized_state(rng) for _ in range(6)]
     normalized = {True: 0, False: 0}
     for root in roots:
@@ -592,12 +592,12 @@ def test_forest_lists_each_shape_once_in_any_N_order(mode):
 
 
 @pytest.mark.parametrize(
-    "mode,size,N,g,counts",
-    [(DEGREE, 6, 4, 6, (1797, 712, 5095)), (SYMBOLIC, 5, 3, 4, (3672, 2351, 7494))],
+    "mode,root,counts",
+    [(DEGREE, F1, (1797, 712, 5095)), (SYMBOLIC, F2, (3672, 2351, 7494))],
     ids=["F1", "F2"],
 )
-def test_forest_enumerates_each_shape_once(mode, size, N, g, counts):
-    forest = dg.build_forest([simple_state(size, N, g, 0, size)], key_mode=mode)
+def test_forest_enumerates_each_shape_once(mode, root, counts):
+    forest = dg.build_forest([root], key_mode=mode)
     assert (forest.expanded, forest.enumerated, forest.keyed) == counts
     expanded = [s for s in forest.nodes.values() if dimension(s) > 0]
     assert forest.expanded == len(expanded)
@@ -659,13 +659,9 @@ def test_dedup_validates_every_child_shape(mode, monkeypatch):
 
 # -- byte-for-byte pins ------------------------------------------------------
 # sha256 digests of the simple enumerator's term JSON and of symbolic key
-# strings.  A change to the terms, their order, the term kept per key or a
-# key string changes a digest; re-record it only for an intended change.
-
-
-def digest(obj) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+# strings, in the benchmark's canonical JSON form.  A change to the terms,
+# their order, the term kept per key or a key string changes a digest;
+# re-record it only for an intended change.
 
 
 def transverse_states(max_d):
@@ -729,7 +725,7 @@ def symbolic_key_states():
     """Nodes of a capped symbolic forest from one group 1^5, the children of
     its first nodes, and ties of order-one points named in bundles on both
     sides of the relabeling cap."""
-    forest = dg.build_forest([simple_state(5, 3, 4, 0, 5)], max_nodes=1000, key_mode=SYMBOLIC)
+    forest = dg.build_forest([F2], max_nodes=1000, key_mode=SYMBOLIC)
     states = list(forest.nodes.values())
     for s in states[:150]:
         states.extend(t.child for t in dg.successors_general(s))
@@ -874,9 +870,6 @@ def reference_group_forms(betas, mapping):
     return tuple(sorted(group_form(beta, bundle, names) for beta, bundle in betas))
 
 
-# ten order-one points, past the relabeling cap; in the alpha part P10
-# sorts before P2
-TEN_POINTS = simple_state(12, 3, 3, 10, 2)
 # orders 3, 2, 2 and a run of nine order-one points, some named in the bundle
 MIXED_TWELVE = SeveriState(
     d=18,
@@ -912,14 +905,16 @@ def test_symbolic_key_matches_reference(rng):
     states = corpus + [t.child for s in corpus for t in dg.successors_general(s, SYMBOLIC)]
     states += symbolic_key_states()
     swapped = dataclasses.replace(Q_ORDER, betas=Q_ORDER.betas[::-1])
-    states += [TEN_POINTS, MIXED_TWELVE, Q_ORDER, swapped, THIRTY_THREE]
+    states += [W, MIXED_TWELVE, Q_ORDER, swapped, THIRTY_THREE]
     # past ten points the symbolic walk is over budget, so these children
     # come from the degree-mode walk
-    states += [t.child for s in (TEN_POINTS, MIXED_TWELVE) for t in dg.successors_general(s)]
+    states += [t.child for s in (W, MIXED_TWELVE) for t in dg.successors_general(s)]
     states += [t.child for t in dg.successors_general(Q_ORDER, SYMBOLIC)]
     for s in states:
         assert shape_key(s.alpha, s.betas, SYMBOLIC) == reference_symbolic_part(s.alpha, s.betas)
-    alpha_part, _ = shape_key(TEN_POINTS.alpha, TEN_POINTS.betas, SYMBOLIC)
+    # W's ten order-one points are past the relabeling cap; in the alpha
+    # part P10 sorts before P2
+    alpha_part, _ = shape_key(W.alpha, W.betas, SYMBOLIC)
     assert [name for _, name in alpha_part] == ["P1", "P10"] + [f"P{i}" for i in range(2, 10)]
     alpha_part, _ = shape_key(THIRTY_THREE.alpha, THIRTY_THREE.betas, SYMBOLIC)
     assert sorted(name for _, name in alpha_part) == sorted(f"P{i}" for i in range(1, 34))
@@ -931,9 +926,6 @@ def test_symbolic_key_matches_reference(rng):
 
 
 # -- structural oracles over the benchmark's forests -------------------------
-
-F1_ROOT = simple_state(6, 4, 6, 0, 6)
-F2_ROOT = simple_state(5, 3, 4, 0, 5)
 
 
 def test_one_term_per_emitted_term(monkeypatch):
@@ -948,10 +940,10 @@ def test_one_term_per_emitted_term(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(dg.Term, "__init__", counting)
-    terms = dg.successors_general(TEN_POINTS, SYMBOLIC)
+    terms = dg.successors_general(W, SYMBOLIC)
     assert built == len(terms) == 934
     built = 0
-    forest = dg.build_forest([F1_ROOT], key_mode=DEGREE)
+    forest = dg.build_forest([F1], key_mode=DEGREE)
     assert not forest.truncated
     assert built == len(forest.edges) == 22_782
 
@@ -968,17 +960,25 @@ def f2_symbolic():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dg, "shape_key", recording)
-        forest = dg.build_forest([F2_ROOT], key_mode=SYMBOLIC)
+        forest = dg.build_forest([F2], key_mode=SYMBOLIC)
     return forest, keyed
 
 
 @pytest.fixture(scope="module")
 def bench_forests(f2_symbolic):
     return {
-        ("F1", DEGREE): dg.build_forest([F1_ROOT], key_mode=DEGREE),
-        ("F2", DEGREE): dg.build_forest([F2_ROOT], key_mode=DEGREE),
+        ("F1", DEGREE): dg.build_forest([F1], key_mode=DEGREE),
+        ("F2", DEGREE): dg.build_forest([F2], key_mode=DEGREE),
         ("F2", SYMBOLIC): f2_symbolic[0],
     }
+
+
+def test_library_outputs_match_the_bench_goldens(bench_forests):
+    # the digests the benchmark's forest and successors-w jobs check
+    golden = load_golden()
+    assert digest(bench_forests["F1", DEGREE].to_json()) == golden["forest-f1"]
+    assert digest(bench_forests["F2", SYMBOLIC].to_json()) == golden["forest-f2"]
+    assert digest([t.to_json() for t in dg.successors_general(W)]) == golden["successors-w"]
 
 
 def test_symbolic_key_matches_reference_on_every_f2_shape(f2_symbolic):

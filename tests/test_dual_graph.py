@@ -6,6 +6,7 @@ import pytest
 from severi.base import InvalidState
 from severi.dual_graph import (
     CentralFiber,
+    _components,
     arithmetic_genus,
     compute_T,
     genus_bound_check,
@@ -203,3 +204,18 @@ def test_random_graphs_match_oracle_and_claims():
 def test_json_roundtrip():
     gr = chain_fiber()
     assert CentralFiber.from_json(gr.to_json()) == gr
+
+
+def test_z_components_match_networkx():
+    """An independent oracle for the components of the contracted locus:
+    networkx on the Z-subgraph of seeded random graphs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2626)
+    for _ in range(500):
+        gr = random_fiber(rng)
+        z_nodes = [f"Z{i}" for i in range(len(gr.z_parts))]
+        graph = nx.Graph()
+        graph.add_nodes_from(z_nodes)
+        graph.add_edges_from((a, b) for a, b in gr.edges if a in graph and b in graph)
+        expected = sorted(nx.connected_components(graph), key=sorted)
+        assert _components(z_nodes, gr.edges) == expected, gr

@@ -760,6 +760,19 @@ def test_move_graph_components_are_the_orbits(d, g):
     assert sorted(map(sorted, by_root.values())) == sorted(map(sorted, by_orbit.values()))
 
 
+@pytest.mark.parametrize("d,g,count", [(3, 2, 1), (4, 2, 4), (5, 2, 1)])
+def test_move_graph_component_count_matches_networkx(d, g, count):
+    """An independent oracle for union-find and the DOT writer: networkx
+    counts the components of the graph the DOT text draws."""
+    nx = pytest.importorskip("networkx")
+    rep = orbits(enumerate_tuples(d, g))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(rep.tuples)))
+    edges = re.findall(r"^  n(\d+) -- n(\d+) ", move_graph_dot(rep), re.M)
+    graph.add_edges_from((int(i), int(j)) for i, j in edges)
+    assert nx.number_connected_components(graph) == rep.orbit_count == count
+
+
 def test_scan_small():
     rep = scan_monodromy(3, 2)
     assert rep.ok

@@ -247,3 +247,30 @@ def test_contains_matches_the_integer_span_of_the_rows():
         span = {(i * a, i * b + j * c) for i in range(-20, 21) for j in range(-40, 41)}
         for v in ((x, y) for x in range(-6, 7) for y in range(-6, 7)):
             assert lat.contains(v) == (v in span), (lat, v)
+
+
+def test_snf_and_index_match_sympy():
+    """An independent oracle: sympy's Smith form of 300 seeded rank-2
+    integer matrices with 2-4 rows and entries in [-30, 30]."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(26)
+    checked = 0
+    while checked < 300:
+        rows = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(rng.randint(2, 4))]
+        matrix = sympy.Matrix(rows)
+        if matrix.rank() < 2:
+            continue
+        form = smith_normal_form(matrix, domain=sympy.ZZ)
+        d1, d2 = abs(form[0, 0]), abs(form[1, 1])
+        lat = hnf(rows)
+        assert snf(lat) == (d1, d2), rows
+        assert lat.index == d1 * d2, rows
+        checked += 1
+
+
+def test_sublattice_counts_match_sympy_divisor_sigma():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for e in range(1, 201):
+        assert len(sublattices(e)) == numbers.divisor_sigma(e), e

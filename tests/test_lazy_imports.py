@@ -4,17 +4,15 @@ package's lazy attributes keep the public surface."""
 import functools
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
 import severi
+from bench import cli_jobs as cj
 from severi import cli
 from severi import states as st
 from severi import surfaces as sf
 from tests.cold import run
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 # Runs cli.main in a fresh interpreter and prints the modules loaded.
 PROBE = """
@@ -40,61 +38,44 @@ def loaded_modules(code: str, *args: str) -> tuple[int, set[str]]:
     return exit_code, {m.removeprefix("severi.") for m in modules if m.startswith("severi.")}
 
 
-# Each subcommand's arguments and the severi modules it loads.  Every
-# subcommand loads the leaf module base; the genus bound and the monodromy
-# factorization load nothing of the other half of the package.
+# The severi modules each probe loads, named as in bench.cli_jobs, whose
+# INVOCATIONS give the arguments.  Every subcommand loads the leaf module
+# base; the genus bound and the monodromy factorization load nothing of the
+# other half of the package.
 SUBCOMMANDS = {
-    "terms": (
-        ("terms", "--state", str(FIXTURES / "state_two_groups.json")),
-        {"cli", "base", "degeneration", "states", "profiles"},
-    ),
-    "terms-simple": (
-        ("terms", "--state", str(FIXTURES / "state_simple.json")),
-        {"cli", "base", "degeneration", "states", "profiles"},
-    ),
-    "forest": (
-        ("forest", "--root", str(FIXTURES / "state_simple.json"), "--floor", "0"),
-        {"cli", "base", "degeneration", "states", "profiles"},
-    ),
-    "dim": (("dim", "--d", "3", "--g", "2", "--b", "3"), {"cli", "base", "surfaces"}),
-    "gamma": (
-        ("gamma", "--model", "elliptic_times_p1", "--D", "0,1", "--tau", "4,2",
-         "--b", "0", "--g", "3"),
-        {"cli", "base", "surfaces"},
-    ),
-    "genusbound": (
-        ("genusbound", "--graph", str(FIXTURES / "graph_chain.json"), "--g", "3"),
-        {"cli", "base", "dual_graph"},
-    ),
-    "lattice-counts": (("lattice", "counts", "--d", "6"), {"cli", "base", "lattices"}),
-    "lattice-snf": (("lattice", "snf", "--rows", "2,0;0,4"), {"cli", "base", "lattices"}),
-    "mono-factor": (
-        ("mono", "factor", "--tuple", str(FIXTURES / "tuple_d3.json")),
-        {"cli", "base", "lattices", "monodromy"},
-    ),
-    "hurwitz-orbits": (
-        ("hurwitz", "orbits", "--d", "4", "--g", "2"),
-        {"cli", "base", "hurwitz", "lattices", "monodromy", "profiles", "words"},
-    ),
+    "terms-simple": {"cli", "base", "degeneration", "states", "profiles"},
+    "terms-two-groups": {"cli", "base", "degeneration", "states", "profiles"},
+    "forest": {"cli", "base", "degeneration", "states", "profiles"},
+    "dim": {"cli", "base", "surfaces"},
+    "gamma": {"cli", "base", "surfaces"},
+    "genusbound": {"cli", "base", "dual_graph"},
+    "lattice-counts": {"cli", "base", "lattices"},
+    "mono-factor": {"cli", "base", "lattices", "monodromy"},
+    "hurwitz-orbits": {"cli", "base", "hurwitz", "lattices", "monodromy", "profiles", "words"},
+    "lattice-snf": {"cli", "base", "lattices"},
 }
+# every acceptance invocation is probed, and one more, its arguments here
+PROBES = [*cj.INVOCATIONS, "lattice-snf"]
+LATTICE_SNF = ("lattice", "snf", "--rows", "2,0;0,4")
 
 
 @functools.cache
 def subcommand_modules(name: str) -> frozenset[str]:
     """Every module the subcommand's probe reports: one process per
     subcommand serves each test below."""
-    exit_code, modules = run_probe(PROBE, *SUBCOMMANDS[name][0])
+    argv = LATTICE_SNF if name == "lattice-snf" else cj.argv(name)
+    exit_code, modules = run_probe(PROBE, *argv)
     assert exit_code == 0
     return frozenset(modules)
 
 
-@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+@pytest.mark.parametrize("name", PROBES)
 def test_subcommand_loads_only_its_modules(name):
     loaded = {m.removeprefix("severi.") for m in subcommand_modules(name) if m.startswith("severi.")}
-    assert loaded == SUBCOMMANDS[name][1]
+    assert loaded == SUBCOMMANDS[name]
 
 
-@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+@pytest.mark.parametrize("name", PROBES)
 def test_subcommand_loads_only_the_standard_library(name):
     # the probe runs under -S, which skips the site module, whose .pth files
     # may load third-party code: what is left is the probe, the package and

@@ -147,3 +147,9 @@ def test_additivity_properties():
 
 def test_json_is_sorted_descending():
     assert Profile.of(1, 3, 2).to_json() == [3, 2, 1]
+
+
+def test_partition_count_matches_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for n in range(60):
+        assert partition_count(n, 10**6) == numbers.partition(n), n

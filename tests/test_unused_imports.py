@@ -1,12 +1,21 @@
-"""Every module-level import of the package is read in the module that
-makes it, so a deletion cannot leave a dead import behind."""
+"""Every module-level import of the package, the tests and the demos is
+read in the module that makes it, so a deletion cannot leave a dead import
+behind."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "severi"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "severi"
+# the package's modules by file name, the tests and demos by path from the root
+MODULES = {p.name: p for p in sorted(SRC.glob("*.py"))}
+MODULES.update(
+    (p.relative_to(ROOT).as_posix(), p)
+    for d in ("tests", "demos")
+    for p in sorted((ROOT / d).glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +42,6 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_unused_module_level_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_level_import(name):
+    assert unused_imports(MODULES[name].read_text(encoding="utf-8")) == []
